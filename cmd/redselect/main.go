@@ -20,7 +20,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/gen"
 	"repro/internal/superacc"
 )
@@ -47,7 +47,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rt := core.New(*tol)
+	rt := repro.New(*tol)
 	exact := superacc.Sum(xs)
 	if *hier > 0 {
 		total, blocks := rt.HierarchicalSum(xs, *hier)

@@ -76,8 +76,8 @@ type BoundPlan uint8
 
 const (
 	// SerialPlan models the serial left-to-right fold the fused
-	// serving path (Selector.Sum, SelectAndSum) executes: chain height
-	// n-1. The zero value, so the default.
+	// serving path (SelectAndSum) executes: chain height n-1. The zero
+	// value, so the default.
 	SerialPlan BoundPlan = iota
 	// BalancedPlan models execution on a balanced reduction tree
 	// (grid sweeps, tree-imposed collectives): chain height ⌈log2 n⌉.

@@ -65,12 +65,6 @@ func (cal *Calibration) SurfacePolicy() *CalibratedSurfacePolicy {
 	return FitSurface(cal.Cells, cal.Costs, cal.Safety)
 }
 
-// ScanPolicy wraps the artifact's cells as the nearest-neighbor scan
-// policy (the surface's reference semantics).
-func (cal *Calibration) ScanPolicy() *CalibratedPolicy {
-	return NewCalibratedPolicy(cal.Cells, cal.Safety)
-}
-
 // cellAlgs lists the algorithms measured in a cell, in sum.Algorithms
 // (cost) order — the canonical iteration for encoding and comparison.
 func cellAlgs(c grid.CellResult) []sum.Algorithm {

@@ -8,17 +8,17 @@ import (
 
 // Fused speculative serving path.
 //
-// The legacy Selector.Sum reads the data twice: ProfileOf(xs) to build
-// the selection profile, then alg.Sum(xs) once the policy has chosen —
-// 2x memory traffic even when the choice is the cheapest algorithm.
+// The two-pass route reads the data twice: ProfileOf(xs) to build the
+// selection profile, then alg.Sum(xs) once the policy has chosen — 2x
+// memory traffic even when the choice is the cheapest algorithm.
 // The fused path folds the profile AND the two cheapest candidate
 // answers (ST's plain sum and Neumaier's compensated pair — the
 // profile's Σx accumulator is that pair) in one pass over xs
 // (kernel.FusedProfileSum), then consults the policy. When the policy
 // picks ST or Neumaier the answer is already in hand and the data is
-// never read again; only escalations to PW/K/CP/PR pay a second pass.
-// Every fast-path result is bitwise-identical to what the legacy
-// two-pass route computes, pinned by equivalence tests.
+// never read again; only escalations to PW/K/CP/PR/BN pay a second
+// pass. Every result is bitwise-identical to what the two-pass route
+// computes, pinned by equivalence tests.
 
 // FusedPass is the outcome of one fused profile+sum pass: the complete
 // selection profile plus the speculative plain-sum shadow. The Neumaier
@@ -63,9 +63,10 @@ func FusedProfileSum(xs []float64) FusedPass {
 // combined with kernel.FusedAcc.Merge over the engine's fixed balanced
 // tree. The profile matches ProfileOfParallel(xs, cfg) and the
 // speculative sums match parallel.Sum(StandardAlg/NeumaierAlg, xs, cfg)
-// bit-for-bit at any worker count — provided cfg.LaneWidth <= 1 (lane
-// plans change the chunk-fold bits; callers must fall back to the
-// two-pass route for wider lanes, as core.Runtime does).
+// bit-for-bit at any worker count. The profile does not depend on
+// cfg.LaneWidth, but the speculative sums are single-lane: wider lane
+// plans change the chunk-fold bits, so callers must not serve them from
+// SpecSum (SelectAndSumParallel escalates instead).
 func FusedProfileSumParallel(xs []float64, cfg parallel.Config) FusedPass {
 	a, ok := parallel.MapReduce(len(xs), cfg,
 		func(lo, hi int) kernel.FusedAcc { return kernel.FusedProfileSum(xs[lo:hi]) },
@@ -170,9 +171,9 @@ type Selection struct {
 // SelectAndSum is the fused serving call: one pass to profile and
 // speculate, a policy consult (cache-aware), and — only if the policy
 // escalates past ST/Neumaier — a second pass with the selected
-// operator. PR escalations run with the TunePR-sized configuration,
-// like core.Runtime.Sum. Poisoned inputs fall back to the ST shadow,
-// which equals sum.Standard(xs) bit-for-bit.
+// operator. PR escalations run with the TunePR-sized configuration.
+// Poisoned inputs fall back to the ST shadow, which equals
+// sum.Standard(xs) bit-for-bit.
 func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 	fp := FusedProfileSum(xs)
 	prof := fp.Profile
@@ -197,34 +198,33 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 }
 
 // SelectAndSumParallel is SelectAndSum on the parallel engine: fused
-// per-chunk folds, the same decision step, and parallel escalation.
-// ok=false means the engine cannot serve this configuration fused
-// (cfg.LaneWidth > 1 — lane plans change which bits the chunk folds
-// produce) and the caller should take the legacy two-pass route.
-// Poisoned inputs fall back to one serial ST pass — the same bits the
-// legacy parallel route's non-finite fallback produces.
-func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection, bool) {
-	if cfg.LaneWidth > 1 {
-		return 0, Selection{}, false
-	}
+// per-chunk folds, the same decision step, and parallel escalation with
+// the caller's cfg. At cfg.LaneWidth > 1 the speculative answers are
+// skipped (they are single-lane bits) and every selection escalates to
+// parallel.Sum/SumPR, so the result always equals the two-pass route
+// ProfileOfParallel → Decide → parallel.Sum at the same cfg. Poisoned
+// inputs fall back to one serial ST pass, sum.Standard(xs).
+func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
 	fp := FusedProfileSumParallel(xs, cfg)
 	prof := fp.Profile
 	if prof.NonFinite {
 		return sum.Standard(xs), Selection{
 			Profile: prof, Alg: sum.StandardAlg, NonFinite: true,
 			Bounds: boundsFor(s.Policy, prof),
-		}, true
+		}
 	}
 	d := s.Decide(prof)
 	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
-	if v, ok := fp.SpecSum(d.Alg); ok {
-		sel.Fast = true
-		return v, sel, true
+	if cfg.LaneWidth <= 1 {
+		if v, ok := fp.SpecSum(d.Alg); ok {
+			sel.Fast = true
+			return v, sel
+		}
 	}
 	if d.Alg == sum.PreroundedAlg {
 		prCfg := d.PR
 		sel.PR = &prCfg
-		return parallel.SumPR(prCfg, xs, cfg), sel, true
+		return parallel.SumPR(prCfg, xs, cfg), sel
 	}
-	return parallel.Sum(d.Alg, xs, cfg), sel, true
+	return parallel.Sum(d.Alg, xs, cfg), sel
 }

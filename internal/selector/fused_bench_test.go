@@ -32,7 +32,7 @@ func BenchmarkSelectSum(b *testing.B) {
 		xs := gen.Spec{N: n, Cond: 1, DynRange: 8, Seed: 90}.Generate()
 		for _, alg := range []sum.Algorithm{sum.StandardAlg, sum.NeumaierAlg} {
 			s := benchSelector(alg)
-			if a, _ := s.Choose(xs); a != alg {
+			if a := s.Decide(ProfileOf(xs)).Alg; a != alg {
 				b.Fatalf("fixture selects %v, want %v", a, alg)
 			}
 			var sink float64

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -96,40 +97,79 @@ func TestFusedSpecSum(t *testing.T) {
 	}
 }
 
-// TestSelectorSumFusedEquivalence pins the rewired Selector.Sum
-// bit-identical to the legacy two-pass route (profile, policy, then
-// alg.Sum) for every tolerance regime, including escalations.
+// twoPassSum is the serial two-pass oracle for the fused serving call:
+// profile, policy, then the selected operator — TunePR-sized for PR,
+// and the ST fallback for poisoned inputs.
+func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm) {
+	prof := ProfileOf(xs)
+	if prof.NonFinite {
+		return sum.Standard(xs), sum.StandardAlg
+	}
+	alg, _ := s.Policy.Select(prof, s.Req)
+	if alg == sum.PreroundedAlg {
+		return sum.PreroundedWith(TunePR(prof, s.Req), xs), alg
+	}
+	return alg.Sum(xs), alg
+}
+
+// twoPassParallel is twoPassSum on the chunked engine at cfg: the
+// oracle for SelectAndSumParallel at every lane width. The poisoned
+// fallback is the serial ST pass.
+func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, sum.Algorithm) {
+	prof := ProfileOfParallel(xs, cfg)
+	if prof.NonFinite {
+		return sum.Standard(xs), sum.StandardAlg
+	}
+	alg, _ := s.Policy.Select(prof, s.Req)
+	if alg == sum.PreroundedAlg {
+		return parallel.SumPR(TunePR(prof, s.Req), xs, cfg), alg
+	}
+	return parallel.Sum(alg, xs, cfg), alg
+}
+
+// TestSelectorSumFusedEquivalence pins SelectAndSum bit-identical to
+// the two-pass route for every tolerance regime, including escalations.
 func TestSelectorSumFusedEquivalence(t *testing.T) {
 	for name, xs := range fusedCases() {
 		for _, tol := range []float64{1e-6, 1e-9, 1e-12, 1e-15, 0} {
 			s := New(tol)
-			got, alg := s.Sum(xs)
-			wantAlg, _ := s.Policy.Select(ProfileOf(xs), s.Req)
-			if alg != wantAlg {
-				t.Errorf("%s tol=%g: fused chose %v, legacy %v", name, tol, alg, wantAlg)
+			got, sel := s.SelectAndSum(xs)
+			want, wantAlg := twoPassSum(s, xs)
+			if sel.Alg != wantAlg {
+				t.Errorf("%s tol=%g: fused chose %v, two-pass %v", name, tol, sel.Alg, wantAlg)
 				continue
 			}
-			if want := wantAlg.Sum(xs); fbits(got) != fbits(want) {
-				t.Errorf("%s tol=%g (%v): fused %x != legacy %x",
-					name, tol, alg, fbits(got), fbits(want))
+			if fbits(got) != fbits(want) {
+				t.Errorf("%s tol=%g (%v): fused %x != two-pass %x",
+					name, tol, sel.Alg, fbits(got), fbits(want))
 			}
 		}
 	}
 }
 
-// TestSelectorSumStaticAlgorithms forces every algorithm through the
-// fused route with a Static policy and pins the result against the
-// algorithm's own serial operator — fast paths and escalations alike.
+// TestSelectorSumStaticAlgorithms forces every algorithm through
+// SelectAndSum with a Static policy and pins the result against the
+// algorithm's own serial operator (PR at its TunePR configuration) —
+// fast paths and escalations alike. Poisoned inputs take the ST
+// fallback whatever the policy.
 func TestSelectorSumStaticAlgorithms(t *testing.T) {
 	for name, xs := range fusedCases() {
+		prof := ProfileOf(xs)
 		for _, alg := range sum.Algorithms {
 			s := New(0)
 			s.Policy = Static{Alg: alg}
-			got, chosen := s.Sum(xs)
-			if chosen != alg {
-				t.Fatalf("%s: Static policy ignored: %v", name, chosen)
+			got, sel := s.SelectAndSum(xs)
+			want, wantAlg := alg.Sum(xs), alg
+			switch {
+			case prof.NonFinite:
+				want, wantAlg = sum.Standard(xs), sum.StandardAlg
+			case alg == sum.PreroundedAlg:
+				want = sum.PreroundedWith(TunePR(prof, s.Req), xs)
 			}
-			if want := alg.Sum(xs); fbits(got) != fbits(want) {
+			if sel.Alg != wantAlg {
+				t.Fatalf("%s: Static{%v} chose %v, want %v", name, alg, sel.Alg, wantAlg)
+			}
+			if fbits(got) != fbits(want) {
 				t.Errorf("%s %v: fused %x != serial %x", name, alg, fbits(got), fbits(want))
 			}
 		}
@@ -182,40 +222,25 @@ func TestSelectAndSumEquivalence(t *testing.T) {
 }
 
 // TestSelectAndSumParallelEquivalence pins the engine variant against
-// the legacy two-pass parallel route at several worker counts: same
-// profile bits, same selection, same sum bits. Worker count must not
-// change any of it.
+// the two-pass parallel route at several worker counts: same profile
+// bits, same selection, same sum bits. Worker count must not change any
+// of it.
 func TestSelectAndSumParallelEquivalence(t *testing.T) {
 	for name, xs := range fusedCases() {
 		for _, workers := range []int{1, 2, 4, 7} {
 			cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
 			for _, tol := range []float64{1e-6, 1e-12, 0} {
 				s := New(tol)
-				got, sel, ok := s.SelectAndSumParallel(xs, cfg)
-				if !ok {
-					t.Fatalf("%s w=%d: engine refused lane width 1", name, workers)
-				}
-				prof := ProfileOfParallel(xs, cfg)
-				if sel.Profile != prof {
+				got, sel := s.SelectAndSumParallel(xs, cfg)
+				if sel.Profile != ProfileOfParallel(xs, cfg) {
 					t.Errorf("%s w=%d tol=%g: profile diverges from ProfileOfParallel",
 						name, workers, tol)
 				}
-				var want float64
-				switch {
-				case prof.NonFinite:
-					want = sum.Standard(xs) // legacy engine fallback is the serial ST pass
-				default:
-					alg, _ := s.Policy.Select(prof, s.Req)
-					if alg != sel.Alg {
-						t.Errorf("%s w=%d tol=%g: chose %v, legacy %v",
-							name, workers, tol, sel.Alg, alg)
-						continue
-					}
-					if alg == sum.PreroundedAlg {
-						want = parallel.SumPR(TunePR(prof, s.Req), xs, cfg)
-					} else {
-						want = parallel.Sum(alg, xs, cfg)
-					}
+				want, wantAlg := twoPassParallel(s, xs, cfg)
+				if sel.Alg != wantAlg {
+					t.Errorf("%s w=%d tol=%g: chose %v, two-pass %v",
+						name, workers, tol, sel.Alg, wantAlg)
+					continue
 				}
 				if fbits(got) != fbits(want) {
 					t.Errorf("%s w=%d tol=%g (%v): %x != %x",
@@ -226,10 +251,7 @@ func TestSelectAndSumParallelEquivalence(t *testing.T) {
 			// the engine.
 			s := New(0)
 			s.Policy = Static{Alg: sum.NeumaierAlg}
-			got, sel, ok := s.SelectAndSumParallel(xs, cfg)
-			if !ok {
-				t.Fatal("engine refused")
-			}
+			got, sel := s.SelectAndSumParallel(xs, cfg)
 			if !sel.Profile.NonFinite {
 				if want := parallel.Sum(sum.NeumaierAlg, xs, cfg); fbits(got) != fbits(want) {
 					t.Errorf("%s w=%d: engine Neumaier fast path %x != parallel.Sum %x",
@@ -240,13 +262,68 @@ func TestSelectAndSumParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSelectAndSumParallelLaneFallback: lane plans are not fused; the
-// engine variant must decline so callers take the legacy route.
-func TestSelectAndSumParallelLaneFallback(t *testing.T) {
-	xs := gen.Spec{N: 4096, Cond: 1, DynRange: 4, Seed: 31}.Generate()
-	s := New(1e-9)
-	if _, _, ok := s.SelectAndSumParallel(xs, parallel.Config{LaneWidth: 2}); ok {
-		t.Error("fused engine served a lane-width-2 plan")
+// TestSelectAndSumParallelLanes pins the engine variant at lane widths
+// above 1, where the single-lane speculative sums do not apply: every
+// selection must escalate (Fast == false) to the two-pass route's bits
+// at the same cfg, from the same profile, and a poisoned input must
+// take the serial ST fallback reporting the same bounds as lane width 1.
+// The policy set covers the heuristic ladder, a bound-driven policy
+// whose λ and plan make its bounds differ from ComputeBounds(prof, 0),
+// and every
+// algorithm forced through Static — PR at its TunePR configuration.
+func TestSelectAndSumParallelLanes(t *testing.T) {
+	type variant struct {
+		name string
+		s    *Selector
+	}
+	var variants []variant
+	for _, tol := range []float64{1e-6, 1e-12, 0} {
+		variants = append(variants, variant{fmt.Sprintf("tol=%g", tol), New(tol)})
+	}
+	prob := New(1e-12)
+	prob.Policy = ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan}
+	variants = append(variants, variant{"probabilistic", prob})
+	for _, alg := range sum.Algorithms {
+		s := New(0)
+		s.Policy = Static{Alg: alg}
+		variants = append(variants, variant{"static=" + alg.String(), s})
+	}
+	for name, xs := range fusedCases() {
+		poisoned := ProfileOf(xs).NonFinite
+		for _, lanes := range []int{2, 4, 8} {
+			for _, workers := range []int{1, 2, 4, 7} {
+				cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9, LaneWidth: lanes}
+				single := cfg
+				single.LaneWidth = 1
+				for _, v := range variants {
+					where := fmt.Sprintf("%s lanes=%d w=%d %s", name, lanes, workers, v.name)
+					got, sel := v.s.SelectAndSumParallel(xs, cfg)
+					if sel.Profile != ProfileOfParallel(xs, cfg) {
+						t.Errorf("%s: profile diverges from ProfileOfParallel", where)
+					}
+					if sel.Fast {
+						t.Errorf("%s: served a single-lane speculative sum", where)
+					}
+					if sel.NonFinite != poisoned {
+						t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, poisoned)
+					}
+					want, wantAlg := twoPassParallel(v.s, xs, cfg)
+					if sel.Alg != wantAlg {
+						t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
+						continue
+					}
+					if fbits(got) != fbits(want) {
+						t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
+					}
+					if poisoned {
+						if _, ref := v.s.SelectAndSumParallel(xs, single); sel.Bounds != ref.Bounds {
+							t.Errorf("%s: poisoned bounds (λ=%g, plan %v) differ from lane width 1 (λ=%g, plan %v)",
+								where, sel.Bounds.Lambda, sel.Bounds.Plan, ref.Bounds.Lambda, ref.Bounds.Plan)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -257,7 +334,7 @@ func TestFusedFastPathAllocs(t *testing.T) {
 	xs := gen.Spec{N: 4096, Cond: 1, DynRange: 4, Seed: 32}.Generate()
 	var sink float64
 	st := New(1e-9) // analytic policy picks ST for this data
-	if a, _ := st.Choose(xs); a != sum.StandardAlg {
+	if a := st.Decide(ProfileOf(xs)).Alg; a != sum.StandardAlg {
 		t.Fatal("fixture no longer selects ST")
 	}
 	if n := testing.AllocsPerRun(100, func() {

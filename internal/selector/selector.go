@@ -8,7 +8,8 @@ import (
 )
 
 // Selector is the user-facing intelligent runtime: profile the data,
-// consult the policy, run the cheapest acceptable reduction.
+// consult the policy, run the cheapest acceptable reduction
+// (SelectAndSum, or SelectAndSumParallel on the chunked engine).
 type Selector struct {
 	Policy Policy
 	Req    Requirement
@@ -22,37 +23,6 @@ type Selector struct {
 // reproducibility).
 func New(tolerance float64) *Selector {
 	return &Selector{Policy: NewHeuristicPolicy(), Req: Requirement{Tolerance: tolerance}}
-}
-
-// Choose profiles xs and returns the selected algorithm with the
-// policy's predicted variability; the decision goes through the
-// decision cache when one is attached.
-func (s *Selector) Choose(xs []float64) (sum.Algorithm, float64) {
-	d := s.Decide(ProfileOf(xs))
-	return d.Alg, d.Predicted
-}
-
-// Sum selects an algorithm for xs and computes the sum with it,
-// returning both. The pass is fused and speculative: profiling already
-// yields the ST and Neumaier answers, so those selections return
-// without reading xs again, and escalations re-fold with the selected
-// algorithm exactly as the legacy two-pass path did (PR runs its
-// default configuration here; SelectAndSum is the tuning-aware serving
-// call).
-func (s *Selector) Sum(xs []float64) (float64, sum.Algorithm) {
-	fp := FusedProfileSum(xs)
-	d := s.Decide(fp.Profile)
-	if v, ok := fp.SpecSum(d.Alg); ok {
-		return v, d.Alg
-	}
-	return d.Alg.Sum(xs), d.Alg
-}
-
-// ReduceTree selects an algorithm from the profile of xs and reduces xs
-// under the given tree plan with it.
-func (s *Selector) ReduceTree(p tree.Plan, xs []float64) (float64, sum.Algorithm) {
-	alg, _ := s.Choose(xs)
-	return ReduceTreeWith(alg, p, xs), alg
 }
 
 // ReduceTreeWith reduces xs under plan p with an already-chosen

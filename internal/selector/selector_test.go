@@ -111,20 +111,20 @@ func TestHeuristicSelectionByTolerance(t *testing.T) {
 	// Well-conditioned data with a loose tolerance: cheapest wins.
 	easy := gen.Spec{N: 1024, Cond: 1, DynRange: 4, Seed: 6}.Generate()
 	s.Req.Tolerance = 1e-9
-	if alg, _ := s.Choose(easy); alg != sum.StandardAlg {
+	if alg := s.Decide(ProfileOf(easy)).Alg; alg != sum.StandardAlg {
 		t.Errorf("easy data should pick ST, got %v", alg)
 	}
 	// Same data, bitwise requirement: the cheapest reproducible rung,
 	// now BN.
 	s.Req.Tolerance = 0
-	if alg, _ := s.Choose(easy); alg != sum.BinnedAlg {
+	if alg := s.Decide(ProfileOf(easy)).Alg; alg != sum.BinnedAlg {
 		t.Errorf("t=0 should pick BN, got %v", alg)
 	}
 	// Fully cancelling data: predictions blow up to Inf -> the
 	// reproducible rung for any finite tolerance.
 	zero := gen.SumZeroSeries(1024, 16, 7)
 	s.Req.Tolerance = 1e-6
-	if alg, _ := s.Choose(zero); alg != sum.BinnedAlg {
+	if alg := s.Decide(ProfileOf(zero)).Alg; alg != sum.BinnedAlg {
 		t.Errorf("k=inf should pick BN, got %v", alg)
 	}
 }
@@ -135,7 +135,7 @@ func TestSelectionMonotoneInTolerance(t *testing.T) {
 	prevRank := -1
 	for _, tol := range []float64{1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0} {
 		s.Req.Tolerance = tol
-		alg, _ := s.Choose(xs)
+		alg := s.Decide(ProfileOf(xs)).Alg
 		if r := alg.CostRank(); r < prevRank {
 			t.Errorf("tightening tolerance to %g cheapened the algorithm to %v", tol, alg)
 		} else {
@@ -147,9 +147,9 @@ func TestSelectionMonotoneInTolerance(t *testing.T) {
 func TestSelectorSumUsesChoice(t *testing.T) {
 	s := New(1e-9)
 	xs := gen.Spec{N: 512, Cond: 1, DynRange: 2, Seed: 9}.Generate()
-	got, alg := s.Sum(xs)
-	if alg != sum.StandardAlg {
-		t.Errorf("alg = %v", alg)
+	got, sel := s.SelectAndSum(xs)
+	if sel.Alg != sum.StandardAlg {
+		t.Errorf("alg = %v", sel.Alg)
 	}
 	if got != sum.Standard(xs) {
 		t.Errorf("sum %g != ST sum", got)
@@ -160,13 +160,13 @@ func TestReduceTreeRespectsChoice(t *testing.T) {
 	s := New(0) // bitwise: a reproducible rung
 	xs := gen.SumZeroSeries(2048, 24, 10)
 	r := fpu.NewRNG(11)
+	alg := s.Decide(ProfileOf(xs)).Alg
+	if !alg.Reproducible() {
+		t.Fatalf("alg = %v", alg)
+	}
 	vals := map[float64]bool{}
 	for i := 0; i < 10; i++ {
-		v, alg := s.ReduceTree(tree.NewPlan(tree.Random, len(xs), r), xs)
-		if !alg.Reproducible() {
-			t.Fatalf("alg = %v", alg)
-		}
-		vals[v] = true
+		vals[ReduceTreeWith(alg, tree.NewPlan(tree.Random, len(xs), r), xs)] = true
 	}
 	if len(vals) != 1 {
 		t.Errorf("bitwise selection produced %d distinct results", len(vals))

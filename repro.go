@@ -21,6 +21,20 @@
 //     ParallelExactSum, New with WithWorkers) whose results are
 //     bitwise-identical across worker counts.
 //
+// The Runtime is the paper's proposal made deployable: data-aware,
+// requirement-driven selection of reduction algorithms. A Runtime owns
+// a reproducibility requirement and a selection policy; every reduction
+// it performs is preceded by a cheap profiling pass (local, streaming,
+// mergeable across ranks) whose result picks the cheapest algorithm
+// expected to stay within the requirement.
+//
+// Runtime.HierarchicalSum implements the paper's closing suggestion —
+// "apply cheaper but acceptably accurate reduction algorithms to
+// subtrees based on the profile": the operand set is partitioned into
+// blocks, each block is profiled and reduced with its own
+// cheapest-acceptable algorithm, and the per-block partial sums (now
+// few) are combined with a reproducible operator.
+//
 // Quick start:
 //
 //	rt := repro.New(1e-12)            // tolerated relative variability
@@ -32,7 +46,6 @@ import (
 	"os"
 
 	"repro/internal/aggsrv"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/selector"
@@ -66,12 +79,6 @@ var PaperAlgorithms = sum.PaperAlgorithms
 // Accumulator is a streaming summation state.
 type Accumulator = sum.Accumulator
 
-// Runtime is the intelligent reduction runtime (the paper's proposal).
-type Runtime = core.Runtime
-
-// Report describes one adaptive reduction decision.
-type Report = core.Report
-
 // Profile summarizes the runtime-estimable properties of a value set.
 type Profile = selector.Profile
 
@@ -87,14 +94,6 @@ type Bounds = selector.Bounds
 // Bound is one algorithm's (deterministic, probabilistic) absolute
 // forward-error bound pair within a Bounds estimate.
 type Bound = selector.Bound
-
-// Option configures a Runtime (see WithWorkers, WithChunkSize).
-type Option = core.Option
-
-// WithPolicy substitutes the Runtime's selection policy: the analytic
-// default can be replaced by a measurement-backed
-// selector.CalibratedPolicy or the bound-driven ProbabilisticPolicy.
-func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
 
 // NewProbabilisticPolicy returns the Hallman–Ipsen bound-driven
 // policy: it accepts the cheapest algorithm whose λ-confidence
@@ -113,24 +112,6 @@ func ComputeBounds(p Profile, lambda float64) Bounds {
 	return selector.ComputeBounds(p, lambda)
 }
 
-// WithWorkers routes large reductions through the deterministic chunked
-// parallel engine with the given pool size (0 selects GOMAXPROCS).
-// Engine results are bitwise-identical across worker counts.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
-
-// WithChunkSize sets the engine's fixed partition width in elements and
-// enables the engine (0 keeps the default width). The chunk size is part
-// of the reproducibility contract: two runtimes agree bitwise only if
-// they use the same chunk size.
-func WithChunkSize(c int) Option { return core.WithChunkSize(c) }
-
-// WithLaneWidth sets the engine's fixed accumulator-lane count (1, 2, 4,
-// or 8) and enables the engine. Lane-parallel chunk folds break the
-// serial floating-point dependency chain for speed and remain
-// bitwise-identical across worker counts and runs; the lane width itself
-// — like the chunk size — is part of the reproducibility contract.
-func WithLaneWidth(k int) Option { return core.WithLaneWidth(k) }
-
 // CacheConfig sizes a selection decision cache (capacity in entries and
 // shard count for concurrent callers).
 type CacheConfig = selector.CacheConfig
@@ -138,20 +119,6 @@ type CacheConfig = selector.CacheConfig
 // CacheStats is an observability snapshot of a decision cache: hits,
 // misses, and current occupancy.
 type CacheStats = selector.CacheStats
-
-// WithDecisionCache attaches a quantized decision cache (capacity in
-// entries; <= 0 selects the default 4096): selection decisions are
-// memoized per (tolerance, condition, size, dynamic-range) bucket, so
-// steady-state traffic skips policy evaluation entirely. Each bucket's
-// decision is computed once from the bucket's conservative canonical
-// representative, making cached selection a deterministic pure function
-// of the data's profile — independent of request order, concurrency, and
-// evictions. Inspect hit rates with Runtime.CacheStats.
-func WithDecisionCache(capacity int) Option { return core.WithDecisionCache(capacity) }
-
-// WithDecisionCacheConfig is WithDecisionCache with explicit cache
-// geometry (see CacheConfig).
-func WithDecisionCacheConfig(cfg CacheConfig) Option { return core.WithDecisionCacheConfig(cfg) }
 
 // Calibration is a host calibration artifact measured by cmd/calibrate:
 // the accuracy sweep, engine cost samples, and the parameters that
@@ -170,28 +137,13 @@ func LoadCalibrationFile(path string) (*Calibration, error) {
 	return selector.LoadCalibration(f)
 }
 
-// WithCalibration installs a host calibration as the Runtime's
-// selection policy: the artifact's measured crossover surfaces replace
-// the analytic model, fitted once at startup so every selection is a
-// handful of comparisons, with a decision cache attached (if none was
-// configured) for repeat traffic. The closed loop is:
-//
-//	calibrate -out host.reprocal         // once per host
-//	cal, _ := repro.LoadCalibrationFile("host.reprocal")
-//	rt := repro.New(1e-12, repro.WithCalibration(cal))
-func WithCalibration(cal *Calibration) Option { return core.WithCalibration(cal) }
-
-// New returns a Runtime that keeps the relative run-to-run variability
-// of its reductions within tolerance; 0 demands bitwise reproducibility.
-func New(tolerance float64, opts ...Option) *Runtime { return core.New(tolerance, opts...) }
-
 // SelectAndSum is the one-shot fused serving call: a single pass over xs
 // profiles the data and speculatively computes the cheap candidate sums,
 // the policy picks the cheapest algorithm meeting tolerance, and only a
 // selection beyond ST/Neumaier reads xs a second time. Equivalent to
 // New(tolerance).Sum(xs), minus the Runtime setup.
 func SelectAndSum(tolerance float64, xs []float64) (float64, Report) {
-	return core.New(tolerance).Sum(xs)
+	return New(tolerance).Sum(xs)
 }
 
 // Sum computes the sum of xs with the given algorithm.
