@@ -8,9 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-merge gate: static checks, the full test suite under
-# the race detector (the parallel engine, grid.Sweep, and mpirt all run
-# goroutine pools that must stay race-clean), and an explicit pass over
+# verify is the pre-merge gate: static checks (a gofmt-clean tree and
+# vet), the full test suite under the race detector (the parallel
+# engine, grid.Sweep, and mpirt all run goroutine pools that must stay
+# race-clean), and an explicit pass over
 # the fused-engine and kernel-layer guarantees — bitwise fused/legacy and
 # kernel/generic equivalence, lane-plan worker invariance, and the
 # zero-allocation trial and fold loops. The bounds-validation pass
@@ -31,6 +32,7 @@ test:
 # seconds-scale host calibration written, drift-checked against fresh
 # probes (bitwise for accuracy), and removed.
 verify:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise' ./internal/mpirt

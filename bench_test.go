@@ -76,7 +76,7 @@ func benchmarkFig4(b *testing.B, alg sum.Algorithm) {
 		w := mpirt.NewWorld(ranks, mpirt.Config{})
 		var out float64
 		if err := w.Run(func(r *mpirt.Rank) {
-			local := alg.LocalState(chunks[r.ID])
+			local := op.FoldSlice(chunks[r.ID])
 			if st := r.Reduce(0, local, op, mpirt.Binomial, mpirt.FixedOrder); st != nil {
 				out = op.Finalize(st)
 			}
@@ -254,14 +254,14 @@ func BenchmarkAblationShapeUnbalanced(b *testing.B) { benchmarkShape(b, tree.Unb
 func BenchmarkAblationShapeBlocked(b *testing.B)    { benchmarkShape(b, tree.Blocked) }
 func BenchmarkAblationShapeRandom(b *testing.B)     { benchmarkShape(b, tree.Random) }
 
-// ---- Ablation: native local state vs boxed per-element merging ----
+// ---- Ablation: native batch local fold vs boxed per-element merging ----
 
 func BenchmarkAblationLocalStateNative(b *testing.B) {
 	xs := gen.SumZeroSeries(1<<16, 32, 13)
+	op := sum.KahanAlg.Op()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := sum.KahanAlg.LocalState(xs)
-		sink = sum.KahanAlg.Op().Finalize(st)
+		sink = op.Finalize(op.FoldSlice(xs))
 	}
 }
 
@@ -270,7 +270,7 @@ func BenchmarkAblationLocalStateBoxed(b *testing.B) {
 	op := sum.KahanAlg.Op()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = op.Finalize(mpirt.LocalState(op, xs))
+		sink = op.Finalize(reduce.LeftFold(op, xs))
 	}
 }
 

@@ -252,8 +252,8 @@ func TestSpecials(t *testing.T) {
 		{[]float64{inf, -inf}, nan},
 		{[]float64{nan, 1}, nan},
 		{[]float64{inf, nan, -inf}, nan},
-		{[]float64{math.MaxFloat64, math.MaxFloat64}, inf},     // overflowed finite sum
-		{[]float64{-math.MaxFloat64, -math.MaxFloat64}, -inf},  // negative overflow
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, inf},    // overflowed finite sum
+		{[]float64{-math.MaxFloat64, -math.MaxFloat64}, -inf}, // negative overflow
 		{[]float64{math.MaxFloat64, -math.MaxFloat64, 2.5}, 2.5},
 	}
 	for i, c := range cases {

@@ -62,14 +62,14 @@ func Fig45(cfg Config) Fig45Result {
 }
 
 // runReduction executes one local-sum + global-reduce cycle: each rank
-// accumulates its chunk with the algorithm's native streaming loop and
+// folds its chunk with the operator's native batch loop (FoldSlice) and
 // the partial states merge up a binomial tree.
 func runReduction(chunks [][]float64, alg sum.Algorithm) float64 {
 	op := alg.Op()
 	w := mpirt.NewWorld(len(chunks), mpirt.Config{})
 	var out float64
 	err := w.Run(func(r *mpirt.Rank) {
-		local := alg.LocalState(chunks[r.ID])
+		local := op.FoldSlice(chunks[r.ID])
 		if st := r.Reduce(0, local, op, mpirt.Binomial, mpirt.FixedOrder); st != nil {
 			out = op.Finalize(st)
 		}

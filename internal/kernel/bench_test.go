@@ -22,18 +22,17 @@ var (
 	sinkDD dd.DD
 )
 
-// The generic fold is the legacy reduce.Fold path: one Leaf plus one
-// Merge through the monoid interface per element. refFold (kernel_test)
-// replicates it without the FoldSlice fast path, so the generic/kernel
-// pairs below measure exactly the devirtualization win the kernels are
-// for; the lane variants additionally measure the ILP win of breaking
-// the serial dependency chain.
+// The generic fold is reduce.LeftFold: one Leaf plus one Merge through
+// the monoid interface per element, with no FoldSlice fast path, so the
+// generic/kernel pairs below measure exactly the devirtualization win
+// the kernels are for; the lane variants additionally measure the ILP
+// win of breaking the serial dependency chain.
 
 func BenchmarkFoldST1M(b *testing.B) {
 	xs := benchData()
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sinkF = (sum.STMonoid{}).Finalize(refFold[float64](sum.STMonoid{}, xs))
+			sinkF = (sum.STMonoid{}).Finalize(reduce.LeftFold[float64](sum.STMonoid{}, xs))
 		}
 	})
 	b.Run("kernel", func(b *testing.B) {
@@ -54,7 +53,7 @@ func BenchmarkFoldKahan1M(b *testing.B) {
 	xs := benchData()
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sinkF = (sum.KahanMonoid{}).Finalize(refFold[sum.KState](sum.KahanMonoid{}, xs))
+			sinkF = (sum.KahanMonoid{}).Finalize(reduce.LeftFold[sum.KState](sum.KahanMonoid{}, xs))
 		}
 	})
 	b.Run("kernel", func(b *testing.B) {
@@ -75,7 +74,7 @@ func BenchmarkFoldNeumaier1M(b *testing.B) {
 	xs := benchData()
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sinkF = (sum.NeumaierMonoid{}).Finalize(refFold[sum.NState](sum.NeumaierMonoid{}, xs))
+			sinkF = (sum.NeumaierMonoid{}).Finalize(reduce.LeftFold[sum.NState](sum.NeumaierMonoid{}, xs))
 		}
 	})
 	b.Run("kernel", func(b *testing.B) {
@@ -96,7 +95,7 @@ func BenchmarkFoldCP1M(b *testing.B) {
 	xs := benchData()
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sinkDD = refFold[dd.DD](sum.CPMonoid{}, xs)
+			sinkDD = reduce.LeftFold[dd.DD](sum.CPMonoid{}, xs)
 		}
 	})
 	b.Run("kernel", func(b *testing.B) {

@@ -95,7 +95,8 @@ func FusedProfileSum(xs []float64) FusedAcc {
 		// One Neumaier step for Σx. The branch-free TwoSum residual
 		// equals the branched Neumaier residual bit-for-bit (both are
 		// the exact representable error of the same addition), so the
-		// pair tracks kernel.Neumaier exactly.
+		// pair tracks kernel.Neumaier exactly (but for the sign of an
+		// all -0 sum, whose zeros this loop skips).
 		t, e2 := fpu.TwoSum(s, x)
 		c += e2
 		s = t

@@ -35,7 +35,10 @@
 package kernel
 
 import (
+	"math"
+
 	"repro/internal/dd"
+	"repro/internal/fpu"
 	"repro/internal/superacc"
 )
 
@@ -52,10 +55,15 @@ func ST(xs []float64) float64 {
 
 // Kahan folds xs left-to-right with Kahan's compensated recurrence and
 // returns the (sum, pending correction) pair — bit-identical to folding
-// sum.KahanMonoid in reference order (and to streaming sum.KahanAcc).
+// sum.KahanMonoid in reference order, starting like it from (xs[0], 0):
+// an all -0 slice keeps its sign and a lone infinity its zero correction.
 // Empty input returns the zero state.
 func Kahan(xs []float64) (s, c float64) {
-	for _, x := range xs {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	s = xs[0]
+	for _, x := range xs[1:] {
 		y := x - c
 		t := s + y
 		c = (t - s) - y
@@ -64,21 +72,21 @@ func Kahan(xs []float64) (s, c float64) {
 	return s, c
 }
 
-// Neumaier folds xs left-to-right with Neumaier's branched compensated
-// recurrence and returns the (sum, correction) pair — bit-identical to
-// folding sum.NeumaierMonoid in reference order (the branched residual
-// equals the branch-free TwoSum residual exactly: both are the
-// representable error of the same addition). Empty input returns the
-// zero state.
+// Neumaier folds xs left-to-right with Neumaier's compensated recurrence
+// and returns the (sum, correction) pair — bit-identical to folding
+// sum.NeumaierMonoid in reference order, from (xs[0], 0) like Kahan. The
+// branch-free TwoSum residual equals the classic branched one exactly
+// (both are the representable error of the same addition) but never
+// mispredicts on mixed signs. Empty input returns the zero state.
 func Neumaier(xs []float64) (s, c float64) {
-	for _, x := range xs {
-		t := s + x
-		if abs(s) >= abs(x) {
-			c += (s - t) + x
-		} else {
-			c += (x - t) + s
-		}
-		s = t
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	s = xs[0]
+	for _, x := range xs[1:] {
+		var e float64
+		s, e = fpu.TwoSum(s, x)
+		c += e
 	}
 	return s, c
 }
@@ -88,15 +96,32 @@ func Neumaier(xs []float64) (s, c float64) {
 // double-double pair and every step is the full accurate dd.Add (not
 // the cheaper AddFloat64, whose last bit can differ). Empty input
 // returns the zero state.
+//
+// The step is dd.Add((hi, lo), (x, 0)) written out. Its TwoSum(lo, 0)
+// is exactly (lo+0, lo-lo). When the first FastTwoSum is exact
+// (|s1| >= |e1|) and its sum is finite, the second FastTwoSum returns
+// its inputs unchanged (e1, and so e, is never -0), so the common case
+// skips it and shortens the loop-carried dependency chain from eleven
+// additions to seven; every other case runs the full step.
 func CP(xs []float64) dd.DD {
 	if len(xs) == 0 {
 		return dd.Zero
 	}
-	acc := dd.FromFloat64(xs[0])
+	hi, lo := xs[0], 0.0
 	for _, x := range xs[1:] {
-		acc = acc.Add(dd.FromFloat64(x))
+		s1, e1 := fpu.TwoSum(hi, x)
+		e1 += lo + 0
+		s := s1 + e1
+		e := e1 - (s - s1)
+		if math.Abs(s1) >= math.Abs(e1) && math.Abs(s) <= math.MaxFloat64 {
+			hi, lo = s, e
+			continue
+		}
+		e += lo - lo
+		hi = s + e
+		lo = e - (hi - s)
 	}
-	return acc
+	return dd.DD{Hi: hi, Lo: lo}
 }
 
 // Exact deposits xs into the superaccumulator with its batch loop

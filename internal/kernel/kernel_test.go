@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/binned"
 	"repro/internal/dd"
+	"repro/internal/fpu"
 	"repro/internal/gen"
 	"repro/internal/kernel"
 	"repro/internal/reduce"
@@ -14,21 +16,6 @@ import (
 )
 
 func bits(v float64) uint64 { return math.Float64bits(v) }
-
-// refFold is the reference left-to-right fold — the exact sequence
-// reduce.Fold documents — executed through the generic Leaf/Merge
-// interface with no fast path, so kernels are tested against the
-// generic semantics rather than against themselves.
-func refFold[S any](m reduce.Monoid[S], xs []float64) S {
-	if len(xs) == 0 {
-		return m.Leaf(0)
-	}
-	acc := m.Leaf(xs[0])
-	for _, x := range xs[1:] {
-		acc = m.Merge(acc, m.Leaf(x))
-	}
-	return acc
-}
 
 // sizes covers the lane-width and block edge cases: empty, below every
 // lane width, at and around multiples of 2/4/8 and of the pairwise
@@ -60,31 +47,108 @@ func TestKernelFoldEquivalence(t *testing.T) {
 		for name, xs := range inputs(n) {
 			tag := fmt.Sprintf("n=%d/%s", n, name)
 
-			if got, want := kernel.ST(xs), refFold[float64](sum.STMonoid{}, xs); bits(got) != bits(want) {
+			if got, want := kernel.ST(xs), reduce.LeftFold[float64](sum.STMonoid{}, xs); bits(got) != bits(want) {
 				t.Errorf("%s: ST kernel %x, reference fold %x", tag, bits(got), bits(want))
 			}
 
 			ks, kc := kernel.Kahan(xs)
-			kref := refFold[sum.KState](sum.KahanMonoid{}, xs)
+			kref := reduce.LeftFold[sum.KState](sum.KahanMonoid{}, xs)
 			if bits(ks) != bits(kref.S) || bits(kc) != bits(kref.C) {
 				t.Errorf("%s: Kahan kernel (%x,%x), reference (%x,%x)",
 					tag, bits(ks), bits(kc), bits(kref.S), bits(kref.C))
 			}
 
 			ns, nc := kernel.Neumaier(xs)
-			nref := refFold[sum.NState](sum.NeumaierMonoid{}, xs)
+			nref := reduce.LeftFold[sum.NState](sum.NeumaierMonoid{}, xs)
 			if bits(ns) != bits(nref.S) || bits(nc) != bits(nref.C) {
 				t.Errorf("%s: Neumaier kernel (%x,%x), reference (%x,%x)",
 					tag, bits(ns), bits(nc), bits(nref.S), bits(nref.C))
 			}
 
 			cp := kernel.CP(xs)
-			cpref := refFold[dd.DD](sum.CPMonoid{}, xs)
+			cpref := reduce.LeftFold[dd.DD](sum.CPMonoid{}, xs)
 			if bits(cp.Hi) != bits(cpref.Hi) || bits(cp.Lo) != bits(cpref.Lo) {
 				t.Errorf("%s: CP kernel (%x,%x), reference (%x,%x)",
 					tag, bits(cp.Hi), bits(cp.Lo), bits(cpref.Hi), bits(cpref.Lo))
 			}
 		}
+	}
+}
+
+// edgeMix draws n operands from the pools where a fast path or a
+// re-seeded kernel can part from the reference fold: signed zeros,
+// signed subnormals, near-overflow magnitudes, exact cancellations of
+// earlier operands, wide exponent spreads, and (when poison is set) an
+// occasional infinity or NaN.
+func edgeMix(r *fpu.RNG, n int, poison bool) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		var x float64
+		switch r.Intn(8) {
+		case 0:
+			x = math.Copysign(0, float64(r.Intn(2))-0.5)
+		case 1:
+			x = math.Ldexp(r.Float64(), -1060+r.Intn(20)) // subnormal
+		case 2:
+			x = math.Ldexp(1+r.Float64(), 1000+r.Intn(23)) // near overflow
+		case 3:
+			if i > 0 {
+				x = -xs[r.Intn(i)] // cancel an earlier operand
+			}
+		case 4:
+			if poison && r.Intn(4) == 0 {
+				x = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[r.Intn(3)]
+			} else {
+				x = math.Ldexp(r.Float64(), r.Intn(80)-40)
+			}
+		default:
+			x = math.Ldexp(r.Float64(), r.Intn(2000)-1000)
+		}
+		if r.Bool() {
+			x = -x
+		}
+		xs[i] = x
+	}
+	return xs
+}
+
+// TestKernelFoldEdgeMixes pins the reference-order kernels, state
+// component by state component, against the generic fold on 200
+// generated edge mixes (a quarter of them poisoned): the cases the
+// smooth gen.Spec inputs never reach, such as CP's skipped second
+// FastTwoSum, the xs[0] seeds, and Neumaier's branch-free residual.
+// A NaN component must stay NaN; which NaN payload propagates is left
+// to the hardware (IEEE 754 does not fix it), so payloads are not
+// compared.
+func TestKernelFoldEdgeMixes(t *testing.T) {
+	same := func(a, b float64) bool { return bits(a) == bits(b) || (math.IsNaN(a) && math.IsNaN(b)) }
+	sets := [][]float64{
+		// (MaxFloat64, 2^969) then +2^969: CP's first FastTwoSum is exact
+		// but its sum overflows, so the full step must run.
+		{math.MaxFloat64, 0x1p969, 0x1p969},
+	}
+	r := fpu.NewRNG(1605)
+	for len(sets) < 200 {
+		sets = append(sets, edgeMix(r, 1+r.Intn(64), len(sets)%4 == 0))
+	}
+	for set, xs := range sets {
+		pair := func(alg string, gs, gc, ws, wc float64) {
+			if !same(gs, ws) || !same(gc, wc) {
+				t.Errorf("set %d %v: %s kernel (%x,%x), reference (%x,%x)",
+					set, xs, alg, bits(gs), bits(gc), bits(ws), bits(wc))
+			}
+		}
+		ks, kc := kernel.Kahan(xs)
+		kref := reduce.LeftFold[sum.KState](sum.KahanMonoid{}, xs)
+		pair("Kahan", ks, kc, kref.S, kref.C)
+		ns, nc := kernel.Neumaier(xs)
+		nref := reduce.LeftFold[sum.NState](sum.NeumaierMonoid{}, xs)
+		pair("Neumaier", ns, nc, nref.S, nref.C)
+		cp := kernel.CP(xs)
+		cpref := reduce.LeftFold[dd.DD](sum.CPMonoid{}, xs)
+		pair("CP", cp.Hi, cp.Lo, cpref.Hi, cpref.Lo)
+		st := sum.STMonoid{}.FoldSlice(xs)
+		pair("ST", st, 0, reduce.LeftFold[float64](sum.STMonoid{}, xs), 0)
 	}
 }
 
@@ -101,13 +165,61 @@ func TestReduceFoldFastPathEquivalence(t *testing.T) {
 				}
 			}
 			stm := sum.STMonoid{}
-			check("ST", reduce.Fold[float64](stm, xs), stm.Finalize(refFold[float64](stm, xs)))
+			check("ST", reduce.Fold[float64](stm, xs), stm.Finalize(reduce.LeftFold[float64](stm, xs)))
 			km := sum.KahanMonoid{}
-			check("K", reduce.Fold[sum.KState](km, xs), km.Finalize(refFold[sum.KState](km, xs)))
+			check("K", reduce.Fold[sum.KState](km, xs), km.Finalize(reduce.LeftFold[sum.KState](km, xs)))
 			nm := sum.NeumaierMonoid{}
-			check("N", reduce.Fold[sum.NState](nm, xs), nm.Finalize(refFold[sum.NState](nm, xs)))
+			check("N", reduce.Fold[sum.NState](nm, xs), nm.Finalize(reduce.LeftFold[sum.NState](nm, xs)))
 			cm := sum.CPMonoid{}
-			check("CP", reduce.Fold[dd.DD](cm, xs), cm.Finalize(refFold[dd.DD](cm, xs)))
+			check("CP", reduce.Fold[dd.DD](cm, xs), cm.Finalize(reduce.LeftFold[dd.DD](cm, xs)))
+			pm := sum.DefaultPRConfig().Monoid()
+			check("PR", reduce.Fold[sum.PRState](pm, xs), pm.Finalize(reduce.LeftFold[sum.PRState](pm, xs)))
+			bm := sum.BNMonoid{}
+			check("BN", reduce.Fold[binned.State](bm, xs), bm.Finalize(reduce.LeftFold[binned.State](bm, xs)))
+		}
+	}
+}
+
+// TestOpFoldSliceMatchesLeftFold pins the collective local phase: every
+// algorithm's dynamic Op folds a slice (Op.FoldSlice, the batch kernel)
+// to the same finalized bits as the per-element boxed reference fold,
+// on the adversarial inputs plus the IEEE edges where a kernel that
+// starts from +0 instead of Leaf(xs[0]) would differ: signed zeros,
+// infinities, NaN, overflow and signed subnormals.
+func TestOpFoldSliceMatchesLeftFold(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	edges := map[string][]float64{
+		"empty":       {},
+		"negzero":     {negZero},
+		"negzero2":    {negZero, negZero},
+		"inf":         {inf},
+		"neginf":      {-inf},
+		"lone-nan":    {math.NaN()},
+		"inf-then-1":  {inf, 1},
+		"inf-clash":   {inf, -inf},
+		"nan":         {1, math.NaN(), 2},
+		"overflow":    {math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64},
+		"subnormals":  {0x1p-1074, -0x1p-1074, -0x1p-1060, 0x1p-1070, negZero},
+		"negsubnorm":  {-0x1p-1074, negZero, -0x1p-1073},
+		"zero-mix":    {negZero, 0, negZero},
+		"neginf-tail": {1, 2, -inf},
+	}
+	sets := []map[string][]float64{edges}
+	for _, n := range sizes {
+		sets = append(sets, inputs(n))
+	}
+	for _, alg := range sum.Algorithms {
+		op := alg.Op()
+		for _, set := range sets {
+			for name, xs := range set {
+				got := op.Finalize(op.FoldSlice(xs))
+				want := op.Finalize(reduce.LeftFold(op, xs))
+				if bits(got) != bits(want) {
+					t.Errorf("%v/n=%d/%s: FoldSlice %x (%g), LeftFold %x (%g)",
+						alg, len(xs), name, bits(got), got, bits(want), want)
+				}
+			}
 		}
 	}
 }
@@ -123,7 +235,7 @@ func laneRef[S any](m reduce.Monoid[S], xs []float64, k int) S {
 		for i := l; i < len(xs); i += k {
 			vals = append(vals, xs[i])
 		}
-		lanes[l] = refFold(m, vals)
+		lanes[l] = reduce.LeftFold(m, vals)
 	}
 	st := lanes[0]
 	for _, s := range lanes[1:] {
@@ -196,9 +308,9 @@ func TestLanePairwiseEquivalence(t *testing.T) {
 // kernel, matching the generic fold's IEEE propagation.
 func TestKernelNonFinite(t *testing.T) {
 	poisoned := map[string][]float64{
-		"nan":     {1, 2, math.NaN(), 4, 5, 6, 7, 8, 9},
-		"inf":     {1, math.Inf(1), 2, 3, 4, 5, 6, 7, 8},
-		"neginf":  {math.Inf(-1), 1, 2, 3, 4, 5, 6, 7, 8},
+		"nan":      {1, 2, math.NaN(), 4, 5, 6, 7, 8, 9},
+		"inf":      {1, math.Inf(1), 2, 3, 4, 5, 6, 7, 8},
+		"neginf":   {math.Inf(-1), 1, 2, 3, 4, 5, 6, 7, 8},
 		"infclash": {math.Inf(1), math.Inf(-1), 1, 2, 3, 4, 5, 6, 7},
 	}
 	for name, xs := range poisoned {
@@ -223,7 +335,7 @@ func TestKernelNonFinite(t *testing.T) {
 		}
 		// The ST kernel must propagate exactly as the generic fold does
 		// (same NaN-vs-Inf outcome), since it is a bit-identical fast path.
-		got, want := kernel.ST(xs), refFold[float64](sum.STMonoid{}, xs)
+		got, want := kernel.ST(xs), reduce.LeftFold[float64](sum.STMonoid{}, xs)
 		if math.IsNaN(got) != math.IsNaN(want) || (!math.IsNaN(got) && bits(got) != bits(want)) {
 			t.Errorf("%s: ST kernel %v, reference fold %v", name, got, want)
 		}

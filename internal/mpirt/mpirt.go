@@ -487,9 +487,9 @@ func (r *Rank) AllReduce(local reduce.State, op reduce.Op, topo Topology, mode M
 	return r.Broadcast(0, st)
 }
 
-// ReduceSum accumulates the rank's local values with op (leaf-by-leaf)
-// and reduces the partial states globally, returning the finalized sum
-// at root and NaN elsewhere.
+// ReduceSum folds the rank's local values with op.FoldSlice and reduces
+// the partial states globally, returning the finalized sum at root and
+// NaN elsewhere.
 func (r *Rank) ReduceSum(root int, local []float64, op reduce.Op, topo Topology, mode Mode) (float64, bool) {
 	state := LocalState(op, local)
 	st := r.Reduce(root, state, op, topo, mode)
@@ -501,13 +501,4 @@ func (r *Rank) ReduceSum(root int, local []float64, op reduce.Op, topo Topology,
 
 // LocalState folds a slice into a single partial state under op (the
 // "local sum" phase executed by each rank before the global reduce).
-func LocalState(op reduce.Op, xs []float64) reduce.State {
-	if len(xs) == 0 {
-		return op.Leaf(0)
-	}
-	st := op.Leaf(xs[0])
-	for _, x := range xs[1:] {
-		st = op.Merge(st, op.Leaf(x))
-	}
-	return st
-}
+func LocalState(op reduce.Op, xs []float64) reduce.State { return op.FoldSlice(xs) }

@@ -119,11 +119,7 @@ func SumPR(prCfg sum.PRConfig, xs []float64, cfg Config) float64 {
 func prSum(prCfg sum.PRConfig, xs []float64, cfg Config, seq bool) float64 {
 	m := prCfg.Monoid()
 	st, ok := mapReduce(len(xs), cfg, seq,
-		func(lo, hi int) sum.PRState {
-			acc := sum.NewPreroundedAcc(prCfg)
-			sum.AddSlice(acc, xs[lo:hi])
-			return acc.State()
-		},
+		func(lo, hi int) sum.PRState { return m.FoldSlice(xs[lo:hi]) },
 		m.Merge)
 	if !ok {
 		return 0

@@ -200,12 +200,15 @@ func MergeTree[S any](states []S, merge func(a, b S) S) S {
 }
 
 // Reduce sums xs under monoid m with the parallel engine: fixed chunks
-// folded left-to-right, fixed balanced merge tree, Finalize at the root.
-// The result is bitwise-identical across worker counts and equal to
-// SeqReduce with the same Config.
+// folded left-to-right (reduce.FoldState, so a SliceFolder's batch
+// kernel runs with identical bits), fixed balanced merge tree, Finalize
+// at the root. The result is bitwise-identical across worker counts and
+// equal to SeqReduce with the same Config. Generic Reduce ignores
+// Config.LaneWidth: lane plans exist only for the named algorithms in
+// Sum, which have hand-specialized lane kernels.
 func Reduce[S any](m reduce.Monoid[S], xs []float64, cfg Config) float64 {
 	st, ok := MapReduce(len(xs), cfg, func(lo, hi int) S {
-		return foldChunk(m, xs[lo:hi])
+		return reduce.FoldState(m, xs[lo:hi])
 	}, m.Merge)
 	if !ok {
 		return m.Finalize(m.Leaf(0))
@@ -216,27 +219,10 @@ func Reduce[S any](m reduce.Monoid[S], xs []float64, cfg Config) float64 {
 // SeqReduce executes the identical plan as Reduce on one goroutine.
 func SeqReduce[S any](m reduce.Monoid[S], xs []float64, cfg Config) float64 {
 	st, ok := MapReduceSeq(len(xs), cfg, func(lo, hi int) S {
-		return foldChunk(m, xs[lo:hi])
+		return reduce.FoldState(m, xs[lo:hi])
 	}, m.Merge)
 	if !ok {
 		return m.Finalize(m.Leaf(0))
 	}
 	return m.Finalize(st)
-}
-
-// foldChunk reduces one chunk left-to-right — the fixed intra-chunk
-// order leg of the determinism contract. Monoids that implement
-// reduce.SliceFolder run their devirtualized batch kernel instead of the
-// generic Leaf/Merge loop; the bits are identical. (Generic Reduce
-// ignores Config.LaneWidth — lane plans exist only for the named
-// algorithms in Sum, which have hand-specialized lane kernels.)
-func foldChunk[S any](m reduce.Monoid[S], xs []float64) S {
-	if sf, ok := m.(reduce.SliceFolder[S]); ok {
-		return sf.FoldSlice(xs)
-	}
-	acc := m.Leaf(xs[0])
-	for _, x := range xs[1:] {
-		acc = m.Merge(acc, m.Leaf(x))
-	}
-	return acc
 }

@@ -34,6 +34,11 @@ type Op interface {
 	Leaf(x float64) State
 	Merge(a, b State) State
 	Finalize(s State) float64
+	// FoldSlice folds xs into one partial state — the "local sum" each
+	// rank runs before a collective — bit for bit LeftFold(op, xs).
+	// Wrappers that observe individual Leaf and Merge calls implement
+	// it as LeftFold(self, xs).
+	FoldSlice(xs []float64) State
 }
 
 // boxed adapts a generic Monoid into a dynamic Op.
@@ -51,39 +56,57 @@ func (b boxed[S]) Merge(a, c State) State {
 	return b.m.Merge(a.(S), c.(S))
 }
 
+// FoldSlice folds in the monoid's own state type and boxes once: the
+// SliceFolder kernel when the monoid has one, else the unboxed generic
+// Leaf/Merge loop.
+func (b boxed[S]) FoldSlice(xs []float64) State { return FoldState(b.m, xs) }
+
 // Boxed wraps a generic monoid as a dynamic Op under the given name.
 func Boxed[S any](name string, m Monoid[S]) Op {
 	return boxed[S]{name: name, m: m}
 }
 
 // SliceFolder is the optional batch fast path a Monoid may implement.
-// FoldSlice must return exactly the state a reference left-to-right fold
-// would build — Leaf(xs[0]) merged in order with Leaf of every later
-// element, or the Leaf(0) identity state for an empty slice — bit for
-// bit. Implementations are hand-specialized, devirtualized loops (see
-// internal/kernel); their bitwise equivalence to the reference fold is
-// pinned by the kernel package's exhaustive tests, which is what lets
-// Fold, the parallel chunk folds, and the tree executors substitute them
-// without changing any result.
+// FoldSlice must return exactly the state LeftFold would build, bit for
+// bit, edge inputs (-0, infinities, NaN) included. Implementations are
+// hand-specialized, devirtualized loops (see internal/kernel); their
+// bitwise equivalence to the reference fold is pinned by the kernel
+// package's exhaustive tests, which is what lets Fold, Op.FoldSlice, the
+// parallel chunk folds, and the tree executors substitute them without
+// changing any result.
 type SliceFolder[S any] interface {
 	FoldSlice(xs []float64) S
 }
 
-// Fold reduces xs left-to-right (a fully unbalanced tree) under m. When
-// m implements SliceFolder the devirtualized batch loop runs instead of
-// the generic Leaf/Merge-per-element loop; the bits are identical.
-func Fold[S any](m Monoid[S], xs []float64) float64 {
+// LeftFold is the reference left-to-right fold (a fully unbalanced
+// tree): Leaf(xs[0]) merged in order with Leaf of every later element,
+// or Leaf(0) for an empty slice. Every batch kernel is defined, and
+// tested, against it. A dynamic Op is a Monoid[State], so LeftFold(op,
+// xs) is the per-element boxed fold.
+func LeftFold[S any](m Monoid[S], xs []float64) S {
 	if len(xs) == 0 {
-		return m.Finalize(m.Leaf(0))
-	}
-	if sf, ok := m.(SliceFolder[S]); ok {
-		return m.Finalize(sf.FoldSlice(xs))
+		return m.Leaf(0)
 	}
 	acc := m.Leaf(xs[0])
 	for _, x := range xs[1:] {
 		acc = m.Merge(acc, m.Leaf(x))
 	}
-	return m.Finalize(acc)
+	return acc
+}
+
+// FoldState is LeftFold with m's devirtualized SliceFolder batch loop
+// substituted when m implements it; the bits are identical.
+func FoldState[S any](m Monoid[S], xs []float64) S {
+	if sf, ok := m.(SliceFolder[S]); ok && len(xs) > 0 {
+		return sf.FoldSlice(xs)
+	}
+	return LeftFold(m, xs)
+}
+
+// Fold reduces xs left-to-right under m and finalizes: Finalize of
+// FoldState(m, xs).
+func Fold[S any](m Monoid[S], xs []float64) float64 {
+	return m.Finalize(FoldState(m, xs))
 }
 
 // Pairwise reduces xs with a balanced binary tree under m. The scratch

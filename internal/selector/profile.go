@@ -62,7 +62,8 @@ func (a CSum) Finite() bool {
 // with the branch-free TwoSum, which equals Neumaier's branched
 // residual bit-for-bit (both are the exact representable error of the
 // same addition), so a chain of AddFloat64 calls is bitwise-identical
-// to kernel.Neumaier / streaming sum.NeumaierAcc over the same values.
+// to streaming sum.NeumaierAcc over the same values (and to the
+// xs[0]-seeded kernel.Neumaier unless they start with -0, ±Inf or NaN).
 func (a CSum) AddFloat64(x float64) CSum {
 	s, e := fpu.TwoSum(a.S, x)
 	return CSum{S: s, C: a.C + e}
@@ -279,6 +280,9 @@ func (ProfileOp) Leaf(x float64) reduce.State {
 func (ProfileOp) Merge(a, b reduce.State) reduce.State {
 	return a.(Profile).Merge(b.(Profile))
 }
+
+// FoldSlice implements reduce.Op with the reference per-element fold.
+func (p ProfileOp) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(p, xs) }
 
 // Finalize returns the profiled condition number — reduce.Op constrains
 // Finalize to a single scalar, and k is the headline one. The full

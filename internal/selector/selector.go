@@ -68,7 +68,7 @@ func AdaptiveReduce(r *mpirt.Rank, root int, local []float64, s *Selector,
 	global := ProfileOp{}.Profile(st)
 	alg = s.Decide(global).Alg
 	op := alg.Op()
-	reduced := r.Reduce(root, alg.LocalState(local), op, topo, mode)
+	reduced := r.Reduce(root, op.FoldSlice(local), op, topo, mode)
 	if reduced == nil {
 		return 0, alg, false
 	}

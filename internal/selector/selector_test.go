@@ -276,6 +276,64 @@ func TestAdaptiveReduceBitwiseUnderNondeterminism(t *testing.T) {
 	}
 }
 
+// TestAdaptiveReducePinnedBits pins AdaptiveReduce's result bits for
+// every algorithm it can pick (forced with a Static policy) on four
+// fixed inputs over 8 ranks. The values were recorded while the local
+// phase still ran each algorithm's own streaming loop; the batch
+// Op.FoldSlice local phase that replaced it must reproduce them.
+func TestAdaptiveReducePinnedBits(t *testing.T) {
+	sets := []struct {
+		name string
+		xs   []float64
+		want map[sum.Algorithm]uint64
+	}{
+		{"benign", gen.Spec{N: 4096, Cond: 1, DynRange: 8, Seed: 15}.Generate(), map[sum.Algorithm]uint64{
+			sum.StandardAlg: 0x4115952c458d0fdb, sum.PairwiseAlg: 0x4115952c458d0fdb,
+			sum.BinnedAlg: 0x4115952c458d0fdc, sum.KahanAlg: 0x4115952c458d0fdc, sum.NeumaierAlg: 0x4115952c458d0fdc,
+			sum.CompositeAlg: 0x4115952c458d0fdc, sum.PreroundedAlg: 0x4115952c458d0fdc,
+		}},
+		{"illcond", gen.Spec{N: 4096, Cond: 1e12, DynRange: 30, Seed: 16}.Generate(), map[sum.Algorithm]uint64{
+			sum.StandardAlg: 0x3fd9885800000000, sum.PairwiseAlg: 0x3fd9885800000000,
+			sum.BinnedAlg: 0x3fd9885400000000, sum.KahanAlg: 0x3fd9885800000000, sum.NeumaierAlg: 0x3fd9885400000000,
+			sum.CompositeAlg: 0x3fd9885400000000, sum.PreroundedAlg: 0x3fd9885400000000,
+		}},
+		{"sumzero", gen.SumZeroSeries(4096, 24, 16), map[sum.Algorithm]uint64{
+			sum.StandardAlg: 0xbe9b000000000000, sum.PairwiseAlg: 0xbe9b000000000000,
+			sum.BinnedAlg: 0, sum.KahanAlg: 0x3e50000000000000, sum.NeumaierAlg: 0,
+			sum.CompositeAlg: 0, sum.PreroundedAlg: 0,
+		}},
+		{"wide", gen.Spec{N: 4099, Cond: 1e4, DynRange: 40, Seed: 17}.Generate(), map[sum.Algorithm]uint64{
+			sum.StandardAlg: 0x421e956513551580, sum.PairwiseAlg: 0x421e956513551580,
+			sum.BinnedAlg: 0x421e956513550380, sum.KahanAlg: 0x421e956513550380, sum.NeumaierAlg: 0x421e956513550380,
+			sum.CompositeAlg: 0x421e956513550380, sum.PreroundedAlg: 0x421e956513550380,
+		}},
+	}
+	const ranks = 8
+	for _, set := range sets {
+		for _, alg := range sum.Algorithms {
+			s := &Selector{Policy: Static{Alg: alg}}
+			var got float64
+			var picked sum.Algorithm
+			w := mpirt.NewWorld(ranks, mpirt.Config{})
+			err := w.Run(func(r *mpirt.Rank) {
+				lo, hi := r.ID*len(set.xs)/ranks, (r.ID+1)*len(set.xs)/ranks
+				if v, a, ok := AdaptiveReduce(r, 0, set.xs[lo:hi], s, mpirt.Binomial, mpirt.FixedOrder); ok {
+					got, picked = v, a
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if picked != alg {
+				t.Fatalf("%s: Static{%v} picked %v", set.name, alg, picked)
+			}
+			if want := set.want[alg]; math.Float64bits(got) != want {
+				t.Errorf("%s/%v: AdaptiveReduce %#016x, pinned %#016x", set.name, alg, math.Float64bits(got), want)
+			}
+		}
+	}
+}
+
 func TestHeuristicPredictAllAlgorithms(t *testing.T) {
 	hp := NewHeuristicPolicy()
 	p := ProfileOf(gen.Spec{N: 4096, Cond: 100, DynRange: 8, Seed: 60}.Generate())

@@ -68,8 +68,7 @@ func (KahanMonoid) Merge(a, b KState) KState {
 func (KahanMonoid) Finalize(s KState) float64 { return s.S }
 
 // FoldSlice implements reduce.SliceFolder: the devirtualized batch loop,
-// bit-identical to the reference left-to-right fold (and to streaming
-// KahanAcc accumulation).
+// bit-identical to the reference left-to-right fold.
 func (KahanMonoid) FoldSlice(xs []float64) KState {
 	s, c := kernel.Kahan(xs)
 	return KState{S: s, C: c}

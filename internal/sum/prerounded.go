@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fpu"
+	"repro/internal/reduce"
 )
 
 // Prerounded summation (PR) — a from-scratch implementation of the
@@ -109,12 +110,11 @@ func roundToMultipleSafe(x float64, q int) (rounded, residual float64) {
 	return fpu.RoundToMultiple(x, q)
 }
 
-// deposit pre-rounds x into its F chunks and adds the chunks that fall
-// inside the state's current window. st.Top must already be >= x's top
-// bin. The decomposition of x is independent of st, which is what makes
-// the final bin contents order-independent.
-func (c PRConfig) deposit(st *PRState, x float64) {
-	jtop := topBin(x, c.W)
+// deposit pre-rounds x, whose top bin is jtop, into its F chunks and
+// adds the chunks that fall inside the state's current window. st.Top
+// must already be >= jtop. The decomposition of x is independent of st,
+// which is what makes the final bin contents order-independent.
+func (c PRConfig) deposit(st *PRState, x float64, jtop int) {
 	r := x
 	for f := 0; f < c.F; f++ {
 		j := jtop - f
@@ -162,10 +162,11 @@ func (c PRConfig) add(st *PRState, x float64) {
 		st.Count++
 		return
 	}
-	if jt := topBin(x, c.W); jt > st.Top {
+	jt := topBin(x, c.W)
+	if jt > st.Top {
 		c.shiftWindow(st, jt)
 	}
-	c.deposit(st, x)
+	c.deposit(st, x, jt)
 }
 
 // merge combines two states, aligning their windows to the higher top.
@@ -231,6 +232,20 @@ func (m PRMonoid) Merge(a, b PRState) PRState { return m.cfg.merge(a, b) }
 // Finalize rounds the bin contents to a float64.
 func (m PRMonoid) Finalize(s PRState) float64 { return m.cfg.finalize(s) }
 
+// FoldSlice implements reduce.SliceFolder with the accumulator's add
+// loop: every chunk and bin total is exact, so it is bit-identical to
+// merging one Leaf per element.
+func (m PRMonoid) FoldSlice(xs []float64) PRState {
+	if len(xs) == 0 {
+		return m.Leaf(0)
+	}
+	st := emptyPRState()
+	for _, x := range xs {
+		m.cfg.add(&st, x)
+	}
+	return st
+}
+
 // PreroundedAcc is the streaming form of PR.
 type PreroundedAcc struct {
 	cfg PRConfig
@@ -265,9 +280,5 @@ func Prerounded(xs []float64) float64 { return PreroundedWith(DefaultPRConfig(),
 // PreroundedWith computes the one-shot binned reproducible sum with an
 // explicit configuration.
 func PreroundedWith(cfg PRConfig, xs []float64) float64 {
-	acc := NewPreroundedAcc(cfg)
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	return acc.Sum()
+	return reduce.Fold[PRState](cfg.Monoid(), xs)
 }

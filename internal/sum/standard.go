@@ -1,10 +1,6 @@
 package sum
 
-import (
-	"slices"
-
-	"repro/internal/kernel"
-)
+import "slices"
 
 // Standard computes the naive left-to-right iterative sum (ST).
 func Standard(xs []float64) float64 {
@@ -162,5 +158,23 @@ func (STMonoid) Merge(a, b float64) float64 { return a + b }
 func (STMonoid) Finalize(s float64) float64 { return s }
 
 // FoldSlice implements reduce.SliceFolder: the devirtualized batch loop,
-// bit-identical to the reference left-to-right fold.
-func (STMonoid) FoldSlice(xs []float64) float64 { return kernel.ST(xs) }
+// bit-identical to the reference left-to-right fold: it starts from
+// xs[0], so an all -0 slice stays -0 (kernel.ST starts from +0). One
+// serial chain unrolled by four, so speed does not hinge on code layout.
+func (STMonoid) FoldSlice(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s, rest := xs[0], xs[1:]
+	i := 0
+	for ; i+4 <= len(rest); i += 4 {
+		s += rest[i]
+		s += rest[i+1]
+		s += rest[i+2]
+		s += rest[i+3]
+	}
+	for ; i < len(rest); i++ {
+		s += rest[i]
+	}
+	return s
+}

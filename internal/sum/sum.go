@@ -20,7 +20,6 @@ package sum
 import (
 	"fmt"
 
-	"repro/internal/binned"
 	"repro/internal/reduce"
 )
 
@@ -253,44 +252,6 @@ func (a Algorithm) Reproducible() bool {
 	return a == PreroundedAlg || a == BinnedAlg
 }
 
-// LocalState folds xs into a boxed partial-reduction state using the
-// algorithm's native, unboxed merge loop — the efficient "local sum"
-// phase of a distributed reduction. The returned state is compatible
-// with a.Op().Merge / Finalize.
-func (a Algorithm) LocalState(xs []float64) reduce.State {
-	switch a {
-	case StandardAlg, PairwiseAlg:
-		return Standard(xs)
-	case KahanAlg:
-		m := KahanMonoid{}
-		st := m.Leaf(0)
-		for _, x := range xs {
-			st = m.Merge(st, m.Leaf(x))
-		}
-		return st
-	case NeumaierAlg:
-		m := NeumaierMonoid{}
-		st := m.Leaf(0)
-		for _, x := range xs {
-			st = m.Merge(st, m.Leaf(x))
-		}
-		return st
-	case CompositeAlg:
-		var acc CompositeAcc
-		AddSlice(&acc, xs)
-		return acc.State()
-	case PreroundedAlg:
-		acc := NewPreroundedAcc(DefaultPRConfig())
-		AddSlice(acc, xs)
-		return acc.State()
-	case BinnedAlg:
-		var st binned.State
-		st.AddSlice(xs)
-		return st
-	}
-	panic("sum: invalid algorithm " + a.String())
-}
-
 // Accumulator is a streaming summation state: the "local sum" half of a
 // distributed reduction.
 type Accumulator interface {
@@ -300,11 +261,4 @@ type Accumulator interface {
 	Sum() float64
 	// Reset restores the accumulator to zero.
 	Reset()
-}
-
-// AddSlice feeds every element of xs into acc.
-func AddSlice(acc Accumulator, xs []float64) {
-	for _, x := range xs {
-		acc.Add(x)
-	}
 }

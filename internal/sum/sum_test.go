@@ -116,7 +116,9 @@ func TestStreamingMatchesOneShot(t *testing.T) {
 	xs := hardSet(2000, 7)
 	for _, alg := range Algorithms {
 		acc := alg.NewAccumulator()
-		AddSlice(acc, xs)
+		for _, x := range xs {
+			acc.Add(x)
+		}
 		var want float64
 		switch alg {
 		case PairwiseAlg:

@@ -76,6 +76,10 @@ func (r *Recorder) Merge(a, b reduce.State) reduce.State {
 	return traced{st: r.op.Merge(ta.st, tb.st), id: id}
 }
 
+// FoldSlice implements reduce.Op with the per-element reference fold,
+// so a rank's local sum is recorded leaf by leaf and merge by merge.
+func (r *Recorder) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(r, xs) }
+
 // Finalize implements reduce.Op.
 func (r *Recorder) Finalize(s reduce.State) float64 {
 	return r.op.Finalize(s.(traced).st)

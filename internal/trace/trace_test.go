@@ -79,6 +79,55 @@ func TestRecorderUnderNondeterministicCollective(t *testing.T) {
 	}
 }
 
+// TestLocalStateRecordsEveryElement pins that the collective local
+// phase stays observable now that ranks fold through Op.FoldSlice: a
+// Recorder's FoldSlice is the per-element reference fold, so each
+// rank's mpirt.LocalState records n leaves and n-1 merges (a left
+// chain of depth n-1 over the rank's operands in order), and the root
+// trace of the collective covers every operand.
+func TestLocalStateRecordsEveryElement(t *testing.T) {
+	xs := gen.SumZeroSeries(1024, 24, 9)
+	const ranks = 8
+	per := len(xs) / ranks
+	for _, alg := range []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg} {
+		rec := NewRecorder(alg.Op())
+		locals := make([]Trace, ranks)
+		var root Trace
+		w := mpirt.NewWorld(ranks, mpirt.Config{})
+		err := w.Run(func(r *mpirt.Rank) {
+			local := mpirt.LocalState(rec, xs[r.ID*per:(r.ID+1)*per])
+			locals[r.ID] = rec.TraceOf(local)
+			if st := r.Reduce(0, local, rec, mpirt.Binomial, mpirt.FixedOrder); st != nil {
+				root = rec.TraceOf(st)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, tr := range locals {
+			if got := tr.Leaves(); got != per {
+				t.Errorf("%v rank %d: %d leaves, want %d", alg, id, got, per)
+			}
+			if got := tr.Depth(); got != per-1 {
+				t.Errorf("%v rank %d: depth %d, want a left chain of %d merges", alg, id, got, per-1)
+			}
+			ops := tr.Operands()
+			for i, x := range xs[id*per : (id+1)*per] {
+				if i >= len(ops) || math.Float64bits(ops[i]) != math.Float64bits(x) {
+					t.Fatalf("%v rank %d: operand %d not recorded in order", alg, id, i)
+				}
+			}
+		}
+		// ranks*(per leaves + per-1 local merges) + ranks-1 global merges.
+		if got, want := len(root.nodes), ranks*(2*per-1)+ranks-1; got != want {
+			t.Errorf("%v: recorder holds %d nodes, want %d", alg, got, want)
+		}
+		if got := root.Leaves(); got != len(xs) {
+			t.Errorf("%v: root trace covers %d leaves, want %d", alg, got, len(xs))
+		}
+	}
+}
+
 func TestReplayDifferentAlgorithmsDiffer(t *testing.T) {
 	// On a hard set, ST replay and CP replay of the same tree disagree;
 	// CP is closer to exact.

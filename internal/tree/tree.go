@@ -191,10 +191,8 @@ func (p Plan) blocks() int {
 type Executor[S any] struct {
 	m reduce.Monoid[S]
 	// sf is m's devirtualized batch fold when it implements
-	// reduce.SliceFolder (nil otherwise). Serial leaf runs — the
-	// unbalanced chain, blocked-shape block folds, and the knomial
-	// first level — substitute it for the generic Leaf/Merge loop; the
-	// bits are identical by the SliceFolder contract.
+	// reduce.SliceFolder (nil otherwise), looked up once so fold pays
+	// no type assertion per knomial group.
 	sf     reduce.SliceFolder[S]
 	vals   []float64
 	states []S
@@ -207,6 +205,17 @@ func NewExecutor[S any](m reduce.Monoid[S]) *Executor[S] {
 		e.sf = sf
 	}
 	return e
+}
+
+// fold reduces a serial leaf run — the unbalanced chain, a blocked
+// shape's block, a knomial first-level group — by the reference fold,
+// through m's batch kernel when it has one (identical bits by the
+// SliceFolder contract). vals must be non-empty.
+func (e *Executor[S]) fold(vals []float64) S {
+	if e.sf != nil {
+		return e.sf.FoldSlice(vals)
+	}
+	return reduce.LeftFold(e.m, vals)
 }
 
 // Run reduces xs under plan p and returns the root value.
@@ -247,10 +256,7 @@ func (e *Executor[S]) runShape(p Plan, vals []float64) float64 {
 	}
 	switch p.Shape {
 	case Unbalanced:
-		if e.sf != nil {
-			return e.m.Finalize(e.sf.FoldSlice(vals))
-		}
-		return reduce.Fold(e.m, vals)
+		return e.m.Finalize(e.fold(vals))
 	case Balanced:
 		if cap(e.states) < len(vals) {
 			e.states = make([]S, len(vals))
@@ -287,17 +293,7 @@ func (e *Executor[S]) runBlocked(p Plan, vals []float64) float64 {
 		if hi > n {
 			hi = n
 		}
-		if e.sf != nil {
-			// A block's serial leaf run is exactly the reference fold of
-			// its values — run the batch kernel instead.
-			partials[i] = e.sf.FoldSlice(vals[lo:hi])
-			continue
-		}
-		st := e.m.Leaf(vals[lo])
-		for _, x := range vals[lo+1 : hi] {
-			st = e.m.Merge(st, e.m.Leaf(x))
-		}
-		partials[i] = st
+		partials[i] = e.fold(vals[lo:hi])
 	}
 	for b > 1 {
 		half := b / 2
@@ -324,25 +320,15 @@ func (e *Executor[S]) runKnomial(p Plan, vals []float64) float64 {
 		e.states = make([]S, n)
 	}
 	level := e.states[:n]
-	if e.sf != nil && n > 1 {
-		// The first merge level folds each radix group's leaves serially
-		// — exactly the reference fold of that group's values — so it
-		// fuses with leaf lifting into one batch-kernel pass.
-		out := 0
-		for i := 0; i < n; i += k {
-			hi := i + k
-			if hi > n {
-				hi = n
-			}
-			level[out] = e.sf.FoldSlice(vals[i:hi])
-			out++
-		}
-		n = out
-	} else {
-		for i, x := range vals {
-			level[i] = e.m.Leaf(x)
-		}
+	// The first merge level folds each radix group's leaves serially —
+	// exactly the reference fold of that group's values — so it fuses
+	// with leaf lifting into one pass.
+	out := 0
+	for i := 0; i < n; i += k {
+		level[out] = e.fold(vals[i:min(i+k, n)])
+		out++
 	}
+	n = out
 	for n > 1 {
 		out := 0
 		for i := 0; i < n; i += k {
