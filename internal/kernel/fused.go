@@ -28,9 +28,11 @@ import (
 //
 // If the policy then picks ST or Neumaier, the fused pass already holds
 // the answer and the data is never read again; only escalations to
-// CP/PR/superacc pay a second pass. The selector layer
+// BN/CP/PR pay a second pass. The selector layer
 // (selector.FusedProfileSum / SelectAndSum) owns that protocol and pins
-// both equalities with exhaustive tests.
+// both equalities with exhaustive tests. Tolerance-0 requests under the
+// analytic policies, which can only escalate to BN, skip this pass and
+// run the BN fold alone (the selector's exact bypass).
 //
 // FusedAcc is also a monoid (Merge), component-wise identical to
 // selector.Profile.Merge plus the engine merges for ST (a+b) and
@@ -70,26 +72,43 @@ type FusedAcc struct {
 // FusedProfileSum folds xs once, producing the complete profile state
 // and both speculative sums. The loop keeps four independent float64
 // dependency chains (st, the TwoSum pair, the plain |x| sum) that
-// schedule in parallel on any modern core, and counts signs branch-free
-// from the sign bit, so the pass runs at nearly the speed of the plain
-// compensated fold alone.
+// schedule in parallel on any modern core, and does its bookkeeping
+// with integer operations that need no per-element branch:
+//
+//   - one unsigned compare on a = bits &^ sign rejects zeros and
+//     non-finite values together (a-1 wraps past the Inf/NaN boundary
+//     for a == 0), so the common element takes a single predictable
+//     branch;
+//   - the exponent extremes are carried as the running max and min of
+//     a itself — |x| orders exactly like its magnitude bits, subnormals
+//     included — and decoded once with math.Ilogb after the loop;
+//   - the sign count is the sum of sign bits, and Pos is the nonzero
+//     count minus Neg.
+//
+// The pass is therefore bound by the floating-point adds of the ST
+// shadow and the TwoSum chain, and every field keeps the bits of the
+// per-element reference (selector.ProfileOf's observe loop).
 func FusedProfileSum(xs []float64) FusedAcc {
+	const (
+		signBit = 1 << 63
+		infBits = 0x7ff << 52 // magnitude bits of +Inf; NaNs lie above
+	)
 	var (
 		st, s, c, abs float64
-		maxE, minE    int
-		hasNZ         bool
-		pos, neg      int64
+		maxA          uint64
+		minA          uint64 = math.MaxUint64
+		nz, neg       int64
 		nonFinite     bool
 	)
 	for _, x := range xs {
 		st += x
-		if x == 0 {
-			continue
-		}
 		b := math.Float64bits(x)
-		e := int(b >> 52 & 0x7ff)
-		if e == 0x7ff {
-			nonFinite = true
+		a := b &^ signBit
+		if a-1 >= infBits-1 {
+			// Zero (skipped by every profile arm) or NaN/±Inf (poison).
+			if a != 0 {
+				nonFinite = true
+			}
 			continue
 		}
 		// One Neumaier step for Σx. The branch-free TwoSum residual
@@ -97,35 +116,26 @@ func FusedProfileSum(xs []float64) FusedAcc {
 		// the exact representable error of the same addition), so the
 		// pair tracks kernel.Neumaier exactly (but for the sign of an
 		// all -0 sum, whose zeros this loop skips).
-		t, e2 := fpu.TwoSum(s, x)
-		c += e2
+		t, e := fpu.TwoSum(s, x)
+		c += e
 		s = t
-		abs += math.Abs(x)
-		if e == 0 {
-			e = math.Ilogb(x) // subnormal: decode via the slow path
-		} else {
-			e -= 1023
-		}
-		if hasNZ {
-			if e > maxE {
-				maxE = e
-			}
-			if e < minE {
-				minE = e
-			}
-		} else {
-			hasNZ, maxE, minE = true, e, e
-		}
-		sb := int64(b >> 63)
-		neg += sb
-		pos += 1 - sb
+		abs += math.Float64frombits(a)
+		maxA = max(maxA, a)
+		minA = min(minA, a)
+		nz++
+		neg += int64(b >> 63)
 	}
-	return FusedAcc{
+	acc := FusedAcc{
 		N: int64(len(xs)), ST: st,
 		SumS: s, SumC: c, AbsS: abs,
-		MaxExp: maxE, MinExp: minE, HasNonzero: hasNZ,
-		Pos: pos, Neg: neg, NonFinite: nonFinite,
+		Pos: nz - neg, Neg: neg, NonFinite: nonFinite,
 	}
+	if nz > 0 {
+		acc.HasNonzero = true
+		acc.MaxExp = math.Ilogb(math.Float64frombits(maxA))
+		acc.MinExp = math.Ilogb(math.Float64frombits(minA))
+	}
+	return acc
 }
 
 // Merge combines two fused accumulators describing adjacent ranges:

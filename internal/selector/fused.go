@@ -1,6 +1,10 @@
 package selector
 
 import (
+	"math"
+
+	"repro/internal/binned"
+	"repro/internal/fpu"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/sum"
@@ -19,6 +23,11 @@ import (
 // never read again; only escalations to PW/K/CP/PR/BN pay a second
 // pass. Every result is bitwise-identical to what the two-pass route
 // computes, pinned by equivalence tests.
+//
+// Tolerance-0 requests under the analytic policies skip the profile
+// altogether (exactBypass): there the profile can only ever confirm
+// BN, so the BN fold runs first and its exact answer is returned
+// unless it lands where the policies could have decided otherwise.
 
 // FusedPass is the outcome of one fused profile+sum pass: the complete
 // selection profile plus the speculative plain-sum shadow. The Neumaier
@@ -149,6 +158,10 @@ func (s *Selector) Decide(p Profile) Decision {
 }
 
 // Selection describes one fused select-and-sum call, for reporting.
+//
+// A tolerance-0 request served by the exact bypass (see exactBypass)
+// never profiles its data: its Selection holds Profile{N: n}, Alg BN,
+// Predicted 0, zero Bounds (Conclusive false) and Fast false.
 type Selection struct {
 	Profile   Profile
 	Alg       sum.Algorithm
@@ -173,8 +186,14 @@ type Selection struct {
 // escalates past ST/Neumaier — a second pass with the selected
 // operator. PR escalations run with the TunePR-sized configuration.
 // Poisoned inputs fall back to the ST shadow, which equals
-// sum.Standard(xs) bit-for-bit.
+// sum.Standard(xs) bit-for-bit. Tolerance-0 requests under the analytic
+// policies try the exact bypass first (binned.Sum, no profile).
 func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
+	if s.exactBypass(len(xs)) {
+		if v := binned.Sum(xs); bypassServes(v) {
+			return v, exactSelection(len(xs))
+		}
+	}
 	fp := FusedProfileSum(xs)
 	prof := fp.Profile
 	if prof.NonFinite {
@@ -203,8 +222,14 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 // skipped (they are single-lane bits) and every selection escalates to
 // parallel.Sum/SumPR, so the result always equals the two-pass route
 // ProfileOfParallel → Decide → parallel.Sum at the same cfg. Poisoned
-// inputs fall back to one serial ST pass, sum.Standard(xs).
+// inputs fall back to one serial ST pass, sum.Standard(xs). The exact
+// bypass runs parallel.Sum(BinnedAlg) at the same cfg.
 func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
+	if s.exactBypass(len(xs)) {
+		if v := parallel.Sum(sum.BinnedAlg, xs, cfg); bypassServes(v) {
+			return v, exactSelection(len(xs))
+		}
+	}
 	fp := FusedProfileSumParallel(xs, cfg)
 	prof := fp.Profile
 	if prof.NonFinite {
@@ -227,4 +252,82 @@ func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (floa
 		return parallel.SumPR(prCfg, xs, cfg), sel
 	}
 	return parallel.Sum(d.Alg, xs, cfg), sel
+}
+
+// Exact bypass.
+//
+// At tolerance 0 the analytic policies pick the first ladder rung
+// predicting no variability. ST is the only rung before BN, and its
+// prediction is positive on every profile of n >= 2 finite operands
+// whose sum is nonzero, so such requests always resolve to BN — with
+// or without the decision cache, whose bucket representatives are
+// unit-scale profiles of n >= 3. The profile pass there only confirms
+// what the request already says, at more cost than the BN fold. The
+// bypass runs the fold first and keeps its answer when the exact sum
+// v shows the input was of that kind:
+//
+//   - v is NaN or ±Inf: a non-finite operand, which the full path
+//     serves with the poisoned ST fallback, or an overflowing sum;
+//   - v is 0: possibly an all-zero set, where the degenerate profile
+//     picks ST and the sign of a -0 sum matters;
+//   - |v| < 2^-400 or |v| > 2^1000: the policies' variability
+//     arithmetic (squares of Σx and of the largest operand, the
+//     guarded Σ|x|) can underflow to a zero ST prediction or overflow
+//     the profile's Σx estimate, so the full path decides.
+//
+// Every other v is returned with algorithm BN: bits, Algorithm and
+// NonFinite equal the full path's on every input, pinned by
+// TestSelectAndSumExactBypass against the two-pass oracle.
+const (
+	bypassMin = 0x1p-400
+	bypassMax = 0x1p1000
+)
+
+// bypassMaxLambda bounds the ProbabilisticPolicy confidence the bypass
+// trusts: the ST prediction is a bound divided by λ, which stays
+// positive for any λ up to here.
+const bypassMaxLambda = 0x1p64
+
+// exactBypass reports whether a request of n values may take the exact
+// bypass: tolerance 0, n >= 2 and an analytic policy. Every other
+// policy — Static, the calibrated table and surface, a probabilistic
+// policy with any other fallback — takes the full path unchanged.
+func (s *Selector) exactBypass(n int) bool {
+	if s.Req.Tolerance != 0 || n < 2 {
+		return false
+	}
+	switch p := s.Policy.(type) {
+	case HeuristicPolicy:
+		return p.exactIsBN()
+	case ProbabilisticPolicy:
+		if !(p.lambda() <= bypassMaxLambda) {
+			return false
+		}
+		switch fb := p.Fallback.(type) {
+		case nil:
+			return true
+		case HeuristicPolicy:
+			return fb.exactIsBN()
+		}
+	}
+	return false
+}
+
+// exactIsBN reports whether the heuristic's ST prediction c_st·u·√n·k
+// is positive for every k > 0: a zero, negative or NaN multiplier
+// would let ST (or nothing) win at tolerance 0.
+func (hp HeuristicPolicy) exactIsBN() bool {
+	return hp.Params.CST*fpu.UnitRoundoff > 0
+}
+
+// bypassServes reports whether the bypass may return the exact sum v
+// (see the list above).
+func bypassServes(v float64) bool {
+	a := math.Abs(v)
+	return a >= bypassMin && a <= bypassMax
+}
+
+// exactSelection is the report of a bypassed request.
+func exactSelection(n int) Selection {
+	return Selection{Profile: Profile{N: int64(n)}, Alg: sum.BinnedAlg}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/binned"
 	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/sum"
@@ -26,16 +27,36 @@ func benchSelector(alg sum.Algorithm) *Selector {
 // BenchmarkSelectSum compares the legacy two-pass select-then-sum
 // route against the fused single-pass engine, with and without the
 // decision cache, on the ST and Neumaier fast paths (the regimes where
-// fusion removes the entire second data pass).
+// fusion removes the entire second data pass). The exact rows put a
+// tolerance-0 SelectAndSum (the exact bypass) beside the bare BN fold
+// it runs, so selection overhead on the exact answer reads directly.
 func BenchmarkSelectSum(b *testing.B) {
 	for _, n := range []int{10000, 100000, 1000000} {
 		xs := gen.Spec{N: n, Cond: 1, DynRange: 8, Seed: 90}.Generate()
+		var sink float64
+		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
+			s := New(0)
+			if _, sel := s.SelectAndSum(xs); sel.Alg != sum.BinnedAlg {
+				b.Fatalf("tolerance 0 selects %v", sel.Alg)
+			}
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				sink, _ = s.SelectAndSum(xs)
+			}
+		})
+		b.Run(fmt.Sprintf("bnfold/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				var st binned.State
+				st.AddSlice(xs)
+				sink = st.Finalize()
+			}
+		})
 		for _, alg := range []sum.Algorithm{sum.StandardAlg, sum.NeumaierAlg} {
 			s := benchSelector(alg)
 			if a := s.Decide(ProfileOf(xs)).Alg; a != alg {
 				b.Fatalf("fixture selects %v, want %v", a, alg)
 			}
-			var sink float64
 			b.Run(fmt.Sprintf("twopass/%s/n=%d", alg, n), func(b *testing.B) {
 				b.SetBytes(int64(8 * n))
 				for i := 0; i < b.N; i++ {
@@ -62,8 +83,8 @@ func BenchmarkSelectSum(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(c.Cache.Stats().HitRate(), "hit-rate")
 			})
-			_ = sink
 		}
+		_ = sink
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/parallel"
 	"repro/internal/sum"
+	"repro/internal/superacc"
 )
 
 func fbits(v float64) uint64 { return math.Float64bits(v) }
@@ -42,14 +43,71 @@ func fusedCases() map[string][]float64 {
 	return cases
 }
 
+// kernelZoo mirrors the kernel package's fusedInputs corpus — the
+// generator corners at every length the batch kernels special-case,
+// plus zero-heavy and subnormal sets — and adds the extremes of the
+// magnitude range, -0-only sets and poisoned ones.
+func kernelZoo() map[string][]float64 {
+	negZero := math.Copysign(0, -1)
+	zoo := map[string][]float64{
+		"single":      {3.25},
+		"negsingle":   {-0x1p-40},
+		"minsub":      {0x1p-1074},
+		"minsubpair":  {-0x1p-1074, 0x1p-1074, 0x1p-1074},
+		"maxfloat":    {math.MaxFloat64},
+		"maxpair":     {math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64},
+		"maxoverflow": {math.MaxFloat64, math.MaxFloat64, 1},
+		"negzero":     {negZero},
+		"negzeros":    {negZero, negZero, negZero, negZero, negZero},
+		"extremes":    {0x1p-1074, math.MaxFloat64, -0x1p-1022, -math.MaxFloat64, 0x1p-1074},
+		"nanonly":     {math.NaN()},
+		"poisonmix":   {negZero, 0x1p-1074, math.Inf(1), -2, math.NaN(), math.MaxFloat64},
+		"infpair":     {math.Inf(-1), 0, math.Inf(1)},
+	}
+	for _, n := range []int{2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097} {
+		for name, spec := range map[string]gen.Spec{
+			"benign":    {N: n, Cond: 1, DynRange: 8, Seed: uint64(n)},
+			"illcond":   {N: n, Cond: 1e8, DynRange: 24, Seed: uint64(n) + 1},
+			"sumzero":   {N: n, Cond: math.Inf(1), DynRange: 32, Seed: uint64(n) + 2},
+			"widerange": {N: n, Cond: 1e4, DynRange: 40, Seed: uint64(n) + 3},
+		} {
+			zoo[fmt.Sprintf("%s/n=%d", name, n)] = spec.Generate()
+		}
+		zeros := make([]float64, n)
+		for i := range zeros {
+			if i%3 == 0 {
+				zeros[i] = float64(i%7) - 3
+			}
+		}
+		zeros[1] = negZero
+		zoo[fmt.Sprintf("zeroheavy/n=%d", n)] = zeros
+		sub := make([]float64, n)
+		for i := range sub {
+			sub[i] = math.Ldexp(float64(i%5+1), -1070-i%4)
+		}
+		sub[n/2] = 0x1p-1022
+		zoo[fmt.Sprintf("subnormal/n=%d", n)] = sub
+		poisoned := append([]float64(nil), sub...)
+		poisoned[n-1] = math.Inf(-1)
+		zoo[fmt.Sprintf("poisoned/n=%d", n)] = poisoned
+	}
+	return zoo
+}
+
 // TestFusedPassMatchesProfileOf pins the fused pass's profile
-// bit-identical (struct equality, compensated pairs included) to the
-// legacy ProfileOf, and its speculative sums to the serial operators.
+// bit-identical (every field, compensated pairs compared bit for bit)
+// to the legacy ProfileOf — whose per-element observe loop is the
+// oracle for the lean kernel's branch-free bookkeeping — and its
+// speculative ST sum to sum.Standard.
 func TestFusedPassMatchesProfileOf(t *testing.T) {
+	cases := kernelZoo()
 	for name, xs := range fusedCases() {
+		cases[name] = xs
+	}
+	for name, xs := range cases {
 		fp := FusedProfileSum(xs)
-		if fp.Profile != ProfileOf(xs) {
-			t.Errorf("%s: fused profile %+v != ProfileOf %+v", name, fp.Profile, ProfileOf(xs))
+		if ref := ProfileOf(xs); !sameProfile(fp.Profile, ref) {
+			t.Errorf("%s: fused profile %+v != ProfileOf %+v", name, fp.Profile, ref)
 		}
 		if fbits(fp.ST) != fbits(sum.Standard(xs)) {
 			t.Errorf("%s: fused ST != sum.Standard", name)
@@ -127,6 +185,43 @@ func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, s
 	return parallel.Sum(alg, xs, cfg), alg
 }
 
+// servedExact states, independently of the serving code, when the
+// exact bypass serves a request: tolerance 0, an analytic policy (the
+// default-parameter heuristic, or a bound-driven policy at a sane λ
+// falling back to it), at least two operands, and an exact sum whose
+// magnitude lies in [2^-400, 2^1000] (NaN for poisoned inputs).
+func servedExact(s *Selector, xs []float64) bool {
+	if s.Req.Tolerance != 0 || len(xs) < 2 {
+		return false
+	}
+	switch p := s.Policy.(type) {
+	case HeuristicPolicy:
+		if p.Params.CST <= 0 {
+			return false
+		}
+	case ProbabilisticPolicy:
+		if p.Lambda > 100 {
+			return false
+		}
+		if fb, ok := p.Fallback.(HeuristicPolicy); p.Fallback != nil && (!ok || fb.Params.CST <= 0) {
+			return false
+		}
+	default:
+		return false
+	}
+	v := math.Abs(superacc.Sum(xs))
+	return v >= 0x1p-400 && v <= 0x1p1000
+}
+
+// wantProfile is the profile a selection must report: Profile{N: n}
+// on a request the exact bypass served, ref otherwise.
+func wantProfile(s *Selector, xs []float64, ref Profile) Profile {
+	if servedExact(s, xs) {
+		return Profile{N: int64(len(xs))}
+	}
+	return ref
+}
+
 // TestSelectorSumFusedEquivalence pins SelectAndSum bit-identical to
 // the two-pass route for every tolerance regime, including escalations.
 func TestSelectorSumFusedEquivalence(t *testing.T) {
@@ -185,7 +280,7 @@ func TestSelectAndSumEquivalence(t *testing.T) {
 			s := New(tol)
 			got, sel := s.SelectAndSum(xs)
 			prof := ProfileOf(xs)
-			if sel.Profile != prof {
+			if sel.Profile != wantProfile(s, xs, prof) {
 				t.Errorf("%s tol=%g: selection profile diverges", name, tol)
 			}
 			var want float64
@@ -232,7 +327,7 @@ func TestSelectAndSumParallelEquivalence(t *testing.T) {
 			for _, tol := range []float64{1e-6, 1e-12, 0} {
 				s := New(tol)
 				got, sel := s.SelectAndSumParallel(xs, cfg)
-				if sel.Profile != ProfileOfParallel(xs, cfg) {
+				if sel.Profile != wantProfile(s, xs, ProfileOfParallel(xs, cfg)) {
 					t.Errorf("%s w=%d tol=%g: profile diverges from ProfileOfParallel",
 						name, workers, tol)
 				}
@@ -298,7 +393,7 @@ func TestSelectAndSumParallelLanes(t *testing.T) {
 				for _, v := range variants {
 					where := fmt.Sprintf("%s lanes=%d w=%d %s", name, lanes, workers, v.name)
 					got, sel := v.s.SelectAndSumParallel(xs, cfg)
-					if sel.Profile != ProfileOfParallel(xs, cfg) {
+					if sel.Profile != wantProfile(v.s, xs, ProfileOfParallel(xs, cfg)) {
 						t.Errorf("%s: profile diverges from ProfileOfParallel", where)
 					}
 					if sel.Fast {
@@ -328,8 +423,9 @@ func TestSelectAndSumParallelLanes(t *testing.T) {
 }
 
 // TestFusedFastPathAllocs pins the speculative serving calls as
-// allocation-free on the ST and Neumaier fast paths — the acceptance
-// bar for the steady-state serving loop.
+// allocation-free on the ST and Neumaier fast paths and on the
+// tolerance-0 exact bypass — the acceptance bar for the steady-state
+// serving loop.
 func TestFusedFastPathAllocs(t *testing.T) {
 	xs := gen.Spec{N: 4096, Cond: 1, DynRange: 4, Seed: 32}.Generate()
 	var sink float64
@@ -348,6 +444,17 @@ func TestFusedFastPathAllocs(t *testing.T) {
 		sink, _ = nm.SelectAndSum(xs)
 	}); n != 0 {
 		t.Errorf("Neumaier fast path allocates %v per run", n)
+	}
+	for _, pol := range []Policy{NewHeuristicPolicy(), NewProbabilisticPolicy(0)} {
+		ex := &Selector{Policy: pol, Cache: NewDecisionCache(CacheConfig{})}
+		if _, sel := ex.SelectAndSum(xs); sel.Bounds != (Bounds{}) {
+			t.Fatalf("%T: fixture does not take the exact bypass", pol)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			sink, _ = ex.SelectAndSum(xs)
+		}); n != 0 {
+			t.Errorf("%T: exact bypass allocates %v per run", pol, n)
+		}
 	}
 	_ = sink
 }

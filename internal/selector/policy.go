@@ -246,6 +246,13 @@ func (cp *CalibratedPolicy) Select(p Profile, req Requirement) (sum.Algorithm, f
 		return cands[i].alg.CostRank() < cands[j].alg.CostRank()
 	})
 	for _, c := range cands {
+		// Tolerance 0 demands bitwise reproducibility, which only an
+		// algorithm's construction can certify: a measured spread of
+		// exactly 0 (common for CP on benign cells) is not that
+		// guarantee (see CalibratedSurfacePolicy.Select).
+		if req.Tolerance == 0 && !c.alg.Reproducible() {
+			continue
+		}
 		if c.pred <= req.Tolerance {
 			return c.alg, c.pred
 		}

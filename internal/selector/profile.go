@@ -15,7 +15,9 @@
 // The serving path is speculative: FusedProfileSum computes the profile
 // and the two cheapest candidate sums (ST and Neumaier) in one memory
 // pass, so when the policy settles on either, the answer is already in
-// hand and the data is never read twice (see fused.go). An optional
+// hand and the data is never read twice (see fused.go); tolerance-0
+// requests under the analytic policies, which can only resolve to BN,
+// skip the profile and run the BN fold alone. An optional
 // quantized DecisionCache memoizes policy outcomes so steady-state
 // traffic skips policy evaluation entirely (see cache.go).
 package selector

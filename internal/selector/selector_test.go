@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fpu"
 	"repro/internal/gen"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpirt"
 	"repro/internal/parallel"
@@ -203,6 +204,27 @@ func TestCalibratedPolicySelects(t *testing.T) {
 	}
 	if algZ != sum.PreroundedAlg && algZ != sum.CompositeAlg {
 		t.Errorf("t=0 chose %v", algZ)
+	}
+}
+
+// TestCalibratedToleranceZeroRequiresReproducible pins the bitwise
+// contract of the nearest-neighbour table: a cell that measured zero
+// spread for CP must not make tolerance 0 pick CP, while a nonzero
+// tolerance keeps the measured pick.
+func TestCalibratedToleranceZeroRequiresReproducible(t *testing.T) {
+	pol := NewCalibratedPolicy([]grid.CellResult{{
+		Spec: grid.CellSpec{N: 1024, Cond: 1, DynRange: 8}, MeasuredK: 1, MeasuredDR: 8,
+		RelStdDev: map[sum.Algorithm]float64{
+			sum.CompositeAlg: 0, // measured zero, not a bitwise guarantee
+			sum.StandardAlg:  1e-15,
+		},
+	}}, 4)
+	p := ProfileOf(gen.Spec{N: 1024, Cond: 1, DynRange: 8, Seed: 801}.Generate())
+	if alg, pred := pol.Select(p, Requirement{Tolerance: 0}); !alg.Reproducible() || pred != 0 {
+		t.Errorf("tolerance 0 selected %v (pred %g), want a reproducible algorithm", alg, pred)
+	}
+	if alg, _ := pol.Select(p, Requirement{Tolerance: 1e-15}); alg != sum.CompositeAlg {
+		t.Errorf("tolerance 1e-15 selected %v, want CP (measured cheapest that qualifies)", alg)
 	}
 }
 

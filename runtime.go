@@ -142,6 +142,11 @@ func (rt *Runtime) CacheStats() (CacheStats, bool) {
 
 // Report describes one adaptive reduction: what was profiled, what was
 // chosen, and what the policy predicted.
+//
+// A tolerance-0 request under the analytic policies is answered by the
+// exact BN fold without a profile pass (see Runtime.Sum). Its report
+// holds Algorithm BN, Profile{N: n}, Predicted 0 and zero Bounds
+// (Conclusive false); String says the profile was skipped.
 type Report struct {
 	Algorithm Algorithm
 	Profile   Profile
@@ -170,6 +175,10 @@ func (r Report) String() string {
 		return fmt.Sprintf("chose %s (%s) for %v (non-finite input; no variability contract)",
 			r.Algorithm, r.Algorithm.FullName(), r.Profile)
 	}
+	if r.Bounds == (Bounds{}) {
+		return fmt.Sprintf("chose %s (%s) for n=%d (tolerance 0: exact sum, profile skipped)",
+			r.Algorithm, r.Algorithm.FullName(), r.Profile.N)
+	}
 	return fmt.Sprintf("chose %s (%s) for %v (predicted variability %.3g)",
 		r.Algorithm, r.Algorithm.FullName(), r.Profile, r.Predicted)
 }
@@ -183,6 +192,15 @@ func (r Report) String() string {
 // already yields the ST and Neumaier answers, so those selections never
 // read xs a second time, and every result is bit-identical to the
 // two-pass profile-then-sum route.
+//
+// At tolerance 0 the analytic policies (the default heuristic and the
+// bound-driven ProbabilisticPolicy) can only choose BN for data of two
+// or more finite operands with a nonzero sum, so such requests skip
+// the profile: the BN fold runs first and its exact answer is returned
+// when it shows the input was of that kind; the rest (empty, single,
+// all-zero, non-finite, or sums below 2^-400 or above 2^1000) take the
+// full route. Bits, Algorithm and NonFinite are those of the full
+// route on every input.
 //
 // With the engine enabled (WithWorkers/WithChunkSize/WithLaneWidth) and
 // an input spanning at least two chunks, both the profiling pass and

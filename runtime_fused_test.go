@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,35 +12,55 @@ import (
 )
 
 // legacySum reproduces the pre-fused two-pass Runtime.Sum exactly:
-// profile, policy, TunePR when PR, then the selected operator — the
-// oracle the fused serving path is pinned against.
-func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm) {
-	if rt.engineFor(len(xs)) {
-		prof := selector.ProfileOfParallel(xs, rt.par)
-		if prof.NonFinite {
-			return sum.Standard(xs), sum.StandardAlg
-		}
-		alg, _ := rt.sel.Policy.Select(prof, rt.sel.Req)
-		if alg == sum.PreroundedAlg {
-			return parallel.SumPR(selector.TunePR(prof, rt.sel.Req), xs, rt.par), alg
-		}
-		return parallel.Sum(alg, xs, rt.par), alg
+// profile, policy (through a fresh decision cache when rt has one),
+// TunePR when PR, then the selected operator — the oracle the fused
+// serving path is pinned against. It also returns the profile, so
+// callers can check NonFinite and the reported profile.
+func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm, Profile) {
+	ref := &selector.Selector{Policy: rt.sel.Policy, Req: rt.sel.Req}
+	if rt.sel.Cache != nil {
+		ref.Cache = selector.NewDecisionCache(selector.CacheConfig{})
 	}
+	engine := rt.engineFor(len(xs))
 	prof := selector.ProfileOf(xs)
+	if engine {
+		prof = selector.ProfileOfParallel(xs, rt.par)
+	}
 	if prof.NonFinite {
-		return sum.Standard(xs), sum.StandardAlg
+		return sum.Standard(xs), sum.StandardAlg, prof
 	}
-	alg, _ := rt.sel.Policy.Select(prof, rt.sel.Req)
-	if alg == sum.PreroundedAlg {
-		return sum.PreroundedWith(selector.TunePR(prof, rt.sel.Req), xs), alg
+	d := ref.Decide(prof)
+	switch {
+	case engine && d.Alg == sum.PreroundedAlg:
+		return parallel.SumPR(d.PR, xs, rt.par), d.Alg, prof
+	case engine:
+		return parallel.Sum(d.Alg, xs, rt.par), d.Alg, prof
+	case d.Alg == sum.PreroundedAlg:
+		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
 	}
-	return alg.Sum(xs), alg
+	return d.Alg.Sum(xs), d.Alg, prof
 }
 
+// runtimeCases are the generator corners plus the inputs where a
+// tolerance-0 request's answer can part from the exact bypass: empty,
+// one operand, signed zeros, an exactly cancelling pair, an overflowing
+// sum, every kind of poison, and subnormal-only data.
 func runtimeCases() map[string][]float64 {
+	negZero := math.Copysign(0, -1)
 	cases := map[string][]float64{
-		"empty": nil,
-		"tiny":  {1, 2, 3.5},
+		"empty":      nil,
+		"tiny":       {1, 2, 3.5},
+		"one":        {-4.5},
+		"negzero":    {negZero},
+		"allnegzero": {negZero, negZero, negZero, negZero},
+		"mixedzero":  {negZero, 0, negZero},
+		"cancelpair": {0x1.4p7, -0x1.4p7},
+		"overflow":   {math.MaxFloat64, math.MaxFloat64},
+		"nan":        {1, math.NaN()},
+		"posinf":     {math.Inf(1), 2, 3},
+		"neginf":     {-1, math.Inf(-1)},
+		"bothinf":    {math.Inf(1), math.Inf(-1)},
+		"subnormal":  {0x1p-1074, 0x5p-1074, -0x1p-1073, 0x1p-1050},
 	}
 	for name, spec := range map[string]gen.Spec{
 		"benign":  {N: 60000, Cond: 1, DynRange: 8, Seed: 80},
@@ -55,33 +76,62 @@ func runtimeCases() map[string][]float64 {
 }
 
 // TestRuntimeSumFusedEquivalence pins the rewired Runtime.Sum bitwise
-// against the legacy two-pass semantics, serial and on the engine at
-// several worker counts and lane widths (wide lanes exercising the
-// fused pass's escalate-always route).
+// against the legacy two-pass semantics — result bits, Algorithm and
+// NonFinite — under the heuristic and probabilistic policies, with and
+// without the decision cache, serial and on the engine at several
+// worker counts and lane widths (wide lanes exercising the fused
+// pass's escalate-always route). A tolerance-0 request answered
+// without a profile must report the exact-bypass contract.
 func TestRuntimeSumFusedEquivalence(t *testing.T) {
+	policies := map[string]Policy{
+		"heuristic":     selector.NewHeuristicPolicy(),
+		"probabilistic": NewProbabilisticPolicy(0),
+	}
 	for name, xs := range runtimeCases() {
 		for _, tol := range []float64{1e-6, 1e-12, 0} {
-			variants := map[string]*Runtime{
-				"serial": New(tol),
-				"w1":     New(tol, WithWorkers(1), WithChunkSize(1<<12)),
-				"w4":     New(tol, WithWorkers(4), WithChunkSize(1<<12)),
-				"w4lane4": New(tol, WithWorkers(4), WithChunkSize(1<<12),
-					WithLaneWidth(4)),
-			}
-			for vname, rt := range variants {
-				got, rep := rt.Sum(xs)
-				want, wantAlg := legacySum(rt, xs)
-				if rep.Algorithm != wantAlg {
-					t.Errorf("%s %s tol=%g: chose %v, legacy %v",
-						name, vname, tol, rep.Algorithm, wantAlg)
-					continue
-				}
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s %s tol=%g (%v): fused %x != legacy %x", name, vname,
-						tol, rep.Algorithm, math.Float64bits(got), math.Float64bits(want))
-				}
-				if name == "poisoned" && (!rep.NonFinite || !math.IsInf(rep.Predicted, 1)) {
-					t.Errorf("%s %s: poisoned report %+v", name, vname, rep)
+			for pname, pol := range policies {
+				for _, cached := range []bool{false, true} {
+					opts := []Option{WithPolicy(pol)}
+					if cached {
+						opts = append(opts, WithDecisionCache(0))
+					}
+					engine := func(extra ...Option) *Runtime {
+						return New(tol, append(append([]Option{}, opts...), extra...)...)
+					}
+					variants := map[string]*Runtime{"serial": engine()}
+					for _, w := range []int{1, 2, 4, 7} {
+						for _, lanes := range []int{1, 4} {
+							variants[fmt.Sprintf("w%dlane%d", w, lanes)] = engine(
+								WithWorkers(w), WithChunkSize(1<<12), WithLaneWidth(lanes))
+						}
+					}
+					for vname, rt := range variants {
+						where := fmt.Sprintf("%s %s %s cached=%v tol=%g", name, vname, pname, cached, tol)
+						got, rep := rt.Sum(xs)
+						want, wantAlg, prof := legacySum(rt, xs)
+						if rep.Algorithm != wantAlg {
+							t.Errorf("%s: chose %v, legacy %v", where, rep.Algorithm, wantAlg)
+							continue
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%s (%v): fused %x != legacy %x", where,
+								rep.Algorithm, math.Float64bits(got), math.Float64bits(want))
+						}
+						if rep.NonFinite != prof.NonFinite {
+							t.Errorf("%s: NonFinite=%v, legacy %v", where, rep.NonFinite, prof.NonFinite)
+						}
+						if prof.NonFinite && !math.IsInf(rep.Predicted, 1) {
+							t.Errorf("%s: poisoned report %+v", where, rep)
+						}
+						skipped := rep.Bounds == (Bounds{})
+						if skipped && (tol != 0 || rep.Algorithm != Binned || rep.Predicted != 0 ||
+							rep.Profile != (Profile{N: int64(len(xs))})) {
+							t.Errorf("%s: profile skipped outside the exact bypass: %+v", where, rep)
+						}
+						if tol == 0 && (name == "benign" || name == "illcond" || name == "tiny") && !skipped {
+							t.Errorf("%s: tolerance 0 did not take the exact bypass", where)
+						}
+					}
 				}
 			}
 		}
@@ -115,8 +165,10 @@ func TestRuntimeDecisionCache(t *testing.T) {
 		t.Errorf("cache changed ST fast-path bits: %x vs %x",
 			math.Float64bits(vPlain), math.Float64bits(vCached))
 	}
-	// Sharded geometry via the config option, on the engine path.
-	shard := New(0, WithWorkers(4), WithChunkSize(1<<12),
+	// Sharded geometry via the config option, on the engine path (at a
+	// nonzero tolerance: tolerance 0 takes the exact bypass, which never
+	// consults the cache).
+	shard := New(1e-9, WithWorkers(4), WithChunkSize(1<<12),
 		WithDecisionCacheConfig(selector.CacheConfig{Capacity: 64, Shards: 4}))
 	r1, _ := shard.Sum(xs)
 	r2, _ := shard.Sum(xs)

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bigref"
@@ -34,6 +35,11 @@ func TestRuntimeBitwiseTolerance(t *testing.T) {
 	}
 	if rep.Predicted != 0 {
 		t.Errorf("predicted %g for BN", rep.Predicted)
+	}
+	// A nonzero sum takes the exact bypass, and the report says so.
+	_, rep = rt.Sum(gen.Spec{N: 2048, Cond: 1e4, DynRange: 24, Seed: 2}.Generate())
+	if rep.Algorithm != sum.BinnedAlg || !strings.Contains(rep.String(), "profile skipped") {
+		t.Errorf("exact-bypass report %q does not say the profile was skipped", rep.String())
 	}
 }
 
