@@ -12,7 +12,8 @@ test:
 # vet), the full test suite under the race detector (the parallel
 # engine, grid.Sweep, and mpirt all run goroutine pools that must stay
 # race-clean), and an explicit pass over
-# the fused-engine and kernel-layer guarantees — bitwise fused/legacy and
+# the fused-engine and kernel-layer guarantees — the fused sweep's
+# bitwise replay through independent single-algorithm executors,
 # kernel/generic equivalence, lane-plan worker invariance, and the
 # zero-allocation trial and fold loops. The bounds-validation pass
 # checks every reported error bound differentially against the bigref
@@ -72,7 +73,7 @@ calibrate-quick:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json records the fused-vs-legacy sweep benchmarks, the batch
+# bench-json records the grid sweep benchmarks, the batch
 # kernel benchmarks, the speculative selector benchmarks (two-pass
 # select-then-sum vs fused single pass vs fused + decision cache, plus
 # the isolated Decide step with cache hit rates), and the binned

@@ -378,6 +378,10 @@ func BenchmarkParallelSum_CP_w4(b *testing.B)  { benchmarkParallelSum(b, sum.Com
 func BenchmarkParallelSum_PR_seq(b *testing.B) { benchmarkParallelSumSeq(b, sum.PreroundedAlg) }
 func BenchmarkParallelSum_PR_w4(b *testing.B)  { benchmarkParallelSum(b, sum.PreroundedAlg, 4) }
 
+func BenchmarkParallelSum_BN_seq(b *testing.B) { benchmarkParallelSumSeq(b, sum.BinnedAlg) }
+func BenchmarkParallelSum_BN_w1(b *testing.B)  { benchmarkParallelSum(b, sum.BinnedAlg, 1) }
+func BenchmarkParallelSum_BN_w4(b *testing.B)  { benchmarkParallelSum(b, sum.BinnedAlg, 4) }
+
 func benchmarkParallelExact(b *testing.B, workers int) {
 	xs := gen.SumZeroSeries(1<<20, 32, 7)
 	cfg := parallel.Config{Workers: workers}

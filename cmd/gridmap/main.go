@@ -7,7 +7,7 @@
 //	gridmap -space kdr -n 4096 -trials 50
 //	gridmap -space nk -dr 16
 //	gridmap -space kdr -policy -thresholds 5e-13,1e-13,5e-14
-//	gridmap -space kdr -shape unbalanced -workers 8 -engine legacy
+//	gridmap -space kdr -shape unbalanced -workers 8
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); never affects results")
 	shapeName := flag.String("shape", "balanced", "reduction tree shape: balanced, unbalanced, random, blocked, or knomial")
-	engineName := flag.String("engine", "fused", "sweep engine: fused or legacy")
 	policy := flag.Bool("policy", false, "render Fig 12-style cheapest-algorithm maps instead of shading")
 	thresholds := flag.String("thresholds", "5e-13,3e-13,2.5e-13,1.5e-13,5e-14",
 		"comma-separated variability thresholds for -policy")
@@ -42,16 +41,6 @@ func main() {
 	var shape tree.Shape
 	if err := shape.UnmarshalText([]byte(*shapeName)); err != nil {
 		fmt.Fprintln(os.Stderr, "gridmap:", err)
-		os.Exit(1)
-	}
-	var engine grid.Engine
-	switch *engineName {
-	case "fused":
-		engine = grid.FusedEngine
-	case "legacy":
-		engine = grid.LegacyEngine
-	default:
-		fmt.Fprintf(os.Stderr, "gridmap: unknown engine %q (want fused or legacy)\n", *engineName)
 		os.Exit(1)
 	}
 
@@ -86,7 +75,6 @@ func main() {
 		Shape:      shape,
 		Seed:       *seed,
 		Workers:    *workers,
-		Fused:      engine,
 	})
 
 	if *policy {

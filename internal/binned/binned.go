@@ -25,8 +25,8 @@
 //     superaccumulator pass over the ~66 bins.
 //
 // The represented value is therefore the same real number for every
-// deposit order, chunking, merge tree, worker count, and lane width —
-// and Finalize is a pure function of that value — so the result is
+// deposit order, chunking, merge tree, worker count, and batch kernel
+// — and Finalize is a pure function of that value — so the result is
 // bitwise identical under all of them. Renormalization timing (which
 // moves bits between bins but never changes the represented value)
 // cannot affect the result, which is what frees the carry schedule to
@@ -330,82 +330,34 @@ func Sum(xs []float64) float64 {
 // path (AddSliceRef) — kernel engine and batch boundaries are pure
 // speed knobs, not part of the plan.
 func (st *State) AddSlice(xs []float64) {
-	st.addSliceLanes(xs, 4)
-}
-
-// AddSliceLanes is AddSlice with an explicit level-0 sublane width k:
-// 1 selects the per-element reference deposit loop, 2 the two-sublane
-// group kernel, and 4 or 8 the widest kernel available (the AVX2
-// engine where supported). All widths produce states with the same
-// represented value and identical Finalize bits.
-func (st *State) AddSliceLanes(xs []float64, k int) {
-	switch k {
-	case 1, 2, 4, 8:
-		st.addSliceLanes(xs, k)
-	default:
-		panic("binned: invalid lane width (want 1, 2, 4, or 8)")
-	}
-}
-
-func (st *State) addSliceLanes(xs []float64, k int) {
-	for len(xs) > 0 {
-		batch := xs
-		if budget := renormEvery - st.pend; int64(len(batch)) > budget {
-			batch = batch[:budget]
-		}
-		switch {
-		case k >= 4:
-			st.batchTwoLevel(batch, true)
-		case k == 2:
-			st.batchTwoLevel(batch, false)
-		default:
-			st.batch1(batch)
-		}
-		st.count += int64(len(batch))
-		st.pend += int64(len(batch))
-		if st.pend >= renormEvery {
-			st.renorm()
-		}
-		xs = xs[len(batch):]
-	}
+	st.addBatches(xs, false)
 }
 
 // AddSliceRef folds xs with the per-element three-fold reference
 // deposit loop — the pre-two-level batch path, kept as the oracle the
-// fast path is pinned against. It produces the same represented value
-// and Finalize bits as AddSlice; the in-memory bin decomposition may
-// differ (the two-level path splits window-(A-1) elements against the
-// anchor window's grids).
+// fast path is pinned against. Its deposits are those of element-wise
+// Add in the same order, so its state equals Add's field for field.
+// It produces the same represented value and Finalize bits as
+// AddSlice; the in-memory bin decomposition may differ (the two-level
+// path splits window-(A-1) elements against the anchor window's
+// grids).
 func (st *State) AddSliceRef(xs []float64) {
-	st.addSliceRefLanes(xs, 2)
+	st.addBatches(xs, true)
 }
 
-// AddSliceRefLanes is AddSliceRef with the reference path's interleave
-// width k (1, 2, 4, or 8; 8 runs the widest 4-lane kernel). Reference
-// widths interleave whole bin arrays, so — unlike the two-level path —
-// all reference widths produce field-for-field identical states.
-func (st *State) AddSliceRefLanes(xs []float64, k int) {
-	switch k {
-	case 1, 2, 4, 8:
-		st.addSliceRefLanes(xs, k)
-	default:
-		panic("binned: invalid lane width (want 1, 2, 4, or 8)")
-	}
-}
-
-func (st *State) addSliceRefLanes(xs []float64, k int) {
+// addBatches cuts xs into batches that fit the renormalization budget
+// and deposits each with the reference loop (ref) or the two-level
+// kernel, accounting count and pend once per batch.
+func (st *State) addBatches(xs []float64, ref bool) {
 	for len(xs) > 0 {
 		batch := xs
 		if budget := renormEvery - st.pend; int64(len(batch)) > budget {
 			batch = batch[:budget]
 		}
-		switch {
-		case k >= 4:
-			st.batch4(batch)
-		case k == 2:
-			st.batch2(batch)
-		default:
+		if ref {
 			st.batch1(batch)
+		} else {
+			st.batchTwoLevel(batch)
 		}
 		st.count += int64(len(batch))
 		st.pend += int64(len(batch))
@@ -418,153 +370,8 @@ func (st *State) addSliceRefLanes(xs []float64, k int) {
 
 // batch1 deposits directly into the state's bins, serially.
 func (st *State) batch1(xs []float64) {
-	b := &st.bins
 	for _, x := range xs {
-		ef := int(math.Float64bits(x) >> 52 & 0x7ff)
-		if ef >= hiEF {
-			st.slowNoCount(x, ef)
-			continue
-		}
-		s := uint(ef+51) >> binShift
-		b0 := bigTab[s+pad]
-		c0 := (b0 + x) - b0
-		r := x - c0
-		b[s+pad] += c0
-		b1 := bigTab[s+pad-1]
-		c1 := (b1 + r) - b1
-		r -= c1
-		b[s+pad-1] += c1
-		b2 := bigTab[s+pad-2]
-		c2 := (b2 + r) - b2
-		b[s+pad-2] += c2
-	}
-}
-
-// batch2 interleaves two local bin arrays and folds them into the state
-// afterwards (all exact adds).
-func (st *State) batch2(xs []float64) {
-	var la, lb [numSlots]float64
-	n := len(xs)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		x, y := xs[i], xs[i+1]
-		efx := int(math.Float64bits(x) >> 52 & 0x7ff)
-		efy := int(math.Float64bits(y) >> 52 & 0x7ff)
-		if efx >= hiEF || efy >= hiEF {
-			st.slowPair(x, efx, y, efy, &la, &lb)
-			continue
-		}
-		sx := uint(efx+51) >> binShift
-		sy := uint(efy+51) >> binShift
-		bx0 := bigTab[sx+pad]
-		by0 := bigTab[sy+pad]
-		cx0 := (bx0 + x) - bx0
-		cy0 := (by0 + y) - by0
-		rx := x - cx0
-		ry := y - cy0
-		la[sx+pad] += cx0
-		lb[sy+pad] += cy0
-		bx1 := bigTab[sx+pad-1]
-		by1 := bigTab[sy+pad-1]
-		cx1 := (bx1 + rx) - bx1
-		cy1 := (by1 + ry) - by1
-		rx -= cx1
-		ry -= cy1
-		la[sx+pad-1] += cx1
-		lb[sy+pad-1] += cy1
-		bx2 := bigTab[sx+pad-2]
-		by2 := bigTab[sy+pad-2]
-		cx2 := (bx2 + rx) - bx2
-		cy2 := (by2 + ry) - by2
-		la[sx+pad-2] += cx2
-		lb[sy+pad-2] += cy2
-	}
-	if i < n {
-		depositOne(&la, st, xs[i])
-	}
-	for s := range st.bins {
-		if v := la[s] + lb[s]; v != 0 {
-			st.bins[s] += v
-		}
-	}
-}
-
-// batch4 interleaves four local bin arrays.
-func (st *State) batch4(xs []float64) {
-	var l0, l1, l2, l3 [numSlots]float64
-	lanes := [4]*[numSlots]float64{&l0, &l1, &l2, &l3}
-	n := len(xs)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		x0, x1, x2, x3 := xs[i], xs[i+1], xs[i+2], xs[i+3]
-		e0 := int(math.Float64bits(x0) >> 52 & 0x7ff)
-		e1 := int(math.Float64bits(x1) >> 52 & 0x7ff)
-		e2 := int(math.Float64bits(x2) >> 52 & 0x7ff)
-		e3 := int(math.Float64bits(x3) >> 52 & 0x7ff)
-		if e0 >= hiEF || e1 >= hiEF || e2 >= hiEF || e3 >= hiEF {
-			depositOne(&l0, st, x0)
-			depositOne(&l1, st, x1)
-			depositOne(&l2, st, x2)
-			depositOne(&l3, st, x3)
-			continue
-		}
-		s0 := uint(e0+51) >> binShift
-		s1 := uint(e1+51) >> binShift
-		s2 := uint(e2+51) >> binShift
-		s3 := uint(e3+51) >> binShift
-		b00 := bigTab[s0+pad]
-		b10 := bigTab[s1+pad]
-		b20 := bigTab[s2+pad]
-		b30 := bigTab[s3+pad]
-		c00 := (b00 + x0) - b00
-		c10 := (b10 + x1) - b10
-		c20 := (b20 + x2) - b20
-		c30 := (b30 + x3) - b30
-		r0 := x0 - c00
-		r1 := x1 - c10
-		r2 := x2 - c20
-		r3 := x3 - c30
-		l0[s0+pad] += c00
-		l1[s1+pad] += c10
-		l2[s2+pad] += c20
-		l3[s3+pad] += c30
-		b01 := bigTab[s0+pad-1]
-		b11 := bigTab[s1+pad-1]
-		b21 := bigTab[s2+pad-1]
-		b31 := bigTab[s3+pad-1]
-		c01 := (b01 + r0) - b01
-		c11 := (b11 + r1) - b11
-		c21 := (b21 + r2) - b21
-		c31 := (b31 + r3) - b31
-		r0 -= c01
-		r1 -= c11
-		r2 -= c21
-		r3 -= c31
-		l0[s0+pad-1] += c01
-		l1[s1+pad-1] += c11
-		l2[s2+pad-1] += c21
-		l3[s3+pad-1] += c31
-		b02 := bigTab[s0+pad-2]
-		b12 := bigTab[s1+pad-2]
-		b22 := bigTab[s2+pad-2]
-		b32 := bigTab[s3+pad-2]
-		c02 := (b02 + r0) - b02
-		c12 := (b12 + r1) - b12
-		c22 := (b22 + r2) - b22
-		c32 := (b32 + r3) - b32
-		l0[s0+pad-2] += c02
-		l1[s1+pad-2] += c12
-		l2[s2+pad-2] += c22
-		l3[s3+pad-2] += c32
-	}
-	for ; i < n; i++ {
-		depositOne(lanes[i&3], st, xs[i])
-	}
-	for s := range st.bins {
-		// Pairwise exact lane folds stay within the 2^53-quanta bound.
-		if v := (l0[s] + l1[s]) + (l2[s] + l3[s]); v != 0 {
-			st.bins[s] += v
-		}
+		depositOne(&st.bins, st, x)
 	}
 }
 
@@ -588,21 +395,6 @@ func depositOne(b *[numSlots]float64, st *State, x float64) {
 	b2 := bigTab[s+pad-2]
 	c2 := (b2 + r) - b2
 	b[s+pad-2] += c2
-}
-
-// slowPair routes an unrolled pair through the slow path as needed,
-// keeping in-range elements on their lanes.
-func (st *State) slowPair(x float64, efx int, y float64, efy int, la, lb *[numSlots]float64) {
-	if efx >= hiEF {
-		st.slowNoCount(x, efx)
-	} else {
-		depositOne(la, st, x)
-	}
-	if efy >= hiEF {
-		st.slowNoCount(y, efy)
-	} else {
-		depositOne(lb, st, y)
-	}
 }
 
 // slowNoCount is addSlow without the count/pend bookkeeping (the batch

@@ -98,33 +98,24 @@ func TestAddMatchesAddSliceAllLanes(t *testing.T) {
 	for _, x := range xs {
 		ref.Add(x)
 	}
-	for _, k := range []int{1, 2, 4, 8} {
-		var st State
-		st.AddSliceLanes(xs, k)
-		if k == 1 {
-			// The reference scalar path performs the exact deposits of
-			// element-wise Add in the same order: field-for-field equal.
-			if st.bins != ref.bins {
-				t.Fatalf("lane width 1: bins differ from element-wise Add")
-			}
-		}
-		// Two-level widths may decompose the same represented value
-		// differently across bins (anchored grids); the contract is the
-		// represented value, i.e. the Finalize bits.
-		if got, want := st.Finalize(), ref.Finalize(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("lane width %d: Finalize %x != %x", k, math.Float64bits(got), math.Float64bits(want))
-		}
-		if st.Count() != int64(len(xs)) {
-			t.Fatalf("lane width %d: count %d != %d", k, st.Count(), len(xs))
-		}
+	// The reference batch path performs the exact deposits of
+	// element-wise Add in the same order: field-for-field equal.
+	var rst State
+	rst.AddSliceRef(xs)
+	if rst.bins != ref.bins {
+		t.Fatalf("reference path: bins differ from element-wise Add")
 	}
-	// The reference batch path (all widths) stays field-for-field equal
-	// to element-wise Add.
-	for _, k := range []int{1, 2, 4, 8} {
-		var st State
-		st.AddSliceRefLanes(xs, k)
-		if st.bins != ref.bins {
-			t.Fatalf("reference lane width %d: bins differ from element-wise Add", k)
+	// The two-level path may decompose the same represented value
+	// differently across bins (anchored grids); the contract is the
+	// represented value, i.e. the Finalize bits.
+	var st State
+	st.AddSlice(xs)
+	if got, want := st.Finalize(), ref.Finalize(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("AddSlice: Finalize %x != %x", math.Float64bits(got), math.Float64bits(want))
+	}
+	for _, s := range []*State{&st, &rst} {
+		if s.Count() != int64(len(xs)) {
+			t.Fatalf("count %d != %d", s.Count(), len(xs))
 		}
 	}
 }
@@ -147,7 +138,7 @@ func TestPermutationAndSplitInvariance(t *testing.T) {
 			states[i] = new(State)
 		}
 		for i, x := range shuf {
-			states[i%parts].AddSliceLanes([]float64{x}, []int{1, 2, 4, 8}[rng.Intn(4)])
+			states[i%parts].AddSlice([]float64{x})
 		}
 		root := states[0]
 		for _, o := range states[1:] {

@@ -151,59 +151,11 @@ func depositGroupsGo(xs []float64, consts *[3]float64, efLo, efSpan int64, q *[1
 	return i
 }
 
-// depositGroupsGo2 is the two-sublane group kernel behind lane width 2:
-// pairs instead of quads, using sublanes 0 and 1 of the quad layout.
-// Exactness makes it bit-equivalent to every other kernel.
-func depositGroupsGo2(xs []float64, consts *[3]float64, efLo, efSpan int64, q *[16]float64) int64 {
-	b0, b1, b2 := consts[0], consts[1], consts[2]
-	h0, h1 := q[0], q[1]
-	m0, m1 := q[4], q[5]
-	l0, l1 := q[8], q[9]
-	u0, u1 := q[12], q[13]
-	var i int64
-	n := int64(len(xs))
-	for i+2 <= n {
-		x0, x1 := xs[i], xs[i+1]
-		e0 := int64(math.Float64bits(x0)>>52&0x7ff) - efLo
-		e1 := int64(math.Float64bits(x1)>>52&0x7ff) - efLo
-		if uint64(e0) > uint64(efSpan) || uint64(e1) > uint64(efSpan) {
-			break
-		}
-		c0 := (b0 + x0) - b0
-		c1 := (b0 + x1) - b0
-		x0 -= c0
-		x1 -= c1
-		h0 += c0
-		h1 += c1
-		c0 = (b1 + x0) - b1
-		c1 = (b1 + x1) - b1
-		x0 -= c0
-		x1 -= c1
-		m0 += c0
-		m1 += c1
-		c0 = (b2 + x0) - b2
-		c1 = (b2 + x1) - b2
-		x0 -= c0
-		x1 -= c1
-		l0 += c0
-		l1 += c1
-		u0 += x0
-		u1 += x1
-		i += 2
-	}
-	q[0], q[1] = h0, h1
-	q[4], q[5] = m0, m1
-	q[8], q[9] = l0, l1
-	q[12], q[13] = u0, u1
-	return i
-}
-
 // batchTwoLevel deposits one renorm-budgeted batch through the
-// two-level path; wide selects the widest group kernel (AddSlice, lane
-// widths >= 4) over the two-sublane one (lane width 2). Count/pend
-// bookkeeping belongs to the caller (addSliceLanes), as for the other
-// batch kernels.
-func (st *State) batchTwoLevel(xs []float64, wide bool) {
+// two-level path with the widest group kernel this CPU supports.
+// Count/pend bookkeeping belongs to the caller (addBatches), as for the
+// reference loop.
+func (st *State) batchTwoLevel(xs []float64) {
 	var q [16]float64
 	var consts [3]float64
 	var efLo, efSpan int64
@@ -212,11 +164,7 @@ func (st *State) batchTwoLevel(xs []float64, wide bool) {
 	i := 0
 	for i+groupW <= n {
 		if anchor >= 0 {
-			if wide {
-				i += int(depositGroupsFast(xs[i:], &consts, efLo, efSpan, &q))
-			} else {
-				i += int(depositGroupsGo2(xs[i:], &consts, efLo, efSpan, &q))
-			}
+			i += int(depositGroupsFast(xs[i:], &consts, efLo, efSpan, &q))
 			if i+groupW > n {
 				break
 			}

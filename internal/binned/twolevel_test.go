@@ -13,28 +13,20 @@ import (
 // bound R at its boundaries, and every flush path pinned bitwise
 // against the reference deposit loop.
 
-// pinAllPaths runs xs through the reference loop and every two-level
-// lane width and requires identical Finalize bits (and counts).
+// pinAllPaths runs xs through the reference loop and the two-level
+// path and requires identical Finalize bits (and counts).
 func pinAllPaths(t *testing.T, name string, xs []float64) {
 	t.Helper()
 	var ref State
 	ref.AddSliceRef(xs)
-	want := ref.Finalize()
-	wantBits := math.Float64bits(want)
-	for _, k := range []int{1, 2, 4, 8} {
-		var st State
-		st.AddSliceLanes(xs, k)
-		if got := math.Float64bits(st.Finalize()); got != wantBits {
-			t.Fatalf("%s: lane width %d Finalize %x != reference %x", name, k, got, wantBits)
-		}
-		if st.Count() != ref.Count() {
-			t.Fatalf("%s: lane width %d count %d != %d", name, k, st.Count(), ref.Count())
-		}
-	}
+	wantBits := math.Float64bits(ref.Finalize())
 	var st State
 	st.AddSlice(xs)
 	if got := math.Float64bits(st.Finalize()); got != wantBits {
 		t.Fatalf("%s: AddSlice Finalize %x != reference %x", name, got, wantBits)
+	}
+	if st.Count() != ref.Count() {
+		t.Fatalf("%s: AddSlice count %d != %d", name, st.Count(), ref.Count())
 	}
 }
 
@@ -305,8 +297,8 @@ func TestPoisonMidRun(t *testing.T) {
 }
 
 // TestGroupKernelContract checks the group kernels' consumption
-// contract: multiples of their native width, stopping at the first
-// group containing an ineligible element, quad layout intact.
+// contract: whole groups, stopping at the first group containing an
+// ineligible element, quad layout intact.
 func TestGroupKernelContract(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 1e300, 8, 9, 10}
 	var consts [3]float64
@@ -320,10 +312,6 @@ func TestGroupKernelContract(t *testing.T) {
 	var q4 [16]float64
 	if got := depositGroupsGo(xs, &consts, efLo, efSpan, &q4); got != 4 {
 		t.Fatalf("Go4 consumed %d, want 4 (stop at group with 1e300)", got)
-	}
-	var q2 [16]float64
-	if got := depositGroupsGo2(xs, &consts, efLo, efSpan, &q2); got != 6 {
-		t.Fatalf("Go2 consumed %d, want 6 (stop at pair with 1e300)", got)
 	}
 	var qf [16]float64
 	if got := depositGroupsFast(xs, &consts, efLo, efSpan, &qf); got != 4 {

@@ -63,22 +63,20 @@ func TestSweepBitwiseStableAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSweepMatchesEvalCell(t *testing.T) {
-	// The documented invariant, for both engines: Sweep(cells, cfg)[i] ==
+	// The documented invariant: Sweep(cells, cfg)[i] ==
 	// EvalCell(cells[i], cfg, cellSeed(cfg.Seed, i)).
 	cells := KDRGrid(128, []float64{1, 1e4}, []int{0, 8})
-	for _, engine := range []Engine{FusedEngine, LegacyEngine} {
-		cfg := Config{Trials: 20, Shape: tree.Unbalanced, Seed: 9, Fused: engine, Workers: 3}
-		swept := Sweep(cells, cfg)
-		for i, cell := range cells {
-			single := EvalCell(cell, cfg, cellSeed(cfg.Seed, i))
-			sameCellResult(t, engine.String()+" "+cell.String(), swept[i], single, sum.PaperAlgorithms)
-		}
+	cfg := Config{Trials: 20, Shape: tree.Unbalanced, Seed: 9, Workers: 3}
+	swept := Sweep(cells, cfg)
+	for i, cell := range cells {
+		single := EvalCell(cell, cfg, cellSeed(cfg.Seed, i))
+		sameCellResult(t, cell.String(), swept[i], single, sum.PaperAlgorithms)
 	}
 }
 
 // singleAlgRunners builds one independent single-algorithm executor per
-// algorithm in algs, for replaying the fused engine's shared plan stream
-// through the pre-fused code path.
+// algorithm in algs, for replaying the sweep's shared plan stream
+// through plain typed executors, without AlgLane or MultiExecutor.
 func singleAlgRunners(algs []sum.Algorithm) []func(tree.Plan, []float64) float64 {
 	out := make([]func(tree.Plan, []float64) float64, len(algs))
 	for i, alg := range algs {
@@ -156,39 +154,21 @@ func TestFusedMatchesSingleExecutorReplay(t *testing.T) {
 	}
 }
 
-func TestLegacyEngineDeterministic(t *testing.T) {
-	// The retained legacy engine must stay deterministic and independent
-	// of worker count (it always was; guard the property while both
-	// engines coexist).
-	cells := KDRGrid(200, []float64{1, 1e8}, []int{0, 10})
-	mk := func(workers int) []CellResult {
-		return Sweep(cells, Config{
-			Trials: 15, Shape: tree.Balanced, Seed: 4, Fused: LegacyEngine, Workers: workers,
-		})
-	}
-	a, b := mk(1), mk(5)
-	for i := range cells {
-		sameCellResult(t, cells[i].String(), a[i], b[i], sum.PaperAlgorithms)
-	}
-}
-
 func TestEnginesAgreeQualitatively(t *testing.T) {
-	// The engines sample different plan streams, so results are not
-	// bitwise-equal — but the science must match: reproducible algorithms
-	// stay reproducible, and the Fig 9 variability ordering holds in both.
+	// The science the sweep must show on a hard cell: reproducible
+	// algorithms stay reproducible, and the Fig 9 variability ordering
+	// holds.
 	cell := CellSpec{N: 1024, Cond: math.Inf(1), DynRange: 20}
-	for _, engine := range []Engine{FusedEngine, LegacyEngine} {
-		res := EvalCell(cell, Config{Trials: 60, Shape: tree.Balanced, Seed: 6, Fused: engine}, 99)
-		if res.Distinct[sum.PreroundedAlg] != 1 || res.StdDev[sum.PreroundedAlg] != 0 {
-			t.Errorf("%v: PR not reproducible", engine)
-		}
-		if res.StdDev[sum.CompositeAlg] > res.StdDev[sum.StandardAlg] {
-			t.Errorf("%v: CP (%g) noisier than ST (%g)", engine,
-				res.StdDev[sum.CompositeAlg], res.StdDev[sum.StandardAlg])
-		}
-		if res.Distinct[sum.StandardAlg] < 2 {
-			t.Errorf("%v: ST unexpectedly reproducible on hard cell", engine)
-		}
+	res := EvalCell(cell, Config{Trials: 60, Shape: tree.Balanced, Seed: 6}, 99)
+	if res.Distinct[sum.PreroundedAlg] != 1 || res.StdDev[sum.PreroundedAlg] != 0 {
+		t.Error("PR not reproducible")
+	}
+	if res.StdDev[sum.CompositeAlg] > res.StdDev[sum.StandardAlg] {
+		t.Errorf("CP (%g) noisier than ST (%g)",
+			res.StdDev[sum.CompositeAlg], res.StdDev[sum.StandardAlg])
+	}
+	if res.Distinct[sum.StandardAlg] < 2 {
+		t.Error("ST unexpectedly reproducible on hard cell")
 	}
 }
 

@@ -5,18 +5,14 @@
 // distinct reduction trees; and the cell is scored by the standard
 // deviation of the errors — the visualized "level of irreproducibility".
 //
-// Two evaluation engines are provided. The default fused engine samples
-// one shared plan stream per cell and walks every tree with all
-// configured algorithms in lockstep (tree.MultiExecutor): the paper's
-// question — how does each algorithm respond to the same tree
-// nondeterminism — answered with one operand permutation per tree
-// instead of one per tree per algorithm, streaming statistics instead
-// of materialized sum slices, and a flat (cell, trial-block) work queue
-// so grids with a few huge cells do not serialize on their largest
-// cell. The legacy engine (per-algorithm plan streams, per-cell
-// scheduling) is kept for equivalence testing and benchmarking.
-//
-// Both engines are deterministic: results are bitwise-identical at any
+// The sweep engine samples one shared plan stream per cell and walks
+// every tree with all configured algorithms in lockstep
+// (tree.MultiExecutor): the paper's question — how does each algorithm
+// respond to the same tree nondeterminism — answered with one operand
+// permutation per tree instead of one per tree per algorithm,
+// streaming statistics instead of materialized sum slices, and a flat
+// (cell, trial-block) work queue so grids with a few huge cells do not
+// serialize on their largest cell. Results are bitwise-identical at any
 // worker count.
 package grid
 
@@ -72,28 +68,6 @@ type CellResult struct {
 	Distinct map[sum.Algorithm]int
 }
 
-// Engine selects a sweep's cell-evaluation engine.
-type Engine uint8
-
-const (
-	// FusedEngine — the zero value, so the default — evaluates all
-	// algorithms over one shared plan stream per cell with lockstep
-	// execution, streaming statistics, and flat trial-block scheduling.
-	FusedEngine Engine = iota
-	// LegacyEngine gives each algorithm its own independent plan stream
-	// and schedules whole cells; kept for equivalence tests and the
-	// BenchmarkSweepLegacy baseline.
-	LegacyEngine
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	if e == LegacyEngine {
-		return "legacy"
-	}
-	return "fused"
-}
-
 // Config tunes a sweep.
 type Config struct {
 	// Algorithms to evaluate per cell (default: the paper's four).
@@ -108,9 +82,7 @@ type Config struct {
 	// Workers bounds concurrency (default: GOMAXPROCS). Results are
 	// bitwise-identical at any worker count.
 	Workers int
-	// Fused selects the evaluation engine (default FusedEngine).
-	Fused Engine
-	// TrialBlock is the number of trials per fused work unit (default
+	// TrialBlock is the number of trials per work unit (default
 	// 32). Block boundaries seed the per-block plan streams, so
 	// TrialBlock is part of the experiment definition — changing it
 	// changes the sampled trees, whereas Workers never does.
@@ -171,36 +143,9 @@ func NKGrid(ns []int, ks []float64, dr int) []CellSpec {
 
 // Sweep evaluates every cell and returns results in the cells' order.
 // Sweep(cells, cfg)[i] is always identical to EvalCell(cells[i], cfg,
-// cellSeed(cfg.Seed, i)), whatever the engine or worker count.
-func Sweep(cells []CellSpec, cfg Config) []CellResult {
-	cfg = cfg.withDefaults()
-	if cfg.Fused == LegacyEngine {
-		return sweepLegacy(cells, cfg)
-	}
-	return sweepFused(cells, cfg)
-}
-
-// sweepLegacy is the pre-fused scheduler: one goroutine per cell behind
-// a semaphore. A grid with a few huge-n cells serializes on its largest
-// cell here — the pathology sweepFused's flat queue removes.
-func sweepLegacy(cells []CellSpec, cfg Config) []CellResult {
-	out := make([]CellResult, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i, cell := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, cell CellSpec) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = EvalCell(cell, cfg, cellSeed(cfg.Seed, i))
-		}(i, cell)
-	}
-	wg.Wait()
-	return out
-}
-
-// sweepFused schedules a flat queue of (cell, trial-block) units over a
+// cellSeed(cfg.Seed, i)), whatever the worker count.
+//
+// It schedules a flat queue of (cell, trial-block) units over a
 // bounded worker pool. Workers pull units with an atomic cursor, so all
 // of them can cooperate on the blocks of one expensive cell instead of
 // idling while a single goroutine grinds through it. Each unit writes
@@ -208,7 +153,8 @@ func sweepLegacy(cells []CellSpec, cfg Config) []CellResult {
 // then merged in ascending block order, keeping the output
 // bitwise-stable at any worker count (the invariant internal/parallel
 // established for shared-memory reductions).
-func sweepFused(cells []CellSpec, cfg Config) []CellResult {
+func Sweep(cells []CellSpec, cfg Config) []CellResult {
+	cfg = cfg.withDefaults()
 	type unit struct{ cell, block int }
 	nb := cfg.blocks()
 	units := make([]unit, 0, len(cells)*nb)
@@ -355,9 +301,8 @@ func mergeCellResult(cell CellSpec, cfg Config, cd *cellData, blocks [][]*metric
 }
 
 // blockSeed derives the plan-stream seed of one trial block within a
-// cell. Blocks occupy their own stream domain, disjoint from both the
-// per-cell domain (cellSeed) and the legacy per-algorithm domain
-// (algSeed) split off the same base seed.
+// cell. Blocks occupy their own stream domain, disjoint from the
+// per-cell domain (cellSeed) split off the same base seed.
 func blockSeed(cellSeed uint64, block int) uint64 {
 	return fpu.MixSeed(cellSeed, 0xb10c<<32|uint64(block))
 }
@@ -374,7 +319,8 @@ func Lanes(algs []sum.Algorithm) []tree.Lane {
 	return out
 }
 
-// AlgLane returns the lockstep lane for one algorithm.
+// AlgLane returns the tree executor for one algorithm, usable on its
+// own (Lane.Run) or as a lockstep lane.
 func AlgLane(alg sum.Algorithm) tree.Lane {
 	switch alg {
 	case sum.StandardAlg, sum.PairwiseAlg:
@@ -401,25 +347,11 @@ func cellSeed(sweepSeed uint64, i int) uint64 {
 	return fpu.MixSeed(sweepSeed, uint64(i))
 }
 
-// algSeed derives the tree-sampling RNG seed for one algorithm within a
-// cell. The stream index is offset into its own domain so per-algorithm
-// streams can never collide with per-cell streams split off the same
-// base seed.
-func algSeed(cellSeed uint64, alg sum.Algorithm) uint64 {
-	return fpu.MixSeed(cellSeed, 0xa15<<32|uint64(alg))
-}
-
 // EvalCell generates the cell's operand set and measures per-algorithm
-// error spreads over cfg.Trials random reduction trees, using the
-// engine selected by cfg.Fused. The two engines sample different (both
-// deterministic) plan streams: the fused engine feeds one shared
-// stream to all algorithms, the legacy engine one independent stream
-// per algorithm.
+// error spreads over cfg.Trials random reduction trees, feeding one
+// shared plan stream per trial block to all algorithms.
 func EvalCell(cell CellSpec, cfg Config, seed uint64) CellResult {
 	cfg = cfg.withDefaults()
-	if cfg.Fused == LegacyEngine {
-		return evalCellLegacy(cell, cfg, seed)
-	}
 	var cd cellData
 	cd.init(cell, seed)
 	w := newFusedWorker(cfg)
@@ -430,64 +362,10 @@ func EvalCell(cell CellSpec, cfg Config, seed uint64) CellResult {
 	return mergeCellResult(cell, cfg, &cd, blocks)
 }
 
-// evalCellLegacy is the pre-fused evaluation: every algorithm draws its
-// own plan stream, materializes its sums slice, and summarizes it after
-// the fact.
-func evalCellLegacy(cell CellSpec, cfg Config, seed uint64) CellResult {
-	xs := gen.Spec{
-		N:        cell.N,
-		Cond:     cell.Cond,
-		DynRange: cell.DynRange,
-		Seed:     seed,
-	}.Generate()
-	ref := bigref.SumFloat64(xs)
-	res := CellResult{
-		Spec:       cell,
-		MeasuredK:  metrics.CondNumber(xs),
-		MeasuredDR: metrics.DynRange(xs),
-		StdDev:     make(map[sum.Algorithm]float64, len(cfg.Algorithms)),
-		RelStdDev:  make(map[sum.Algorithm]float64, len(cfg.Algorithms)),
-		MaxErr:     make(map[sum.Algorithm]float64, len(cfg.Algorithms)),
-		Distinct:   make(map[sum.Algorithm]int, len(cfg.Algorithms)),
-	}
-	for _, alg := range cfg.Algorithms {
-		rng := fpu.NewRNG(algSeed(seed, alg))
-		sums := AlgSpread(alg, cfg.Shape, xs, cfg.Trials, rng)
-		st := metrics.ErrorStats(sums, ref)
-		res.StdDev[alg] = st.StdDev
-		res.MaxErr[alg] = st.Max
-		res.Distinct[alg] = metrics.DistinctValues(sums)
-		switch {
-		case st.StdDev == 0:
-			res.RelStdDev[alg] = 0
-		case ref == 0:
-			res.RelStdDev[alg] = math.Inf(1)
-		default:
-			res.RelStdDev[alg] = st.StdDev / math.Abs(ref)
-		}
-	}
-	return res
-}
-
 // AlgSpread runs trials random-assignment trees of the given shape over
-// xs with algorithm alg, returning the root sums (dynamic dispatch over
-// the generic tree executors).
+// xs with algorithm alg, returning the root sums.
 func AlgSpread(alg sum.Algorithm, shape tree.Shape, xs []float64, trials int, rng *fpu.RNG) []float64 {
-	switch alg {
-	case sum.StandardAlg, sum.PairwiseAlg:
-		return tree.Spread[float64](sum.STMonoid{}, shape, xs, trials, rng)
-	case sum.KahanAlg:
-		return tree.Spread[sum.KState](sum.KahanMonoid{}, shape, xs, trials, rng)
-	case sum.NeumaierAlg:
-		return tree.Spread[sum.NState](sum.NeumaierMonoid{}, shape, xs, trials, rng)
-	case sum.CompositeAlg:
-		return tree.Spread(sum.CPMonoid{}, shape, xs, trials, rng)
-	case sum.PreroundedAlg:
-		return tree.Spread[sum.PRState](sum.DefaultPRConfig().Monoid(), shape, xs, trials, rng)
-	case sum.BinnedAlg:
-		return tree.Spread[binned.State](sum.BNMonoid{}, shape, xs, trials, rng)
-	}
-	panic("grid: invalid algorithm " + alg.String())
+	return tree.Spread(AlgLane(alg), shape, xs, trials, rng)
 }
 
 // CheapestAcceptable returns the cheapest algorithm (by CostRank) whose

@@ -132,7 +132,7 @@ func TestCheapestAcceptable(t *testing.T) {
 func TestSeedStreamsDistinct(t *testing.T) {
 	// Regression for the old seed^i*constant mixing: cell 0 received the
 	// raw sweep seed and neighboring cells got correlated streams. Every
-	// cell and every per-algorithm tree-sampling stream must be distinct,
+	// cell and every trial-block tree-sampling stream must be distinct,
 	// and no cell may leak the unmixed base seed.
 	for _, base := range []uint64{0, 1, 5, 0x9e3779b97f4a7c15} {
 		seen := map[uint64]int{}
@@ -146,33 +146,43 @@ func TestSeedStreamsDistinct(t *testing.T) {
 			}
 			seen[s] = i
 		}
-		// Per-algorithm streams live in their own domain: distinct from
+		// Trial-block streams live in their own domain: distinct from
 		// each other and from every cell stream of the same base.
-		for _, alg := range sum.Algorithms {
-			s := algSeed(base, alg)
+		for b := 0; b < 64; b++ {
+			s := blockSeed(base, b)
 			if s == base {
-				t.Errorf("seed %#x: alg %v got the unmixed cell seed", base, alg)
+				t.Errorf("seed %#x: block %d got the unmixed cell seed", base, b)
 			}
 			if prev, dup := seen[s]; dup {
-				t.Errorf("seed %#x: alg %v collides with cell %d", base, alg, prev)
+				t.Errorf("seed %#x: block %d collides with stream %d", base, b, prev)
 			}
-			seen[s] = -1 - int(alg)
+			seen[s] = -1 - b
 		}
 	}
 }
 
-func TestAlgStreamsProduceDistinctTrees(t *testing.T) {
-	// The per-algorithm RNGs must be independent streams, not shifted
+func TestBlockStreamsProduceDistinctTrees(t *testing.T) {
+	// The per-block RNGs must be independent streams, not shifted
 	// copies: their leading outputs share no values.
-	seen := map[uint64]sum.Algorithm{}
-	for _, alg := range sum.Algorithms {
-		rng := fpu.NewRNG(algSeed(7, alg))
+	seen := map[uint64]int{}
+	for b := 0; b < 8; b++ {
+		rng := fpu.NewRNG(blockSeed(7, b))
 		for j := 0; j < 64; j++ {
 			v := rng.Uint64()
 			if other, dup := seen[v]; dup {
-				t.Fatalf("algs %v and %v share RNG output %#x", other, alg, v)
+				t.Fatalf("blocks %d and %d share RNG output %#x", other, b, v)
 			}
-			seen[v] = alg
+			seen[v] = b
+		}
+	}
+}
+
+func TestAlgLaneAllAlgorithms(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	p := tree.IdentityPlan(tree.Balanced)
+	for _, alg := range sum.Algorithms {
+		if got := AlgLane(alg).Run(p, xs); got != 15 {
+			t.Errorf("%v tree reduce = %g", alg, got)
 		}
 	}
 }

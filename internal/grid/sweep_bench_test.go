@@ -8,19 +8,17 @@ import (
 )
 
 // benchCells is a representative Fig 9-style grid: one n, a spread of
-// condition numbers and dynamic ranges. Both engines sweep the identical
-// cell list and trial count; only the evaluation strategy differs.
+// condition numbers and dynamic ranges.
 func benchCells() []CellSpec {
 	return KDRGrid(2048, []float64{1, 1e4, 1e8}, []int{0, 16, 32})
 }
 
-func benchSweep(b *testing.B, engine Engine, shape tree.Shape) {
+func benchSweep(b *testing.B, shape tree.Shape) {
 	cells := benchCells()
 	cfg := Config{
 		Trials:  64,
 		Shape:   shape,
 		Seed:    42,
-		Fused:   engine,
 		Workers: 4,
 	}
 	b.ReportAllocs()
@@ -33,22 +31,17 @@ func benchSweep(b *testing.B, engine Engine, shape tree.Shape) {
 	}
 }
 
-func BenchmarkSweepFusedBalanced(b *testing.B)  { benchSweep(b, FusedEngine, tree.Balanced) }
-func BenchmarkSweepLegacyBalanced(b *testing.B) { benchSweep(b, LegacyEngine, tree.Balanced) }
-func BenchmarkSweepFusedRandom(b *testing.B)    { benchSweep(b, FusedEngine, tree.Random) }
-func BenchmarkSweepLegacyRandom(b *testing.B)   { benchSweep(b, LegacyEngine, tree.Random) }
+func BenchmarkSweepFusedBalanced(b *testing.B) { benchSweep(b, tree.Balanced) }
+func BenchmarkSweepFusedRandom(b *testing.B)   { benchSweep(b, tree.Random) }
 
-// Single-cell benchmarks isolate per-trial evaluation cost from
-// scheduling: same operand set, same trial count, no worker pool.
-func benchEvalCell(b *testing.B, engine Engine) {
+// BenchmarkSweepFusedEvalCell isolates per-trial evaluation cost from
+// scheduling: one operand set, a fixed trial count, no worker pool.
+func BenchmarkSweepFusedEvalCell(b *testing.B) {
 	cell := CellSpec{N: 4096, Cond: math.Inf(1), DynRange: 24}
-	cfg := Config{Trials: 128, Shape: tree.Balanced, Seed: 7, Fused: engine}
+	cfg := Config{Trials: 128, Shape: tree.Balanced, Seed: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EvalCell(cell, cfg, 7)
 	}
 }
-
-func BenchmarkSweepFusedEvalCell(b *testing.B)  { benchEvalCell(b, FusedEngine) }
-func BenchmarkSweepLegacyEvalCell(b *testing.B) { benchEvalCell(b, LegacyEngine) }

@@ -26,19 +26,3 @@ func BinnedRef(xs []float64) binned.State {
 	st.AddSliceRef(xs)
 	return st
 }
-
-// LaneBinned is Binned with an explicit level-0 sublane width k: 1
-// selects the reference per-element loop, 2 the two-sublane group
-// kernel, 4 or 8 the widest engine available. Unlike the lane kernels
-// for ST/K/N — where width is part of the reduction plan because it
-// changes the bits — every width here performs only exact operations,
-// so all widths produce identical Finalize bits and width is safe to
-// vary per machine. Width now carries real data-parallel work (each
-// sublane owns an independent chain of level-0 partial sums), not just
-// instruction interleaving: see BenchmarkBinnedSum1M for the measured
-// spread.
-func LaneBinned(xs []float64, k int) binned.State {
-	var st binned.State
-	st.AddSliceLanes(xs, k)
-	return st
-}

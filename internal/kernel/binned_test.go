@@ -12,8 +12,8 @@ import (
 
 var sinkBN binned.State
 
-// TestBinnedKernelEquivalenceAndAllocs pins the kernel contract: every
-// lane width produces a state bit-identical to the element-wise
+// TestBinnedKernelEquivalenceAndAllocs pins the kernel contract: the
+// fast and reference folds finalize bit-identical to the element-wise
 // accumulator, and the fast path performs zero heap allocations.
 func TestBinnedKernelEquivalenceAndAllocs(t *testing.T) {
 	xs := benchData()[:65536]
@@ -30,19 +30,6 @@ func TestBinnedKernelEquivalenceAndAllocs(t *testing.T) {
 	if got := math.Float64bits(refSt.Finalize()); got != want {
 		t.Fatalf("kernel.BinnedRef: %x != element-wise %x", got, want)
 	}
-	for _, k := range []int{1, 2, 4, 8} {
-		lst := kernel.LaneBinned(xs, k)
-		if got := math.Float64bits(lst.Finalize()); got != want {
-			t.Fatalf("LaneBinned(k=%d): %x != element-wise %x", k, got, want)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			sinkBN = kernel.LaneBinned(xs, k)
-			sinkF = sinkBN.Finalize()
-		})
-		if allocs != 0 {
-			t.Fatalf("LaneBinned(k=%d)+Finalize allocates %v per run, want 0", k, allocs)
-		}
-	}
 	allocs := testing.AllocsPerRun(10, func() {
 		sinkBN = kernel.Binned(xs)
 		sinkF = sinkBN.Finalize()
@@ -54,10 +41,9 @@ func TestBinnedKernelEquivalenceAndAllocs(t *testing.T) {
 
 // BenchmarkBinnedSum1M is the headline artifact benchmark: the binned
 // reproducible kernel over the canonical 1M-element workload — the
-// two-level default at each sublane width, and the reference
-// per-element deposit loop it replaced. All variants produce identical
-// bits; only throughput varies (see TestBinnedKernelEquivalenceAndAllocs
-// for the 0-alloc contract).
+// two-level default and the reference per-element deposit loop it
+// replaced. Both produce identical bits; only throughput varies (see
+// TestBinnedKernelEquivalenceAndAllocs for the 0-alloc contract).
 func BenchmarkBinnedSum1M(b *testing.B) {
 	xs := benchData()
 	b.Run("kernel", func(b *testing.B) {
@@ -66,14 +52,6 @@ func BenchmarkBinnedSum1M(b *testing.B) {
 			sinkF = st.Finalize()
 		}
 	})
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run("lane"+string(rune('0'+k)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := kernel.LaneBinned(xs, k)
-				sinkF = st.Finalize()
-			}
-		})
-	}
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			st := kernel.BinnedRef(xs)
@@ -102,7 +80,7 @@ func BenchmarkBinnedVsAlternatives1M(b *testing.B) {
 	xs := benchData()
 	b.Run("binned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st := kernel.LaneBinned(xs, 4)
+			st := kernel.Binned(xs)
 			sinkF = st.Finalize()
 		}
 	})

@@ -18,7 +18,7 @@ import (
 	"math"
 
 	"repro/internal/fpu"
-	"repro/internal/selector"
+	"repro/internal/grid"
 	"repro/internal/sum"
 	"repro/internal/tree"
 )
@@ -107,8 +107,9 @@ func (s *System) forceOn(i int) (fx, fy float64) {
 		fxs = append(fxs, f*dx)
 		fys = append(fys, f*dy)
 	}
-	fx = selector.ReduceTreeWith(s.Alg, s.PlanSource(len(fxs)), fxs)
-	fy = selector.ReduceTreeWith(s.Alg, s.PlanSource(len(fys)), fys)
+	lane := grid.AlgLane(s.Alg)
+	fx = lane.Run(s.PlanSource(len(fxs)), fxs)
+	fy = lane.Run(s.PlanSource(len(fys)), fys)
 	return fx, fy
 }
 

@@ -22,8 +22,8 @@ import (
 // and dd.Add are not guaranteed to round identically at the last bit.
 // With LaneWidth > 1 the ST, PW, K, and N chunk folds switch to the
 // fixed-width lane kernels — a different, equally deterministic plan
-// (see Config.LaneWidth); CP and PR have no lane form and ignore the
-// width.
+// (see Config.LaneWidth); CP, PR and BN have no lane form and ignore
+// the width.
 func Sum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
 	return algSum(alg, xs, cfg, false)
 }
@@ -93,12 +93,12 @@ func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
 	case sum.PreroundedAlg:
 		return prSum(sum.DefaultPRConfig(), xs, cfg, seq)
 	case sum.BinnedAlg:
-		// Binned chunks fold with the batch kernel at the configured lane
-		// width; deposits and merges are exact, so the result is invariant
-		// to the lane width and the chunk plan itself, like PR.
+		// Binned chunks fold with the batch kernel; deposits and merges
+		// are exact, so the result is invariant to the chunk plan itself,
+		// like PR.
 		m := sum.BNMonoid{}
 		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) binned.State { return kernel.LaneBinned(xs[lo:hi], lw) },
+			func(lo, hi int) binned.State { return kernel.Binned(xs[lo:hi]) },
 			m.Merge)
 		if !ok {
 			return 0

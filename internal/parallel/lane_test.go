@@ -60,10 +60,11 @@ func TestLaneWidthIsPartOfThePlan(t *testing.T) {
 }
 
 func TestLaneWidthIgnoredByPlanInvariantAlgorithms(t *testing.T) {
-	// CP has no lane form (LaneWidth is documented as ignored), and PR is
-	// invariant to any plan; both must give the legacy bits at any width.
+	// CP has no lane form (LaneWidth is documented as ignored), and PR
+	// and BN are invariant to any plan; all must give the legacy bits at
+	// any width.
 	xs := gen.Spec{N: 2000, Cond: 1e4, DynRange: 40, Seed: 4}.Generate()
-	for _, alg := range []sum.Algorithm{sum.CompositeAlg, sum.PreroundedAlg} {
+	for _, alg := range []sum.Algorithm{sum.CompositeAlg, sum.PreroundedAlg, sum.BinnedAlg} {
 		ref := Sum(alg, xs, Config{ChunkSize: 256, Workers: 2})
 		for _, lw := range []int{2, 4, 8} {
 			if got := Sum(alg, xs, Config{ChunkSize: 256, Workers: 2, LaneWidth: lw}); bits(got) != bits(ref) {

@@ -65,7 +65,7 @@ type Config struct {
 	// still bitwise-identical across worker counts and runs — but, like
 	// ChunkSize, the lane width is part of the plan: two runs agree
 	// bitwise only if they use the same LaneWidth. Lane kernels exist
-	// for ST, PW, K, and N; CP and PR chunk folds ignore LaneWidth.
+	// for ST, PW, K, and N; CP, PR and BN chunk folds ignore LaneWidth.
 	LaneWidth int
 }
 

@@ -363,9 +363,14 @@ func (b Bounds) String() string {
 //
 // When the bounds are inconclusive — the profile was poisoned by
 // non-finite values, or an overflowed Σ|x| turned the estimates NaN —
-// the policy delegates to Fallback (the analytic HeuristicPolicy when
-// nil), so the poisoned-path behavior of the serving stack is
-// preserved exactly.
+// the policy delegates to the analytic HeuristicPolicy, so the
+// poisoned-path behavior of the serving stack is preserved exactly.
+//
+// At tolerance 0 a non-reproducible rung is accepted only on a
+// degenerate profile (at most one value, or all zeros), where every
+// order gives the same bits. Elsewhere its bound is no bitwise
+// guarantee: on tiny-magnitude data the bound arithmetic underflows to
+// a zero estimate although the plain sum still depends on the order.
 type ProbabilisticPolicy struct {
 	// Lambda is the confidence parameter (<= 0 selects DefaultLambda):
 	// each accepted bound holds with probability 1 - 2*exp(-λ²/2).
@@ -374,14 +379,10 @@ type ProbabilisticPolicy struct {
 	// (SerialPlan matches the fused serving path; BalancedPlan the
 	// grid sweeps and tree-imposed collectives).
 	Plan BoundPlan
-	// Fallback handles inconclusive bounds; nil selects the analytic
-	// HeuristicPolicy. A CalibratedPolicy is the measured alternative.
-	Fallback Policy
 }
 
 // NewProbabilisticPolicy returns a ProbabilisticPolicy at the given
-// confidence (<= 0 selects DefaultLambda) with the default serial plan
-// and heuristic fallback.
+// confidence (<= 0 selects DefaultLambda) with the default serial plan.
 func NewProbabilisticPolicy(lambda float64) ProbabilisticPolicy {
 	return ProbabilisticPolicy{Lambda: lambda}
 }
@@ -415,15 +416,14 @@ func (pp ProbabilisticPolicy) plan() BoundPlan { return pp.Plan }
 func (pp ProbabilisticPolicy) Select(p Profile, req Requirement) (sum.Algorithm, float64) {
 	b := ComputeBoundsPlan(p, pp.lambda(), pp.plan())
 	if !b.Conclusive {
-		fb := pp.Fallback
-		if fb == nil {
-			fb = NewHeuristicPolicy()
-		}
-		return fb.Select(p, req)
+		return HeuristicPolicy{}.Select(p, req)
 	}
 	for _, alg := range sum.SelectionLadder {
 		var pred float64
 		if !alg.Reproducible() {
+			if req.Tolerance == 0 && !p.degenerate() {
+				continue
+			}
 			pred = b.Rel(alg).Prob / b.Lambda
 		}
 		if pred <= req.Tolerance {

@@ -12,7 +12,8 @@ import (
 // bypassCases adds to fusedCases the inputs where a tolerance-0 answer
 // can part from BN or from the BN fold's bits: one operand, signed
 // zeros, an exactly cancelling pair, an overflowing sum, every kind of
-// poison, subnormal-only data, and sums just outside the bypass window.
+// poison, subnormal-only and tiny-magnitude data, and sums just above
+// the bypass ceiling.
 func bypassCases() map[string][]float64 {
 	negZero := math.Copysign(0, -1)
 	cases := fusedCases()
@@ -31,10 +32,14 @@ func bypassCases() map[string][]float64 {
 		"bothinf":       {math.Inf(1), math.Inf(-1)},
 		"subonly":       {0x1p-1074, 0x3p-1074, -0x1p-1070, 0x1p-1060},
 		"tiny":          {0x1p-500, 0x1p-501, -0x1p-530},
-		"windowedge":    {0x1p-400, 0x1p-460},
-		"belowwindow":   {0x1p-401, 0x1p-460},
+		"tiny400":       {0x1p-400, 0x1p-460},
+		"tiny401":       {0x1p-401, 0x1p-460},
+		"tinypair":      {0x1p-540, 0x1p-541},
+		"tinyulps":      {0x1p-600, 0x1p-653, 0x1p-653},
+		"tinyulpsrev":   {0x1p-653, 0x1p-653, 0x1p-600},
 		"tinycancel":    {1, 0x1p-390, -1},
 		"cancelbelow":   {1, 0x1p-450, -1},
+		"subpair":       {0x1p-1074, 0x1p-1074},
 		"smallbenign":   {0.5, 0.25, 1.75},
 		"minnormalpair": {0x1p-1022, 0x1p-1022},
 	} {
@@ -89,9 +94,7 @@ func sameProfile(a, b Profile) bool {
 // policies a served request reports Profile{N: n}, BN, Predicted 0,
 // zero Bounds and Fast false. Every other request reports the full
 // profile, and every other policy profiles every request: Static (PR
-// must still be tuned), the calibrated table and surface, a
-// bound-driven policy with a calibrated fallback or an absurd λ, and a
-// heuristic whose ST multiplier is zero.
+// must still be tuned) and the calibrated table and surface.
 func TestSelectAndSumExactBypass(t *testing.T) {
 	type policy struct {
 		name string
@@ -101,16 +104,14 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 	analytic := []policy{
 		{"heuristic", NewHeuristicPolicy()},
 		{"probabilistic", NewProbabilisticPolicy(0)},
-		{"probabilistic-balanced", ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan, Fallback: NewHeuristicPolicy()}},
+		{"probabilistic-balanced", ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan}},
+		{"probabilistic-hugelambda", NewProbabilisticPolicy(math.Inf(1))},
 	}
 	policies := append(analytic, []policy{
 		{"static-PR", Static{Alg: sum.PreroundedAlg}},
 		{"static-BN", Static{Alg: sum.BinnedAlg}},
 		{"calibrated", table},
 		{"surface", FitSurface(table.Cells(), nil, 4)},
-		{"probabilistic-calibrated", ProbabilisticPolicy{Fallback: table}},
-		{"probabilistic-hugelambda", NewProbabilisticPolicy(math.Inf(1))},
-		{"heuristic-zero", HeuristicPolicy{}},
 	}...)
 	type mode struct {
 		name string
@@ -164,13 +165,15 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 	// the bypass, on every configuration, or the pins above prove
 	// nothing about it.
 	all := len(analytic) * 2 * len(modes)
-	for _, name := range []string{"benign", "illcond", "widerange", "smallbenign", "nearmax", "windowedge", "tinycancel"} {
+	for _, name := range []string{"benign", "illcond", "widerange", "smallbenign", "nearmax", "tinycancel",
+		"subonly", "tiny", "tiny400", "tiny401", "tinypair", "tinyulps", "tinyulpsrev", "cancelbelow",
+		"minnormalpair", "subpair"} {
 		if served[name] != all {
 			t.Errorf("%s: bypass served %d of %d configurations", name, served[name], all)
 		}
 	}
 	for _, name := range []string{"empty", "one", "zeros", "allnegzero", "cancelpair", "overflow", "onlynan",
-		"bothinf", "subonly", "tiny", "belowwindow", "minnormalpair", "abovewindow", "cancelbelow"} {
+		"bothinf", "abovewindow"} {
 		if served[name] != 0 {
 			t.Errorf("%s: bypass served %d requests, want 0", name, served[name])
 		}

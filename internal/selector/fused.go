@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/binned"
-	"repro/internal/fpu"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/sum"
@@ -257,74 +256,49 @@ func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (floa
 // Exact bypass.
 //
 // At tolerance 0 the analytic policies pick the first ladder rung
-// predicting no variability. ST is the only rung before BN, and its
-// prediction is positive on every profile of n >= 2 finite operands
-// whose sum is nonzero, so such requests always resolve to BN — with
-// or without the decision cache, whose bucket representatives are
-// unit-scale profiles of n >= 3. The profile pass there only confirms
-// what the request already says, at more cost than the BN fold. The
-// bypass runs the fold first and keeps its answer when the exact sum
-// v shows the input was of that kind:
+// predicting no variability. ST is the only rung before BN. The
+// heuristic's ST prediction c_st·u·√n·k is positive on every
+// non-degenerate profile, and the bound-driven policy accepts a
+// non-reproducible rung at tolerance 0 only on a degenerate one, so
+// every request of n >= 2 finite operands whose sum is nonzero resolves
+// to BN — with or without the decision cache, whose bucket
+// representatives are unit-scale profiles of n >= 3. The profile pass
+// there only confirms what the request already says, at more cost than
+// the BN fold. The bypass runs the fold first and keeps its answer when
+// the exact sum v shows the input was of that kind:
 //
 //   - v is NaN or ±Inf: a non-finite operand, which the full path
 //     serves with the poisoned ST fallback, or an overflowing sum;
 //   - v is 0: possibly an all-zero set, where the degenerate profile
 //     picks ST and the sign of a -0 sum matters;
-//   - |v| < 2^-400 or |v| > 2^1000: the policies' variability
-//     arithmetic (squares of Σx and of the largest operand, the
-//     guarded Σ|x|) can underflow to a zero ST prediction or overflow
-//     the profile's Σx estimate, so the full path decides.
+//   - |v| > 2^1000: the profile's Σx estimate can overflow, so the
+//     full path decides.
 //
 // Every other v is returned with algorithm BN: bits, Algorithm and
 // NonFinite equal the full path's on every input, pinned by
 // TestSelectAndSumExactBypass against the two-pass oracle.
-const (
-	bypassMin = 0x1p-400
-	bypassMax = 0x1p1000
-)
-
-// bypassMaxLambda bounds the ProbabilisticPolicy confidence the bypass
-// trusts: the ST prediction is a bound divided by λ, which stays
-// positive for any λ up to here.
-const bypassMaxLambda = 0x1p64
+const bypassMax = 0x1p1000
 
 // exactBypass reports whether a request of n values may take the exact
 // bypass: tolerance 0, n >= 2 and an analytic policy. Every other
-// policy — Static, the calibrated table and surface, a probabilistic
-// policy with any other fallback — takes the full path unchanged.
+// policy — Static, the calibrated table and surface — takes the full
+// path unchanged.
 func (s *Selector) exactBypass(n int) bool {
 	if s.Req.Tolerance != 0 || n < 2 {
 		return false
 	}
-	switch p := s.Policy.(type) {
-	case HeuristicPolicy:
-		return p.exactIsBN()
-	case ProbabilisticPolicy:
-		if !(p.lambda() <= bypassMaxLambda) {
-			return false
-		}
-		switch fb := p.Fallback.(type) {
-		case nil:
-			return true
-		case HeuristicPolicy:
-			return fb.exactIsBN()
-		}
+	switch s.Policy.(type) {
+	case HeuristicPolicy, ProbabilisticPolicy:
+		return true
 	}
 	return false
-}
-
-// exactIsBN reports whether the heuristic's ST prediction c_st·u·√n·k
-// is positive for every k > 0: a zero, negative or NaN multiplier
-// would let ST (or nothing) win at tolerance 0.
-func (hp HeuristicPolicy) exactIsBN() bool {
-	return hp.Params.CST*fpu.UnitRoundoff > 0
 }
 
 // bypassServes reports whether the bypass may return the exact sum v
 // (see the list above).
 func bypassServes(v float64) bool {
 	a := math.Abs(v)
-	return a >= bypassMin && a <= bypassMax
+	return a > 0 && a <= bypassMax
 }
 
 // exactSelection is the report of a bypassed request.

@@ -187,30 +187,20 @@ func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, s
 
 // servedExact states, independently of the serving code, when the
 // exact bypass serves a request: tolerance 0, an analytic policy (the
-// default-parameter heuristic, or a bound-driven policy at a sane λ
-// falling back to it), at least two operands, and an exact sum whose
-// magnitude lies in [2^-400, 2^1000] (NaN for poisoned inputs).
+// heuristic or the bound-driven policy), at least two operands, and a
+// nonzero exact sum of magnitude at most 2^1000 (NaN for poisoned
+// inputs).
 func servedExact(s *Selector, xs []float64) bool {
 	if s.Req.Tolerance != 0 || len(xs) < 2 {
 		return false
 	}
-	switch p := s.Policy.(type) {
-	case HeuristicPolicy:
-		if p.Params.CST <= 0 {
-			return false
-		}
-	case ProbabilisticPolicy:
-		if p.Lambda > 100 {
-			return false
-		}
-		if fb, ok := p.Fallback.(HeuristicPolicy); p.Fallback != nil && (!ok || fb.Params.CST <= 0) {
-			return false
-		}
+	switch s.Policy.(type) {
+	case HeuristicPolicy, ProbabilisticPolicy:
 	default:
 		return false
 	}
 	v := math.Abs(superacc.Sum(xs))
-	return v >= 0x1p-400 && v <= 0x1p1000
+	return v > 0 && v <= 0x1p1000
 }
 
 // wantProfile is the profile a selection must report: Profile{N: n}

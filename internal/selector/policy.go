@@ -26,15 +26,14 @@ type Policy interface {
 	Select(p Profile, req Requirement) (sum.Algorithm, float64)
 }
 
-// ModelParams are the safety multipliers of the analytic variability
-// model, calibratable against measurement (FitModel).
-type ModelParams struct {
-	CST, CK, CCP float64
-}
-
-// DefaultModelParams returns conservative multipliers validated against
-// the repository's grid sweeps.
-func DefaultModelParams() ModelParams { return ModelParams{CST: 2, CK: 4, CCP: 4} }
+// The safety multipliers of the analytic variability model: c_st, c_k
+// and c_cp below, conservative values validated against the
+// repository's grid sweeps.
+const (
+	cST = 2
+	cK  = 4
+	cCP = 4
+)
 
 // HeuristicPolicy selects from closed-form variability predictions:
 //
@@ -46,14 +45,10 @@ func DefaultModelParams() ModelParams { return ModelParams{CST: 2, CK: 4, CCP: 4
 // The shapes follow Higham's bounds for the respective operators; the
 // condition number k converts absolute error into relative variability,
 // which is why the paper's grids darken so strongly along the k axis.
-type HeuristicPolicy struct {
-	Params ModelParams
-}
+type HeuristicPolicy struct{}
 
-// NewHeuristicPolicy returns a HeuristicPolicy with default parameters.
-func NewHeuristicPolicy() HeuristicPolicy {
-	return HeuristicPolicy{Params: DefaultModelParams()}
-}
+// NewHeuristicPolicy returns the analytic policy.
+func NewHeuristicPolicy() HeuristicPolicy { return HeuristicPolicy{} }
 
 // Predict returns the modeled relative variability of alg on profile p.
 //
@@ -66,7 +61,7 @@ func NewHeuristicPolicy() HeuristicPolicy {
 // there, every non-reproducible prediction is +Inf, and the ladder
 // walk escalates to a reproducible rung.
 func (hp HeuristicPolicy) Predict(alg sum.Algorithm, p Profile) float64 {
-	if !p.NonFinite && (p.N <= 1 || p.SumAbs.Float64() == 0) {
+	if p.degenerate() {
 		return 0
 	}
 	n := float64(p.N)
@@ -77,17 +72,17 @@ func (hp HeuristicPolicy) Predict(alg sum.Algorithm, p Profile) float64 {
 	u := fpu.UnitRoundoff
 	switch alg {
 	case sum.StandardAlg:
-		return hp.Params.CST * u * math.Sqrt(n) * k
+		return cST * u * math.Sqrt(n) * k
 	case sum.PairwiseAlg:
 		// Balanced-tree depth replaces the serial length.
 		d := math.Log2(n) + 1
-		return hp.Params.CST * u * math.Sqrt(d) * k
+		return cST * u * math.Sqrt(d) * k
 	case sum.KahanAlg:
-		return hp.Params.CK * u * k
+		return cK * u * k
 	case sum.NeumaierAlg:
-		return hp.Params.CK * u * k // same first-order behavior as Kahan
+		return cK * u * k // same first-order behavior as Kahan
 	case sum.CompositeAlg:
-		return hp.Params.CCP * n * u * u * k
+		return cCP * n * u * u * k
 	case sum.PreroundedAlg, sum.BinnedAlg:
 		// Bitwise reproducible by construction.
 		return 0

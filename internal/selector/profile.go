@@ -111,6 +111,12 @@ type Profile struct {
 	NonFinite bool
 }
 
+// degenerate reports a finite profile of at most one value or of zeros
+// only: every algorithm and tree gives it the same result.
+func (p Profile) degenerate() bool {
+	return !p.NonFinite && (p.N <= 1 || p.SumAbs.Float64() == 0)
+}
+
 // Cond estimates the sum condition number k = sum|x| / |sum x| from the
 // profile. All-zero or empty profiles return 1; profiles whose sum
 // cancels below compensated-pair resolution, and profiles poisoned by

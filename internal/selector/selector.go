@@ -1,10 +1,8 @@
 package selector
 
 import (
-	"repro/internal/binned"
 	"repro/internal/mpirt"
 	"repro/internal/sum"
-	"repro/internal/tree"
 )
 
 // Selector is the user-facing intelligent runtime: profile the data,
@@ -23,26 +21,6 @@ type Selector struct {
 // reproducibility).
 func New(tolerance float64) *Selector {
 	return &Selector{Policy: NewHeuristicPolicy(), Req: Requirement{Tolerance: tolerance}}
-}
-
-// ReduceTreeWith reduces xs under plan p with an already-chosen
-// algorithm, dispatching to the unboxed generic executors.
-func ReduceTreeWith(alg sum.Algorithm, p tree.Plan, xs []float64) float64 {
-	switch alg {
-	case sum.StandardAlg, sum.PairwiseAlg:
-		return tree.Reduce[float64](sum.STMonoid{}, p, xs)
-	case sum.KahanAlg:
-		return tree.Reduce[sum.KState](sum.KahanMonoid{}, p, xs)
-	case sum.NeumaierAlg:
-		return tree.Reduce[sum.NState](sum.NeumaierMonoid{}, p, xs)
-	case sum.CompositeAlg:
-		return tree.Reduce(sum.CPMonoid{}, p, xs)
-	case sum.PreroundedAlg:
-		return tree.Reduce[sum.PRState](sum.DefaultPRConfig().Monoid(), p, xs)
-	case sum.BinnedAlg:
-		return tree.Reduce[binned.State](sum.BNMonoid{}, p, xs)
-	}
-	panic("selector: invalid algorithm " + alg.String())
 }
 
 // AdaptiveReduce performs an intelligently selected global sum over a

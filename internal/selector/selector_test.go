@@ -167,7 +167,7 @@ func TestReduceTreeRespectsChoice(t *testing.T) {
 	}
 	vals := map[float64]bool{}
 	for i := 0; i < 10; i++ {
-		vals[ReduceTreeWith(alg, tree.NewPlan(tree.Random, len(xs), r), xs)] = true
+		vals[grid.AlgLane(alg).Run(tree.NewPlan(tree.Random, len(xs), r), xs)] = true
 	}
 	if len(vals) != 1 {
 		t.Errorf("bitwise selection produced %d distinct results", len(vals))
@@ -225,6 +225,34 @@ func TestCalibratedToleranceZeroRequiresReproducible(t *testing.T) {
 	}
 	if alg, _ := pol.Select(p, Requirement{Tolerance: 1e-15}); alg != sum.CompositeAlg {
 		t.Errorf("tolerance 1e-15 selected %v, want CP (measured cheapest that qualifies)", alg)
+	}
+}
+
+func TestProbabilisticToleranceZeroRequiresReproducible(t *testing.T) {
+	// On tiny-magnitude data the bound arithmetic underflows to a zero
+	// ST estimate, which is no bitwise guarantee: two orders of the same
+	// multiset must both get BN and the same bits.
+	s, u := 0x1p-600, 0x1p-653
+	sel := &Selector{Policy: NewProbabilisticPolicy(0)}
+	a, selA := sel.SelectAndSum([]float64{s, u, u})
+	b, selB := sel.SelectAndSum([]float64{u, u, s})
+	if selA.Alg != sum.BinnedAlg || selB.Alg != sum.BinnedAlg {
+		t.Errorf("tolerance 0 served %v and %v, want BN", selA.Alg, selB.Alg)
+	}
+	if fbits(a) != fbits(b) {
+		t.Errorf("tolerance 0 bits depend on order: %x vs %x", fbits(a), fbits(b))
+	}
+	pol := NewProbabilisticPolicy(0)
+	for _, xs := range [][]float64{{s, u, u}, {0x1p-540, 0x1p-541}, {0x1p-1074, 0x3p-1074}} {
+		if alg, pred := pol.Select(ProfileOf(xs), Requirement{}); !alg.Reproducible() || pred != 0 {
+			t.Errorf("%v: tolerance 0 selected %v (pred %g), want a reproducible algorithm", xs, alg, pred)
+		}
+	}
+	// Degenerate profiles admit one result under every order; ST stays.
+	for _, xs := range [][]float64{{s}, {0, 0}} {
+		if alg, _ := pol.Select(ProfileOf(xs), Requirement{}); alg != sum.StandardAlg {
+			t.Errorf("%v: degenerate profile selected %v, want ST", xs, alg)
+		}
 	}
 }
 
@@ -377,16 +405,6 @@ func TestHeuristicPredictAllAlgorithms(t *testing.T) {
 	var empty Profile
 	if v := hp.Predict(sum.StandardAlg, empty); v != 0 {
 		t.Errorf("empty profile prediction %g, want 0", v)
-	}
-}
-
-func TestReduceTreeWithAllAlgorithms(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	p := tree.IdentityPlan(tree.Balanced)
-	for _, alg := range sum.Algorithms {
-		if got := ReduceTreeWith(alg, p, xs); got != 15 {
-			t.Errorf("%v tree reduce = %g", alg, got)
-		}
 	}
 }
 

@@ -6,8 +6,7 @@ package tree
 // the operand vector once per sampled tree and walks that single tree
 // with every configured algorithm, so the O(n) permutation (and the
 // plan generation feeding it) is amortized over all lanes instead of
-// being repeated per algorithm as the legacy per-algorithm Spread
-// loops do.
+// being repeated per algorithm as separate Spread loops would.
 
 import (
 	"fmt"
@@ -15,13 +14,15 @@ import (
 	"repro/internal/reduce"
 )
 
-// Lane is one algorithm's seat in a MultiExecutor: a monoid bundled
-// with its reusable per-algorithm state. Construct lanes with NewLane;
-// the interface is closed (its method is unexported) so every lane is
-// backed by the same Executor code path that single-algorithm runs use,
-// which is what makes the fused and legacy paths bitwise-identical on
-// a shared plan.
+// Lane is one algorithm's tree executor with its monoid type erased: a
+// monoid bundled with its reusable per-algorithm state, run on its own
+// (Run) or as a seat in a MultiExecutor. Construct lanes with NewLane;
+// the interface is closed (laneRun is unexported) so every lane is
+// backed by the same Executor code path, which is what makes lockstep
+// and single-algorithm runs bitwise-identical on a shared plan.
 type Lane interface {
+	// Run reduces xs under plan p and returns the root value.
+	Run(p Plan, xs []float64) float64
 	// laneRun walks plan p's tree over already-permuted leaf values.
 	laneRun(p Plan, vals []float64) float64
 }

@@ -384,15 +384,14 @@ func Reduce[S any](m reduce.Monoid[S], p Plan, xs []float64) float64 {
 	return NewExecutor(m).Run(p, xs)
 }
 
-// Spread runs trials plans of the given shape over xs — each with a
-// fresh random leaf assignment drawn from rng — and returns the root
-// value of each run. This is the core measurement loop behind Figs 6,
-// 7, and 9–11.
-func Spread[S any](m reduce.Monoid[S], shape Shape, xs []float64, trials int, rng *fpu.RNG) []float64 {
-	ex := NewExecutor(m)
+// Spread runs trials plans of the given shape over xs with lane l —
+// each plan with a fresh random leaf assignment drawn from rng — and
+// returns the root value of each run. This is the core measurement
+// loop behind Figs 6, 7, and 9–11.
+func Spread(l Lane, shape Shape, xs []float64, trials int, rng *fpu.RNG) []float64 {
 	out := make([]float64, trials)
 	for t := 0; t < trials; t++ {
-		out[t] = ex.Run(NewPlan(shape, len(xs), rng), xs)
+		out[t] = l.Run(NewPlan(shape, len(xs), rng), xs)
 	}
 	return out
 }

@@ -111,10 +111,10 @@ func TestSpreadOrderingAcrossAlgorithms(t *testing.T) {
 		return hi - lo
 	}
 	trials := 40
-	sST := spreadOf(Spread[float64](sum.STMonoid{}, Unbalanced, base, trials, fpu.NewRNG(10)))
-	sK := spreadOf(Spread[sum.KState](sum.KahanMonoid{}, Unbalanced, base, trials, fpu.NewRNG(10)))
-	sCP := spreadOf(Spread(sum.CPMonoid{}, Unbalanced, base, trials, fpu.NewRNG(10)))
-	sPR := spreadOf(Spread[sum.PRState](sum.DefaultPRConfig().Monoid(), Unbalanced, base, trials, fpu.NewRNG(10)))
+	sST := spreadOf(Spread(NewLane[float64](sum.STMonoid{}), Unbalanced, base, trials, fpu.NewRNG(10)))
+	sK := spreadOf(Spread(NewLane[sum.KState](sum.KahanMonoid{}), Unbalanced, base, trials, fpu.NewRNG(10)))
+	sCP := spreadOf(Spread(NewLane(sum.CPMonoid{}), Unbalanced, base, trials, fpu.NewRNG(10)))
+	sPR := spreadOf(Spread(NewLane[sum.PRState](sum.DefaultPRConfig().Monoid()), Unbalanced, base, trials, fpu.NewRNG(10)))
 	if sPR != 0 {
 		t.Errorf("PR spread must be exactly 0, got %g", sPR)
 	}

@@ -198,8 +198,7 @@ func (r Report) String() string {
 // or more finite operands with a nonzero sum, so such requests skip
 // the profile: the BN fold runs first and its exact answer is returned
 // when it shows the input was of that kind; the rest (empty, single,
-// all-zero, non-finite, or sums below 2^-400 or above 2^1000) take the
-// full route. Bits, Algorithm and NonFinite are those of the full
+// all-zero, non-finite, or sums above 2^1000) take the full route. Bits, Algorithm and NonFinite are those of the full
 // route on every input.
 //
 // With the engine enabled (WithWorkers/WithChunkSize/WithLaneWidth) and
