@@ -14,8 +14,8 @@ test:
 # race-clean), and an explicit pass over
 # the fused-engine and kernel-layer guarantees — the fused sweep's
 # bitwise replay through independent single-algorithm executors,
-# kernel/generic equivalence, lane-plan worker invariance, and the
-# zero-allocation trial and fold loops. The bounds-validation pass
+# kernel/generic equivalence, and the zero-allocation trial and fold
+# loops. The bounds-validation pass
 # checks every reported error bound differentially against the bigref
 # ground truth (deterministic bounds never violated, probabilistic at
 # most at the stated rate) plus the selection-path audits: degenerate
@@ -38,7 +38,7 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
-	$(GO) test -run 'Equivalence|Allocs|Lane|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
+	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
 	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs' ./internal/binned ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel

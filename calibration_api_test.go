@@ -26,11 +26,10 @@ func TestPublicCalibrationLoop(t *testing.T) {
 			Seed:   21,
 		},
 		Cost: selector.CostSweepConfig{
-			Ns:         []int{256},
-			Workers:    []int{0},
-			LaneWidths: []int{1},
-			MinTime:    100 * time.Microsecond,
-			Reps:       1,
+			Ns:      []int{256},
+			Workers: []int{0},
+			MinTime: 100 * time.Microsecond,
+			Reps:    1,
 		},
 		Host: "api-test",
 	})

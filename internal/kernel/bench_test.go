@@ -25,8 +25,7 @@ var (
 // The generic fold is reduce.LeftFold: one Leaf plus one Merge through
 // the monoid interface per element, with no FoldSlice fast path, so the
 // generic/kernel pairs below measure exactly the devirtualization win
-// the kernels are for; the lane variants additionally measure the ILP
-// win of breaking the serial dependency chain.
+// the kernels are for.
 
 func BenchmarkFoldST1M(b *testing.B) {
 	xs := benchData()
@@ -40,13 +39,6 @@ func BenchmarkFoldST1M(b *testing.B) {
 			sinkF = kernel.ST(xs)
 		}
 	})
-	for _, k := range []int{2, 4, 8} {
-		b.Run("lane"+string(rune('0'+k)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF = kernel.LaneST(xs, k)
-			}
-		})
-	}
 }
 
 func BenchmarkFoldKahan1M(b *testing.B) {
@@ -61,13 +53,6 @@ func BenchmarkFoldKahan1M(b *testing.B) {
 			sinkF, _ = kernel.Kahan(xs)
 		}
 	})
-	for _, k := range []int{2, 4, 8} {
-		b.Run("lane"+string(rune('0'+k)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF, _ = kernel.LaneKahan(xs, k)
-			}
-		})
-	}
 }
 
 func BenchmarkFoldNeumaier1M(b *testing.B) {
@@ -82,13 +67,6 @@ func BenchmarkFoldNeumaier1M(b *testing.B) {
 			sinkF, _ = kernel.Neumaier(xs)
 		}
 	})
-	for _, k := range []int{2, 4, 8} {
-		b.Run("lane"+string(rune('0'+k)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF, _ = kernel.LaneNeumaier(xs, k)
-			}
-		})
-	}
 }
 
 func BenchmarkFoldCP1M(b *testing.B) {
@@ -112,13 +90,6 @@ func BenchmarkFoldPairwise1M(b *testing.B) {
 			sinkF = sum.Pairwise(xs)
 		}
 	})
-	for _, k := range []int{2, 4, 8} {
-		b.Run("lane"+string(rune('0'+k)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sinkF = kernel.LanePairwise(xs, k)
-			}
-		})
-	}
 }
 
 // BenchmarkReduceFoldST1M measures the wired-through entry point: the

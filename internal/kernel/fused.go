@@ -138,6 +138,13 @@ func FusedProfileSum(xs []float64) FusedAcc {
 	return acc
 }
 
+// nmerge combines two Neumaier states with sum.NeumaierMonoid's merge:
+// an exact TwoSum of the partial sums, corrections added plainly.
+func nmerge(sa, ca, sb, cb float64) (float64, float64) {
+	s, e := fpu.TwoSum(sa, sb)
+	return s, ca + cb + e
+}
+
 // Merge combines two fused accumulators describing adjacent ranges:
 // a+b for the ST shadow (sum.STMonoid), nmerge for both compensated
 // pairs (sum.NeumaierMonoid), and selector.Profile.Merge's rules for

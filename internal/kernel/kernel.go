@@ -6,32 +6,17 @@
 // element step as a Leaf plus a Merge through a reduce.Monoid interface
 // value — two dynamic calls per element that the compiler can neither
 // inline nor software-pipeline. The kernels in this package collapse
-// that step into straight-line float64 code over a []float64, in two
-// classes:
+// that step into straight-line float64 code over a []float64.
 //
-//   - Reference-order kernels (ST, Kahan, Neumaier, CP, Exact): fold the
-//     slice in exactly the left-to-right order reduce.Fold defines —
-//     Leaf(xs[0]) merged with Leaf of every later element — and are
-//     proven bit-identical to that reference by exhaustive equivalence
-//     tests. They are pure speedups: swapping them in changes no bits
-//     anywhere.
-//
-//   - Lane kernels (LaneST, LaneKahan, LaneNeumaier, LanePairwise):
-//     fixed-width K-accumulator variants (K in {1, 2, 4, 8}) that break
-//     the serial floating-point dependency chain for instruction-level
-//     parallelism. Element i feeds lane i mod K (a fixed stride
-//     partition) and the K lane states are merged left-to-right with the
-//     algorithm's own merge operator. Both the partition and the merge
-//     order are pure functions of (len(xs), K), so a lane kernel's
-//     result is bitwise-stable across machines, worker counts, and runs
-//     — but it is a *different reduction plan* than the serial fold, the
-//     same way a different parallel.Config.ChunkSize is. The lane width
-//     is therefore part of the determinism contract, surfaced as
-//     parallel.Config.LaneWidth / repro.WithLaneWidth.
+// The reference-order kernels (ST, Kahan, Neumaier, CP, Exact) fold the
+// slice in exactly the left-to-right order reduce.Fold defines —
+// Leaf(xs[0]) merged with Leaf of every later element — and are proven
+// bit-identical to that reference by exhaustive equivalence tests. They
+// are pure speedups: swapping them in changes no bits anywhere.
 //
 // Go's float64 arithmetic follows IEEE-754 exactly and is never fused or
 // reassociated by the compiler, so every kernel's bit pattern is a
-// platform-independent function of its input and width.
+// platform-independent function of its input.
 package kernel
 
 import (
@@ -129,10 +114,3 @@ func CP(xs []float64) dd.DD {
 // of the deposit loop. The accumulated value is exact, so the result is
 // identical to element-wise Add in any order.
 func Exact(acc *superacc.Acc, xs []float64) { acc.AddSlice(xs) }
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -17,9 +17,9 @@ import (
 
 func bits(v float64) uint64 { return math.Float64bits(v) }
 
-// sizes covers the lane-width and block edge cases: empty, below every
-// lane width, at and around multiples of 2/4/8 and of the pairwise
-// block, and a large non-aligned length.
+// sizes covers the unroll and block edge cases: empty, tiny, at and
+// around multiples of 2/4/8 (the binned kernel's sublanes) and of 64,
+// and a large non-aligned length.
 var sizes = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097}
 
 // inputs generates the adversarial corners of the generator space at
@@ -224,85 +224,6 @@ func TestOpFoldSliceMatchesLeftFold(t *testing.T) {
 	}
 }
 
-// laneRefST is the lane-plan reference: gather lane l = elements at
-// indices congruent to l mod k, fold each lane with the monoid's
-// reference fold, merge lane states left-to-right. The hand-unrolled
-// kernels must match this definition exactly.
-func laneRef[S any](m reduce.Monoid[S], xs []float64, k int) S {
-	lanes := make([]S, k)
-	for l := 0; l < k; l++ {
-		var vals []float64
-		for i := l; i < len(xs); i += k {
-			vals = append(vals, xs[i])
-		}
-		lanes[l] = reduce.LeftFold(m, vals)
-	}
-	st := lanes[0]
-	for _, s := range lanes[1:] {
-		st = m.Merge(st, s)
-	}
-	return st
-}
-
-// TestLaneKernelEquivalence pins every lane kernel bitwise against the
-// stride-partition-plus-ordered-merge plan definition, for every
-// supported width, across sizes (including n < k) and adversarial
-// inputs.
-func TestLaneKernelEquivalence(t *testing.T) {
-	for _, n := range sizes {
-		for name, xs := range inputs(n) {
-			for _, k := range kernel.LaneWidths {
-				tag := fmt.Sprintf("n=%d/%s/k=%d", n, name, k)
-
-				stWant := (sum.STMonoid{}).Finalize(laneRef[float64](sum.STMonoid{}, xs, k))
-				if got := kernel.LaneST(xs, k); bits(got) != bits(stWant) {
-					t.Errorf("%s: LaneST %x, plan reference %x", tag, bits(got), bits(stWant))
-				}
-
-				ks, kc := kernel.LaneKahan(xs, k)
-				kref := laneRef[sum.KState](sum.KahanMonoid{}, xs, k)
-				if bits(ks) != bits(kref.S) || bits(kc) != bits(kref.C) {
-					t.Errorf("%s: LaneKahan (%x,%x), plan reference (%x,%x)",
-						tag, bits(ks), bits(kc), bits(kref.S), bits(kref.C))
-				}
-
-				ns, nc := kernel.LaneNeumaier(xs, k)
-				nref := laneRef[sum.NState](sum.NeumaierMonoid{}, xs, k)
-				if bits(ns) != bits(nref.S) || bits(nc) != bits(nref.C) {
-					t.Errorf("%s: LaneNeumaier (%x,%x), plan reference (%x,%x)",
-						tag, bits(ns), bits(nc), bits(nref.S), bits(nref.C))
-				}
-			}
-		}
-	}
-}
-
-// lanePairwiseRef mirrors LanePairwise's plan definition with the lane
-// reference instead of the unrolled base kernel.
-func lanePairwiseRef(xs []float64, k int) float64 {
-	if len(xs) <= 64 {
-		return sum.STMonoid{}.Finalize(laneRef[float64](sum.STMonoid{}, xs, k))
-	}
-	half := len(xs) / 2
-	return lanePairwiseRef(xs[:half], k) + lanePairwiseRef(xs[half:], k)
-}
-
-func TestLanePairwiseEquivalence(t *testing.T) {
-	for _, n := range sizes {
-		for name, xs := range inputs(n) {
-			// Width 1 must reproduce the classic pairwise sum exactly.
-			if got, want := kernel.LanePairwise(xs, 1), sum.Pairwise(xs); bits(got) != bits(want) {
-				t.Errorf("n=%d/%s: LanePairwise(k=1) %x, sum.Pairwise %x", n, name, bits(got), bits(want))
-			}
-			for _, k := range kernel.LaneWidths {
-				if got, want := kernel.LanePairwise(xs, k), lanePairwiseRef(xs, k); bits(got) != bits(want) {
-					t.Errorf("n=%d/%s/k=%d: LanePairwise %x, plan reference %x", n, name, k, bits(got), bits(want))
-				}
-			}
-		}
-	}
-}
-
 // TestKernelNonFinite checks the poison semantics the selector's profile
 // promises: non-finite inputs yield non-finite results from every
 // kernel, matching the generic fold's IEEE propagation.
@@ -325,14 +246,6 @@ func TestKernelNonFinite(t *testing.T) {
 		s, c := kernel.Neumaier(xs)
 		nonFinite("Neumaier", s+c)
 		nonFinite("CP-hi", kernel.CP(xs).Hi)
-		for _, k := range kernel.LaneWidths {
-			nonFinite(fmt.Sprintf("LaneST%d", k), kernel.LaneST(xs, k))
-			s, _ := kernel.LaneKahan(xs, k)
-			nonFinite(fmt.Sprintf("LaneKahan%d", k), s)
-			s, c := kernel.LaneNeumaier(xs, k)
-			nonFinite(fmt.Sprintf("LaneNeumaier%d", k), s+c)
-			nonFinite(fmt.Sprintf("LanePairwise%d", k), kernel.LanePairwise(xs, k))
-		}
 		// The ST kernel must propagate exactly as the generic fold does
 		// (same NaN-vs-Inf outcome), since it is a bit-identical fast path.
 		got, want := kernel.ST(xs), reduce.LeftFold[float64](sum.STMonoid{}, xs)
@@ -340,27 +253,6 @@ func TestKernelNonFinite(t *testing.T) {
 			t.Errorf("%s: ST kernel %v, reference fold %v", name, got, want)
 		}
 	}
-}
-
-// TestLaneWidthValidation pins the supported-width set and the panic on
-// anything else.
-func TestLaneWidthValidation(t *testing.T) {
-	for _, k := range []int{1, 2, 4, 8} {
-		if !kernel.ValidLaneWidth(k) {
-			t.Errorf("ValidLaneWidth(%d) = false", k)
-		}
-	}
-	for _, k := range []int{-1, 0, 3, 5, 6, 7, 9, 16} {
-		if kernel.ValidLaneWidth(k) {
-			t.Errorf("ValidLaneWidth(%d) = true", k)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("LaneST with invalid width did not panic")
-		}
-	}()
-	kernel.LaneST([]float64{1, 2, 3}, 3)
 }
 
 // TestExactBatchDeposit pins the superaccumulator batch loop (used via
@@ -399,13 +291,6 @@ func TestKernelAllocs(t *testing.T) {
 		"Kahan":    func() { sinkF, _ = kernel.Kahan(xs) },
 		"Neumaier": func() { sinkF, _ = kernel.Neumaier(xs) },
 		"CP":       func() { sinkDD = kernel.CP(xs) },
-	}
-	for _, k := range kernel.LaneWidths {
-		k := k
-		folds[fmt.Sprintf("LaneST%d", k)] = func() { sinkF = kernel.LaneST(xs, k) }
-		folds[fmt.Sprintf("LaneKahan%d", k)] = func() { sinkF, _ = kernel.LaneKahan(xs, k) }
-		folds[fmt.Sprintf("LaneNeumaier%d", k)] = func() { sinkF, _ = kernel.LaneNeumaier(xs, k) }
-		folds[fmt.Sprintf("LanePairwise%d", k)] = func() { sinkF = kernel.LanePairwise(xs, k) }
 	}
 	for name, f := range folds {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {

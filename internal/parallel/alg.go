@@ -1,8 +1,6 @@
 package parallel
 
 import (
-	"fmt"
-
 	"repro/internal/binned"
 	"repro/internal/kernel"
 	"repro/internal/sum"
@@ -15,15 +13,12 @@ import (
 // the same plan (fixed chunks, fixed intra-chunk fold, fixed balanced
 // merge tree).
 //
-// With the default LaneWidth of 1 the chunk folds are the devirtualized
-// reference-order kernels of internal/kernel, bit-identical to the
-// algorithms' monoid folds (verified by the kernel and package tests);
-// CP chunks run the monoid fold kernel directly because dd.AddFloat64
-// and dd.Add are not guaranteed to round identically at the last bit.
-// With LaneWidth > 1 the ST, PW, K, and N chunk folds switch to the
-// fixed-width lane kernels — a different, equally deterministic plan
-// (see Config.LaneWidth); CP, PR and BN have no lane form and ignore
-// the width.
+// The chunk folds are the devirtualized reference-order kernels of
+// internal/kernel, bit-identical to the algorithms' monoid folds
+// (verified by the kernel and package tests); CP chunks run the monoid
+// fold kernel directly because dd.AddFloat64 and dd.Add are not
+// guaranteed to round identically at the last bit. PW chunks fold like
+// ST chunks: the engine's fixed merge tree is the pairwise part.
 func Sum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
 	return algSum(alg, xs, cfg, false)
 }
@@ -35,30 +30,11 @@ func SeqSum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
 }
 
 func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
-	lw := cfg.LaneWidth
-	if lw <= 0 {
-		lw = 1
-	}
-	if !kernel.ValidLaneWidth(lw) {
-		panic(fmt.Sprintf("parallel: invalid LaneWidth %d (want 1, 2, 4, or 8)", lw))
-	}
 	switch alg {
-	case sum.StandardAlg:
+	case sum.StandardAlg, sum.PairwiseAlg:
 		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) float64 { return kernel.LaneST(xs[lo:hi], lw) },
+			func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) },
 			sum.STMonoid{}.Merge)
-		if !ok {
-			return 0
-		}
-		return st
-	case sum.PairwiseAlg:
-		// LaneWidth 1 keeps the legacy plan (PW chunks fold exactly like
-		// ST chunks); wider lanes use the blocked pairwise lane kernel.
-		chunk := func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) }
-		if lw > 1 {
-			chunk = func(lo, hi int) float64 { return kernel.LanePairwise(xs[lo:hi], lw) }
-		}
-		st, ok := mapReduce(len(xs), cfg, seq, chunk, sum.STMonoid{}.Merge)
 		if !ok {
 			return 0
 		}
@@ -66,7 +42,7 @@ func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
 	case sum.KahanAlg:
 		st, ok := mapReduce(len(xs), cfg, seq,
 			func(lo, hi int) sum.KState {
-				s, c := kernel.LaneKahan(xs[lo:hi], lw)
+				s, c := kernel.Kahan(xs[lo:hi])
 				return sum.KState{S: s, C: c}
 			},
 			sum.KahanMonoid{}.Merge)
@@ -77,7 +53,7 @@ func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
 	case sum.NeumaierAlg:
 		st, ok := mapReduce(len(xs), cfg, seq,
 			func(lo, hi int) sum.NState {
-				s, c := kernel.LaneNeumaier(xs[lo:hi], lw)
+				s, c := kernel.Neumaier(xs[lo:hi])
 				return sum.NState{S: s, C: c}
 			},
 			sum.NeumaierMonoid{}.Merge)

@@ -56,17 +56,6 @@ type Config struct {
 	// DefaultChunkSize. It is part of the determinism contract: two runs
 	// agree bitwise only if they use the same ChunkSize.
 	ChunkSize int
-	// LaneWidth is the number of interleaved accumulator lanes each
-	// chunk fold runs with (1, 2, 4, or 8; <= 0 selects 1, the legacy
-	// single-accumulator bits). Widths > 1 break the serial
-	// floating-point dependency chain inside each chunk with the
-	// internal/kernel lane kernels: element i of a chunk feeds lane
-	// i mod LaneWidth and lanes merge in a fixed order, so the result is
-	// still bitwise-identical across worker counts and runs — but, like
-	// ChunkSize, the lane width is part of the plan: two runs agree
-	// bitwise only if they use the same LaneWidth. Lane kernels exist
-	// for ST, PW, K, and N; CP, PR and BN chunk folds ignore LaneWidth.
-	LaneWidth int
 }
 
 func (c Config) withDefaults() Config {
@@ -75,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = DefaultChunkSize
-	}
-	if c.LaneWidth <= 0 {
-		c.LaneWidth = 1
 	}
 	return c
 }
@@ -203,9 +189,7 @@ func MergeTree[S any](states []S, merge func(a, b S) S) S {
 // folded left-to-right (reduce.FoldState, so a SliceFolder's batch
 // kernel runs with identical bits), fixed balanced merge tree, Finalize
 // at the root. The result is bitwise-identical across worker counts and
-// equal to SeqReduce with the same Config. Generic Reduce ignores
-// Config.LaneWidth: lane plans exist only for the named algorithms in
-// Sum, which have hand-specialized lane kernels.
+// equal to SeqReduce with the same Config.
 func Reduce[S any](m reduce.Monoid[S], xs []float64, cfg Config) float64 {
 	st, ok := MapReduce(len(xs), cfg, func(lo, hi int) S {
 		return reduce.FoldState(m, xs[lo:hi])

@@ -212,3 +212,45 @@ func TestWorkerCountDoesNotChangeChunkPlan(t *testing.T) {
 		}
 	}
 }
+
+func TestEngineEdgeCases(t *testing.T) {
+	// Workers far beyond n, ChunkSize 1 (every element its own chunk)
+	// and a short trailing chunk must all agree with the sequential plan
+	// bit for bit.
+	cases := []struct {
+		name string
+		xs   []float64
+		cfg  Config
+	}{
+		{"workers>n", []float64{1, 0x1p-40, -1}, Config{Workers: 64, ChunkSize: 2}},
+		{"chunksize=1", gen.Spec{N: 37, Cond: 1e4, DynRange: 10, Seed: 5}.Generate(), Config{Workers: 4, ChunkSize: 1}},
+		{"short-tail", gen.Spec{N: 1001, Cond: 1e4, DynRange: 10, Seed: 6}.Generate(), Config{Workers: 4, ChunkSize: 100}},
+	}
+	for _, tc := range cases {
+		for _, alg := range sum.Algorithms {
+			ref := SeqSum(alg, tc.xs, tc.cfg)
+			if got := Sum(alg, tc.xs, tc.cfg); bits(got) != bits(ref) {
+				t.Errorf("%s/%v: parallel %x, sequential %x", tc.name, alg, bits(got), bits(ref))
+			}
+		}
+	}
+}
+
+func TestSumNonFinitePropagation(t *testing.T) {
+	// Poisoned inputs must come out non-finite from the engine for the
+	// IEEE-propagating algorithms — the same poison semantics
+	// selector.Profile promises (non-finite in, flagged out).
+	poisoned := [][]float64{
+		{1, 2, math.NaN(), 4, 5, 6, 7, 8, 9, 10},
+		{1, math.Inf(1), 2, 3, 4, 5, 6, 7, 8, 9},
+		{math.Inf(1), math.Inf(-1), 1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	for i, xs := range poisoned {
+		for _, alg := range []sum.Algorithm{sum.StandardAlg, sum.PairwiseAlg, sum.KahanAlg, sum.NeumaierAlg} {
+			got := Sum(alg, xs, Config{ChunkSize: 3, Workers: 2})
+			if !math.IsNaN(got) && !math.IsInf(got, 0) {
+				t.Errorf("set %d/%v: finite %g from poisoned input", i, alg, got)
+			}
+		}
+	}
+}

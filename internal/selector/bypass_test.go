@@ -89,12 +89,12 @@ func sameProfile(a, b Profile) bool {
 
 // TestSelectAndSumExactBypass pins the tolerance-0 bypass against the
 // two-pass oracle: the same bits, Algorithm and NonFinite on every
-// input, serial and on the engine at several worker counts and lane
-// widths, with and without the decision cache. Under the analytic
-// policies a served request reports Profile{N: n}, BN, Predicted 0,
-// zero Bounds and Fast false. Every other request reports the full
-// profile, and every other policy profiles every request: Static (PR
-// must still be tuned) and the calibrated table and surface.
+// input, serial and on the engine at several worker counts, with and
+// without the decision cache. Under the analytic policies a served
+// request reports Profile{N: n}, BN, Predicted 0, zero Bounds and Fast
+// false. Every other request reports the full profile, and every other
+// policy profiles every request: Static (PR must still be tuned) and
+// the calibrated table and surface.
 func TestSelectAndSumExactBypass(t *testing.T) {
 	type policy struct {
 		name string
@@ -118,11 +118,9 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 		cfg  *parallel.Config
 	}
 	modes := []mode{{"serial", nil}}
-	for _, lanes := range []int{1, 4} {
-		for _, workers := range []int{1, 2, 4, 7} {
-			cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9, LaneWidth: lanes}
-			modes = append(modes, mode{fmt.Sprintf("w=%d lanes=%d", workers, lanes), &cfg})
-		}
+	for _, workers := range []int{1, 2, 4, 7} {
+		cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
+		modes = append(modes, mode{fmt.Sprintf("w=%d", workers), &cfg})
 	}
 	served := map[string]int{}
 	for name, xs := range bypassCases() {

@@ -32,7 +32,7 @@ import (
 // truncated or foreign file fails loudly instead of loading partially.
 
 // calibrationVersion is the leading line of every artifact.
-const calibrationVersion = "reprocal v1"
+const calibrationVersion = "reprocal v2"
 
 // defaultTrialBlock mirrors grid.Config's TrialBlock default; the
 // harness pins it explicitly because it is part of the experiment
@@ -133,8 +133,8 @@ func SaveCalibration(w io.Writer, cal *Calibration) error {
 	}
 	fmt.Fprintf(bw, "costs %d\n", len(cal.Costs))
 	for _, cs := range cal.Costs {
-		fmt.Fprintf(bw, "cost alg=%s n=%d workers=%d lanes=%d ns=%s\n",
-			cs.Alg, cs.N, cs.Workers, cs.LaneWidth, hexFloat(cs.NsPerOp))
+		fmt.Fprintf(bw, "cost alg=%s n=%d workers=%d ns=%s\n",
+			cs.Alg, cs.N, cs.Workers, hexFloat(cs.NsPerOp))
 	}
 	fmt.Fprint(bw, "end reprocal\n")
 	return bw.Flush()
@@ -238,6 +238,9 @@ func LoadCalibration(r io.Reader) (*Calibration, error) {
 			&c.Spec.N, &condHex, &c.Spec.DynRange, &mkHex, &c.MeasuredDR, &nAlgs); err != nil {
 			return nil, cr.errf("malformed cell line %q", line)
 		}
+		if c.Spec.N < 2 {
+			return nil, cr.errf("cell n=%d, want >= 2", c.Spec.N)
+		}
 		if c.Spec.Cond, err = parseHexFloat(condHex); err != nil {
 			return nil, cr.errf("bad cond value: %v", err)
 		}
@@ -288,9 +291,12 @@ func LoadCalibration(r io.Reader) (*Calibration, error) {
 		}
 		var name, nsHex string
 		var cs CostSample
-		if _, err := fmt.Sscanf(line, "cost alg=%s n=%d workers=%d lanes=%d ns=%s",
-			&name, &cs.N, &cs.Workers, &cs.LaneWidth, &nsHex); err != nil {
+		if _, err := fmt.Sscanf(line, "cost alg=%s n=%d workers=%d ns=%s",
+			&name, &cs.N, &cs.Workers, &nsHex); err != nil {
 			return nil, cr.errf("malformed cost line %q", line)
+		}
+		if cs.N < 1 {
+			return nil, cr.errf("cost sample n=%d, want >= 1", cs.N)
 		}
 		alg, err := sum.ParseAlgorithm(name)
 		if err != nil {
@@ -421,18 +427,18 @@ func CheckCalibration(cal *Calibration, probes int, costFactor float64) CalCheck
 	for _, i := range probeIndices(len(cal.Costs), probes) {
 		cs := cal.Costs[i]
 		xs := benignData(cs.N, fpu.MixSeed(cal.Seed, uint64(cs.N)))
-		fresh, ok := measureCost(cs.Alg, xs, cs.Workers, cs.LaneWidth, time.Millisecond, 3)
+		fresh, ok := measureCost(cs.Alg, xs, cs.Workers, time.Millisecond, 3)
 		check.CostProbes++
 		if !ok {
 			check.CostDrift = append(check.CostDrift, fmt.Sprintf(
-				"cost %s n=%d workers=%d lanes=%d: engine no longer measurable",
-				cs.Alg, cs.N, cs.Workers, cs.LaneWidth))
+				"cost %s n=%d workers=%d: engine no longer measurable",
+				cs.Alg, cs.N, cs.Workers))
 			continue
 		}
 		if fresh > cs.NsPerOp*costFactor || cs.NsPerOp > fresh*costFactor {
 			check.CostDrift = append(check.CostDrift, fmt.Sprintf(
-				"cost %s n=%d workers=%d lanes=%d: stored %.4g ns/op, fresh %.4g ns/op (beyond %gx)",
-				cs.Alg, cs.N, cs.Workers, cs.LaneWidth, cs.NsPerOp, fresh, costFactor))
+				"cost %s n=%d workers=%d: stored %.4g ns/op, fresh %.4g ns/op (beyond %gx)",
+				cs.Alg, cs.N, cs.Workers, cs.NsPerOp, fresh, costFactor))
 		}
 	}
 	return check
@@ -500,7 +506,7 @@ func pctDelta(old, new float64) float64 {
 }
 
 // CompareCalibrations diffs two artifacts cell by cell: accuracy cells
-// match on their spec, cost samples on (algorithm, n, workers, lanes).
+// match on their spec, cost samples on (algorithm, n, workers).
 // Matched quantities report their relative change; entries present in
 // only one artifact are listed as envelope changes.
 func CompareCalibrations(old, new *Calibration) CalComparison {
@@ -546,34 +552,34 @@ func CompareCalibrations(old, new *Calibration) CalComparison {
 	}
 
 	type costKey struct {
-		alg              sum.Algorithm
-		n, workers, lane int
+		alg        sum.Algorithm
+		n, workers int
 	}
 	oldCosts := map[costKey]float64{}
 	for _, cs := range old.Costs {
-		oldCosts[costKey{cs.Alg, cs.N, cs.Workers, cs.LaneWidth}] = cs.NsPerOp
+		oldCosts[costKey{cs.Alg, cs.N, cs.Workers}] = cs.NsPerOp
 	}
 	newCosts := map[costKey]bool{}
 	for _, cs := range new.Costs {
-		k := costKey{cs.Alg, cs.N, cs.Workers, cs.LaneWidth}
+		k := costKey{cs.Alg, cs.N, cs.Workers}
 		newCosts[k] = true
 		ons, ok := oldCosts[k]
 		if !ok {
-			cmp.Added = append(cmp.Added, fmt.Sprintf("cost %s n=%d workers=%d lanes=%d", cs.Alg, cs.N, cs.Workers, cs.LaneWidth))
+			cmp.Added = append(cmp.Added, fmt.Sprintf("cost %s n=%d workers=%d", cs.Alg, cs.N, cs.Workers))
 			continue
 		}
 		if pct := pctDelta(ons, cs.NsPerOp); pct > 0 {
 			cmp.Deltas = append(cmp.Deltas, CalDelta{
-				Line: fmt.Sprintf("cost %s n=%d workers=%d lanes=%d: %.4g -> %.4g ns/op (%+.1f%%)",
-					cs.Alg, cs.N, cs.Workers, cs.LaneWidth, ons, cs.NsPerOp, pct),
+				Line: fmt.Sprintf("cost %s n=%d workers=%d: %.4g -> %.4g ns/op (%+.1f%%)",
+					cs.Alg, cs.N, cs.Workers, ons, cs.NsPerOp, pct),
 				Pct: pct,
 			})
 			cmp.MaxCostPct = math.Max(cmp.MaxCostPct, pct)
 		}
 	}
 	for _, cs := range old.Costs {
-		if !newCosts[costKey{cs.Alg, cs.N, cs.Workers, cs.LaneWidth}] {
-			cmp.Removed = append(cmp.Removed, fmt.Sprintf("cost %s n=%d workers=%d lanes=%d", cs.Alg, cs.N, cs.Workers, cs.LaneWidth))
+		if !newCosts[costKey{cs.Alg, cs.N, cs.Workers}] {
+			cmp.Removed = append(cmp.Removed, fmt.Sprintf("cost %s n=%d workers=%d", cs.Alg, cs.N, cs.Workers))
 		}
 	}
 	return cmp

@@ -27,7 +27,6 @@ func quickHarness() HarnessConfig {
 			Algorithms: []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg},
 			Ns:         []int{256},
 			Workers:    []int{0},
-			LaneWidths: []int{1},
 			MinTime:    100 * time.Microsecond,
 			Reps:       1,
 		},
@@ -57,7 +56,7 @@ func awkwardCalibration() *Calibration {
 			},
 		},
 		Costs: []CostSample{
-			{Alg: sum.KahanAlg, N: 4096, Workers: 8, LaneWidth: 4, NsPerOp: 1234.5678901234},
+			{Alg: sum.KahanAlg, N: 4096, Workers: 8, NsPerOp: 1234.5678901234},
 		},
 	}
 }
@@ -96,9 +95,10 @@ func TestCalibrationRoundTripBytes(t *testing.T) {
 }
 
 // TestCalibrationRejectsBadArtifacts pins the failure modes: an unknown
-// version line fails before any content parse, and a truncation at any
-// line boundary is detected (every declared count must be present, down
-// to the end marker).
+// version line (the superseded v1 format included) fails before any
+// content parse, a truncation at any line boundary is detected (every
+// declared count must be present, down to the end marker), and a size
+// the sweeps cannot run is refused at load with its line number.
 func TestCalibrationRejectsBadArtifacts(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveCalibration(&buf, awkwardCalibration()); err != nil {
@@ -107,13 +107,43 @@ func TestCalibrationRejectsBadArtifacts(t *testing.T) {
 	full := buf.String()
 
 	t.Run("unknown version", func(t *testing.T) {
-		doctored := strings.Replace(full, "reprocal v1", "reprocal v99", 1)
+		doctored := strings.Replace(full, "reprocal v2", "reprocal v99", 1)
 		if _, err := LoadCalibration(strings.NewReader(doctored)); err == nil {
 			t.Error("v99 artifact loaded, want version rejection")
 		} else if !strings.Contains(err.Error(), "unsupported") {
 			t.Errorf("v99 artifact error %q does not name the version problem", err)
 		}
 	})
+
+	t.Run("v1 artifact", func(t *testing.T) {
+		// v1 cost lines carried a lane width the engine no longer has.
+		v1 := strings.Replace(full, "reprocal v2", "reprocal v1", 1)
+		v1 = strings.Replace(v1, "workers=8 ns=", "workers=8 lanes=4 ns=", 1)
+		if _, err := LoadCalibration(strings.NewReader(v1)); err == nil {
+			t.Error("v1 artifact loaded, want version rejection")
+		} else if !strings.Contains(err.Error(), `unsupported calibration artifact "reprocal v1"`) {
+			t.Errorf("v1 artifact error %q does not name the version problem", err)
+		}
+	})
+
+	for _, tc := range []struct{ name, old, new, line string }{
+		{"cell n below 2", "cell n=1024 ", "cell n=-4 ", "line 6"},
+		{"cell n of 1", "cell n=1024 ", "cell n=1 ", "line 6"},
+		{"cost n below 1", "cost alg=K n=4096 ", "cost alg=K n=-1 ", "line 10"},
+		{"cost n of 0", "cost alg=K n=4096 ", "cost alg=K n=0 ", "line 10"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doctored := strings.Replace(full, tc.old, tc.new, 1)
+			if doctored == full {
+				t.Fatalf("fixture has no %q", tc.old)
+			}
+			if _, err := LoadCalibration(strings.NewReader(doctored)); err == nil {
+				t.Error("artifact loaded, want a size rejection")
+			} else if !strings.Contains(err.Error(), tc.line) {
+				t.Errorf("error %q does not name %s", err, tc.line)
+			}
+		})
+	}
 
 	t.Run("foreign file", func(t *testing.T) {
 		if _, err := LoadCalibration(strings.NewReader("n,cond,dr\n1024,1,0\n")); err == nil {
@@ -281,37 +311,38 @@ func TestCompareCalibrations(t *testing.T) {
 	}
 }
 
-// TestCostSweep pins the sweep's degenerate-input contract: every
-// emitted sample is finite and positive, serial rows are scalar-only,
-// and an invalid lane width (a panicking engine combination) is dropped
-// instead of emitted or propagated.
+// TestCostSweep pins the sweep's output contract: every emitted sample
+// is finite and positive, and every algorithm gets a serial row and an
+// engine row.
 func TestCostSweep(t *testing.T) {
+	algs := []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg}
 	samples := CostSweep(CostSweepConfig{
-		Algorithms: []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg},
-		Ns:         []int{128},
+		Algorithms: algs,
+		Ns:         []int{128, 0}, // n < 1 has nothing to time: skipped
 		Workers:    []int{0, 2},
-		LaneWidths: []int{1, 3}, // 3 is invalid: parallel.Sum panics on it
 		MinTime:    50 * time.Microsecond,
 		Reps:       1,
 	})
-	if len(samples) == 0 {
-		t.Fatal("no cost samples")
+	type row struct {
+		alg     sum.Algorithm
+		workers int
 	}
-	laneSeen := map[int]bool{}
+	seen := map[row]bool{}
 	for _, s := range samples {
 		if !(s.NsPerOp > 0) || math.IsInf(s.NsPerOp, 0) {
 			t.Errorf("unusable sample emitted: %+v", s)
 		}
-		if s.Workers == 0 && s.LaneWidth != 1 {
-			t.Errorf("serial sample with lane width %d: %+v", s.LaneWidth, s)
+		if s.N != 128 {
+			t.Errorf("sample for n=%d, want only n=128: %+v", s.N, s)
 		}
-		laneSeen[s.LaneWidth] = true
+		seen[row{s.Alg, s.Workers}] = true
 	}
-	if laneSeen[3] {
-		t.Error("invalid lane width 3 produced samples, want dropped")
-	}
-	if !laneSeen[1] {
-		t.Error("valid lane width 1 produced no samples")
+	for _, alg := range algs {
+		for _, w := range []int{0, 2} {
+			if !seen[row{alg, w}] {
+				t.Errorf("%v workers=%d: no sample", alg, w)
+			}
+		}
 	}
 
 	// The real samples must feed the fit cleanly end to end.

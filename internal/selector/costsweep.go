@@ -28,9 +28,6 @@ type CostSweepConfig struct {
 	// streaming path (alg.Sum), > 0 the parallel engine (default
 	// {0, GOMAXPROCS}).
 	Workers []int
-	// LaneWidths are the kernel lane widths to time on the parallel
-	// engine (default {1, 4}); the serial path is always scalar.
-	LaneWidths []int
 	// MinTime is the per-measurement timing window (default 1ms);
 	// Reps takes the best of this many windows (default 3).
 	MinTime time.Duration
@@ -49,9 +46,6 @@ func (c CostSweepConfig) withDefaults() CostSweepConfig {
 	if len(c.Workers) == 0 {
 		c.Workers = []int{0, runtime.GOMAXPROCS(0)}
 	}
-	if len(c.LaneWidths) == 0 {
-		c.LaneWidths = []int{1, 4}
-	}
 	if c.MinTime <= 0 {
 		c.MinTime = time.Millisecond
 	}
@@ -62,10 +56,9 @@ func (c CostSweepConfig) withDefaults() CostSweepConfig {
 }
 
 // CostSweep times every algorithm × engine configuration × size on the
-// local host and returns the usable samples. A configuration that
-// panics (an engine rejecting the combination) or times out with a
-// non-finite or non-positive reading is dropped rather than emitted —
-// degenerate engines shrink the sample set, they never corrupt it.
+// local host and returns the usable samples. A configuration whose
+// reading is non-finite or non-positive is dropped rather than emitted
+// — degenerate timings shrink the sample set, they never corrupt it.
 func CostSweep(cfg CostSweepConfig) []CostSample {
 	cfg = cfg.withDefaults()
 	var out []CostSample
@@ -76,19 +69,11 @@ func CostSweep(cfg CostSweepConfig) []CostSample {
 		xs := benignData(n, fpu.MixSeed(cfg.Seed, uint64(n)))
 		for _, alg := range cfg.Algorithms {
 			for _, workers := range cfg.Workers {
-				lanes := cfg.LaneWidths
-				if workers <= 0 {
-					lanes = []int{1} // serial path is scalar-only
+				ns, ok := measureCost(alg, xs, workers, cfg.MinTime, cfg.Reps)
+				if !ok {
+					continue
 				}
-				for _, lw := range lanes {
-					ns, ok := measureCost(alg, xs, workers, lw, cfg.MinTime, cfg.Reps)
-					if !ok {
-						continue
-					}
-					out = append(out, CostSample{
-						Alg: alg, N: n, Workers: workers, LaneWidth: lw, NsPerOp: ns,
-					})
-				}
+				out = append(out, CostSample{Alg: alg, N: n, Workers: workers, NsPerOp: ns})
 			}
 		}
 	}
@@ -100,17 +85,11 @@ var costSink float64
 
 // measureCost times one (algorithm, engine configuration) on xs:
 // best-of-reps over iteration-scaled windows of at least minTime.
-// Returns ok=false when the engine panics on the combination or the
-// reading is unusable.
-func measureCost(alg sum.Algorithm, xs []float64, workers, laneWidth int, minTime time.Duration, reps int) (ns float64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ns, ok = 0, false
-		}
-	}()
+// Returns ok=false when the reading is unusable.
+func measureCost(alg sum.Algorithm, xs []float64, workers int, minTime time.Duration, reps int) (ns float64, ok bool) {
 	run := func() float64 { return alg.Sum(xs) }
 	if workers > 0 {
-		pcfg := parallel.Config{Workers: workers, LaneWidth: laneWidth}
+		pcfg := parallel.Config{Workers: workers}
 		run = func() float64 { return parallel.Sum(alg, xs, pcfg) }
 	}
 	best := math.Inf(1)

@@ -71,10 +71,7 @@ func FusedProfileSum(xs []float64) FusedPass {
 // combined with kernel.FusedAcc.Merge over the engine's fixed balanced
 // tree. The profile matches ProfileOfParallel(xs, cfg) and the
 // speculative sums match parallel.Sum(StandardAlg/NeumaierAlg, xs, cfg)
-// bit-for-bit at any worker count. The profile does not depend on
-// cfg.LaneWidth, but the speculative sums are single-lane: wider lane
-// plans change the chunk-fold bits, so callers must not serve them from
-// SpecSum (SelectAndSumParallel escalates instead).
+// bit-for-bit at any worker count.
 func FusedProfileSumParallel(xs []float64, cfg parallel.Config) FusedPass {
 	a, ok := parallel.MapReduce(len(xs), cfg,
 		func(lo, hi int) kernel.FusedAcc { return kernel.FusedProfileSum(xs[lo:hi]) },
@@ -217,9 +214,7 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 
 // SelectAndSumParallel is SelectAndSum on the parallel engine: fused
 // per-chunk folds, the same decision step, and parallel escalation with
-// the caller's cfg. At cfg.LaneWidth > 1 the speculative answers are
-// skipped (they are single-lane bits) and every selection escalates to
-// parallel.Sum/SumPR, so the result always equals the two-pass route
+// the caller's cfg, so the result always equals the two-pass route
 // ProfileOfParallel → Decide → parallel.Sum at the same cfg. Poisoned
 // inputs fall back to one serial ST pass, sum.Standard(xs). The exact
 // bypass runs parallel.Sum(BinnedAlg) at the same cfg.
@@ -239,11 +234,9 @@ func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (floa
 	}
 	d := s.Decide(prof)
 	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
-	if cfg.LaneWidth <= 1 {
-		if v, ok := fp.SpecSum(d.Alg); ok {
-			sel.Fast = true
-			return v, sel
-		}
+	if v, ok := fp.SpecSum(d.Alg); ok {
+		sel.Fast = true
+		return v, sel
 	}
 	if d.Alg == sum.PreroundedAlg {
 		prCfg := d.PR

@@ -171,7 +171,7 @@ func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm) {
 }
 
 // twoPassParallel is twoPassSum on the chunked engine at cfg: the
-// oracle for SelectAndSumParallel at every lane width. The poisoned
+// oracle for SelectAndSumParallel. The poisoned
 // fallback is the serial ST pass.
 func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, sum.Algorithm) {
 	prof := ProfileOfParallel(xs, cfg)
@@ -347,16 +347,15 @@ func TestSelectAndSumParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSelectAndSumParallelLanes pins the engine variant at lane widths
-// above 1, where the single-lane speculative sums do not apply: every
-// selection must escalate (Fast == false) to the two-pass route's bits
-// at the same cfg, from the same profile, and a poisoned input must
-// take the serial ST fallback reporting the same bounds as lane width 1.
-// The policy set covers the heuristic ladder, a bound-driven policy
-// whose λ and plan make its bounds differ from ComputeBounds(prof, 0),
-// and every
-// algorithm forced through Static — PR at its TunePR configuration.
-func TestSelectAndSumParallelLanes(t *testing.T) {
+// TestSelectAndSumParallelPolicies pins the engine variant against the
+// two-pass parallel route for a policy set wider than the tolerance
+// ladder: same profile bits, same selection, same sum bits, and the
+// poisoned flag, at several worker counts. The set covers the heuristic
+// ladder, a bound-driven policy whose λ and plan make its bounds differ
+// from ComputeBounds(prof, 0), and every algorithm forced through
+// Static — PR at its TunePR configuration, ST and Neumaier on the
+// speculative fast path.
+func TestSelectAndSumParallelPolicies(t *testing.T) {
 	type variant struct {
 		name string
 		s    *Selector
@@ -375,37 +374,24 @@ func TestSelectAndSumParallelLanes(t *testing.T) {
 	}
 	for name, xs := range fusedCases() {
 		poisoned := ProfileOf(xs).NonFinite
-		for _, lanes := range []int{2, 4, 8} {
-			for _, workers := range []int{1, 2, 4, 7} {
-				cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9, LaneWidth: lanes}
-				single := cfg
-				single.LaneWidth = 1
-				for _, v := range variants {
-					where := fmt.Sprintf("%s lanes=%d w=%d %s", name, lanes, workers, v.name)
-					got, sel := v.s.SelectAndSumParallel(xs, cfg)
-					if sel.Profile != wantProfile(v.s, xs, ProfileOfParallel(xs, cfg)) {
-						t.Errorf("%s: profile diverges from ProfileOfParallel", where)
-					}
-					if sel.Fast {
-						t.Errorf("%s: served a single-lane speculative sum", where)
-					}
-					if sel.NonFinite != poisoned {
-						t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, poisoned)
-					}
-					want, wantAlg := twoPassParallel(v.s, xs, cfg)
-					if sel.Alg != wantAlg {
-						t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
-						continue
-					}
-					if fbits(got) != fbits(want) {
-						t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
-					}
-					if poisoned {
-						if _, ref := v.s.SelectAndSumParallel(xs, single); sel.Bounds != ref.Bounds {
-							t.Errorf("%s: poisoned bounds (λ=%g, plan %v) differ from lane width 1 (λ=%g, plan %v)",
-								where, sel.Bounds.Lambda, sel.Bounds.Plan, ref.Bounds.Lambda, ref.Bounds.Plan)
-						}
-					}
+		for _, workers := range []int{1, 2, 4, 7} {
+			cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
+			for _, v := range variants {
+				where := fmt.Sprintf("%s w=%d %s", name, workers, v.name)
+				got, sel := v.s.SelectAndSumParallel(xs, cfg)
+				if sel.Profile != wantProfile(v.s, xs, ProfileOfParallel(xs, cfg)) {
+					t.Errorf("%s: profile diverges from ProfileOfParallel", where)
+				}
+				if sel.NonFinite != poisoned {
+					t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, poisoned)
+				}
+				want, wantAlg := twoPassParallel(v.s, xs, cfg)
+				if sel.Alg != wantAlg {
+					t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
+					continue
+				}
+				if fbits(got) != fbits(want) {
+					t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
 				}
 			}
 		}

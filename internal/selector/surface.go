@@ -44,16 +44,15 @@ import (
 
 // CostSample is one measured execution cost: the wall-clock ns/op of
 // summing an n-element benign slice with one algorithm under one engine
-// configuration (Workers == 0 means the serial streaming path;
-// LaneWidth <= 1 means scalar folds). CostSweep produces them on the
+// configuration (Workers == 0 means the serial streaming path). CostSweep
+// produces them on the
 // local host; FitSurface uses them to order each size bucket's ladder
 // walk by measured cost instead of the static CostRank assumption.
 type CostSample struct {
-	Alg       sum.Algorithm
-	N         int
-	Workers   int
-	LaneWidth int
-	NsPerOp   float64
+	Alg     sum.Algorithm
+	N       int
+	Workers int
+	NsPerOp float64
 }
 
 // surfaceKBuckets spans condBucket's full range: quarter-decade buckets

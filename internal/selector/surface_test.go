@@ -216,8 +216,8 @@ func TestSurfaceToleranceZeroRequiresReproducible(t *testing.T) {
 		},
 	}}
 	costs := []CostSample{
-		{Alg: sum.CompositeAlg, N: 1024, Workers: 0, LaneWidth: 1, NsPerOp: 50},
-		{Alg: sum.BinnedAlg, N: 1024, Workers: 0, LaneWidth: 1, NsPerOp: 80},
+		{Alg: sum.CompositeAlg, N: 1024, Workers: 0, NsPerOp: 50},
+		{Alg: sum.BinnedAlg, N: 1024, Workers: 0, NsPerOp: 80},
 	}
 	surface := FitSurface(cells, costs, 4)
 	if order := surface.WalkOrder(1024); len(order) < 2 || order[0] != sum.CompositeAlg {
@@ -242,8 +242,8 @@ func TestSurfaceToleranceZeroRequiresReproducible(t *testing.T) {
 func TestSurfaceCostOrderRefit(t *testing.T) {
 	cells := syntheticTable().Cells()
 	costs := []CostSample{
-		{Alg: sum.StandardAlg, N: 1 << 10, Workers: 0, LaneWidth: 1, NsPerOp: 100},
-		{Alg: sum.KahanAlg, N: 1 << 10, Workers: 0, LaneWidth: 1, NsPerOp: 40},
+		{Alg: sum.StandardAlg, N: 1 << 10, Workers: 0, NsPerOp: 100},
+		{Alg: sum.KahanAlg, N: 1 << 10, Workers: 0, NsPerOp: 40},
 	}
 	surface := FitSurface(cells, costs, 4)
 

@@ -3,7 +3,7 @@ package sum_test
 // Cross-layer property tests for the binned reproducible rung: the same
 // multiset of operands must produce bitwise-identical sums through
 // every execution surface — permutations, all tree shapes, all worker
-// counts, all lane widths, any chunk size — and the selection ladder
+// counts, any chunk size — and the selection ladder
 // must expose BN as the cheapest reproducible rung.
 
 import (
@@ -27,7 +27,7 @@ func binnedPropData(seed int64, n int) []float64 {
 	return xs
 }
 
-func TestBinnedInvarianceAcrossTreesWorkersLanes(t *testing.T) {
+func TestBinnedInvarianceAcrossTreesAndWorkers(t *testing.T) {
 	xs := binnedPropData(11, 3001)
 	want := math.Float64bits(sum.Binned(xs))
 
@@ -56,15 +56,13 @@ func TestBinnedInvarianceAcrossTreesWorkersLanes(t *testing.T) {
 		}
 	}
 
-	// Worker counts x lane widths x chunk sizes on the parallel engine.
+	// Worker counts x chunk sizes on the parallel engine.
 	for _, workers := range []int{1, 2, 4, 7} {
-		for _, lanes := range []int{1, 2, 4, 8} {
-			for _, chunk := range []int{0, 256, 1000} {
-				cfg := parallel.Config{Workers: workers, ChunkSize: chunk, LaneWidth: lanes}
-				got := math.Float64bits(parallel.Sum(sum.BinnedAlg, xs, cfg))
-				if got != want {
-					t.Fatalf("w=%d lanes=%d chunk=%d: %x != %x", workers, lanes, chunk, got, want)
-				}
+		for _, chunk := range []int{0, 256, 1000} {
+			cfg := parallel.Config{Workers: workers, ChunkSize: chunk}
+			got := math.Float64bits(parallel.Sum(sum.BinnedAlg, xs, cfg))
+			if got != want {
+				t.Fatalf("w=%d chunk=%d: %x != %x", workers, chunk, got, want)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/selector"
 	"repro/internal/sum"
@@ -56,24 +55,6 @@ func WithChunkSize(c int) Option {
 	return func(rt *Runtime) {
 		rt.useEngine = true
 		rt.par.ChunkSize = c
-	}
-}
-
-// WithLaneWidth sets the engine's fixed accumulator-lane count (1, 2, 4,
-// or 8; 0 selects 1, the legacy single-accumulator bits) and enables the
-// engine. Wider lanes break the serial floating-point dependency chain
-// inside each chunk fold for instruction-level parallelism while staying
-// bitwise-identical across worker counts and runs — but, like the chunk
-// size, the lane width is part of the reproducibility contract: two
-// runtimes agree bitwise only if they use the same lane width. Any other
-// width panics in New, whatever the size of the inputs to come.
-func WithLaneWidth(k int) Option {
-	return func(rt *Runtime) {
-		if k > 0 && !kernel.ValidLaneWidth(k) {
-			panic(fmt.Sprintf("parallel: invalid LaneWidth %d (want 1, 2, 4, or 8)", k))
-		}
-		rt.useEngine = true
-		rt.par.LaneWidth = k
 	}
 }
 
@@ -197,11 +178,12 @@ func (r Report) String() string {
 // bound-driven ProbabilisticPolicy) can only choose BN for data of two
 // or more finite operands with a nonzero sum, so such requests skip
 // the profile: the BN fold runs first and its exact answer is returned
-// when it shows the input was of that kind; the rest (empty, single,
-// all-zero, non-finite, or sums above 2^1000) take the full route. Bits, Algorithm and NonFinite are those of the full
-// route on every input.
+// when it shows the input was of that kind. The rest (empty, single,
+// all-zero, non-finite, or sums above 2^1000) take the full route.
+// Bits, Algorithm and NonFinite are those of the full route on every
+// input.
 //
-// With the engine enabled (WithWorkers/WithChunkSize/WithLaneWidth) and
+// With the engine enabled (WithWorkers/WithChunkSize) and
 // an input spanning at least two chunks, both the profiling pass and
 // the sum run on the deterministic chunked worker pool
 // (selector.SelectAndSumParallel); the result is bitwise-stable across

@@ -79,8 +79,7 @@ func runtimeCases() map[string][]float64 {
 // against the legacy two-pass semantics — result bits, Algorithm and
 // NonFinite — under the heuristic and probabilistic policies, with and
 // without the decision cache, serial and on the engine at several
-// worker counts and lane widths (wide lanes exercising the fused
-// pass's escalate-always route). A tolerance-0 request answered
+// worker counts. A tolerance-0 request answered
 // without a profile must report the exact-bypass contract.
 func TestRuntimeSumFusedEquivalence(t *testing.T) {
 	policies := map[string]Policy{
@@ -100,10 +99,7 @@ func TestRuntimeSumFusedEquivalence(t *testing.T) {
 					}
 					variants := map[string]*Runtime{"serial": engine()}
 					for _, w := range []int{1, 2, 4, 7} {
-						for _, lanes := range []int{1, 4} {
-							variants[fmt.Sprintf("w%dlane%d", w, lanes)] = engine(
-								WithWorkers(w), WithChunkSize(1<<12), WithLaneWidth(lanes))
-						}
+						variants[fmt.Sprintf("w%d", w)] = engine(WithWorkers(w), WithChunkSize(1<<12))
 					}
 					for vname, rt := range variants {
 						where := fmt.Sprintf("%s %s %s cached=%v tol=%g", name, vname, pname, cached, tol)
