@@ -24,7 +24,10 @@ test:
 # above already covers it at 256 ranks): all seven topologies bitwise
 # equal to single-rank BN under arrival-order jitter at 10^4 ranks,
 # MPICH-style non-power-of-two fold-in, O(ranks) inbox memory with
-# credit backpressure, and >=80% selection-table/model agreement.
+# credit backpressure, >=80% selection-table/model agreement, BN
+# AllReduce bits on every rank, a private VectorAllReduce result per
+# rank, and World.Run's one-slab rank allocation. The BN pass also pins
+# the reduce.Op.Merge ownership rule for every algorithm's operator.
 # The final step is the binned performance gate: a fresh measurement of
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
@@ -36,11 +39,11 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise' ./internal/mpirt
+	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
-	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs' ./internal/binned ./internal/sum ./internal/kernel
+	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership' ./internal/binned ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \

@@ -80,7 +80,9 @@ type chunkMsg struct {
 // gather form, every rank for the allgather form.
 //
 // The states slice is consumed: ranges sent away must not be reused by
-// the caller.
+// the caller. A rank whose partner holds the lower group merges into
+// the received state (the lower-group operand is Merge's left), so a
+// range sent away may also be rewritten in place by its receiver.
 func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allgather bool) ([]reduce.State, bool) {
 	// Fixed per-collective tag budget so every rank's tag sequence
 	// stays aligned regardless of its role in this schedule.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sum"
+	"repro/internal/superacc"
 )
 
 // bigRanks is the extreme-scale world size: the full O(10^4) target
@@ -125,8 +126,8 @@ func TestCollectiveRootVariants(t *testing.T) {
 
 // TestCrossTopologyBitwisePin is the exactness pin: a BN payload
 // reduced over every topology × mode × jitter seed × segment size must
-// finalize to identical bits, equal to the single-rank binned sum of
-// each element's column.
+// finalize to identical bits, equal to the correctly rounded exact sum
+// (superacc) of each element's column.
 func TestCrossTopologyBitwisePin(t *testing.T) {
 	const ranks, nElem = 24, 33
 	vecs := vecData(ranks, nElem, 11)
@@ -137,7 +138,7 @@ func TestCrossTopologyBitwisePin(t *testing.T) {
 		for i := range vecs {
 			col[i] = vecs[i][j]
 		}
-		want[j] = math.Float64bits(sum.Binned(col))
+		want[j] = math.Float64bits(superacc.Sum(col))
 	}
 	for _, topo := range Topologies {
 		for _, mode := range []Mode{FixedOrder, ArrivalOrder} {
@@ -193,8 +194,8 @@ func TestNonPowerOfTwoFoldIn(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = math.Float64bits(ref)
-			if want != math.Float64bits(sum.Binned(xs)) {
-				t.Fatalf("ranks=%d: binomial BN disagrees with single-rank binned sum", ranks)
+			if want != math.Float64bits(superacc.Sum(xs)) {
+				t.Fatalf("ranks=%d: binomial BN disagrees with the exact sum", ranks)
 			}
 		}
 		for _, topo := range []Topology{Rabenseifner, RSAllgather, DoubleTree} {
@@ -227,7 +228,7 @@ func TestNonPowerOfTwoFoldIn(t *testing.T) {
 				for i := range vecs {
 					col[i] = vecs[i][j]
 				}
-				if math.Float64bits(gotVec[j]) != math.Float64bits(sum.Binned(col)) {
+				if math.Float64bits(gotVec[j]) != math.Float64bits(superacc.Sum(col)) {
 					t.Fatalf("ranks=%d %v: vector element %d bits differ", ranks, topo, j)
 				}
 			}
@@ -238,7 +239,7 @@ func TestNonPowerOfTwoFoldIn(t *testing.T) {
 // TestExtremeScaleCrossTopologyPin is the acceptance pin: at O(10^4)
 // goroutine ranks (256 under -race), every topology reduces a BN
 // payload under arrival order with jitter to the same bits as the
-// single-rank binned sum.
+// correctly rounded exact sum (superacc).
 func TestExtremeScaleCrossTopologyPin(t *testing.T) {
 	ranks := bigRanks()
 	if testing.Short() {
@@ -246,7 +247,7 @@ func TestExtremeScaleCrossTopologyPin(t *testing.T) {
 	}
 	const perRank = 2
 	xs := makeData(ranks*perRank, 42)
-	want := math.Float64bits(sum.Binned(xs))
+	want := math.Float64bits(superacc.Sum(xs))
 	op := sum.BinnedAlg.Op()
 	for _, topo := range Topologies {
 		w := NewWorld(ranks, Config{Jitter: 20 * time.Microsecond, Seed: uint64(ranks)})
@@ -284,7 +285,7 @@ func TestVectorAllReduceRSAGBitwise(t *testing.T) {
 			for i := range vecs {
 				col[i] = vecs[i][j]
 			}
-			want := math.Float64bits(sum.Binned(col))
+			want := math.Float64bits(superacc.Sum(col))
 			for id := range results {
 				if math.Float64bits(results[id][j]) != want {
 					t.Fatalf("ranks=%d rank %d element %d bits differ", ranks, id, j)
@@ -420,6 +421,31 @@ func TestCollectiveTimeModelShape(t *testing.T) {
 		got, err := ParseTopology(topo.String())
 		if err != nil || got != topo {
 			t.Errorf("ParseTopology(%q) = %v, %v", topo.String(), got, err)
+		}
+	}
+}
+
+// TestAllReduceBNBitwiseAllTopologies checks AllReduce's shared result
+// on every topology: each rank finalizes the state it got back to the
+// correctly rounded exact sum, bit for bit.
+func TestAllReduceBNBitwiseAllTopologies(t *testing.T) {
+	const ranks, perRank = 13, 5
+	xs := makeData(ranks*perRank, 17)
+	want := math.Float64bits(superacc.Sum(xs))
+	op := sum.BinnedAlg.Op()
+	for _, topo := range Topologies {
+		got := make([]uint64, ranks)
+		w := NewWorld(ranks, Config{Jitter: 50 * time.Microsecond, Seed: uint64(topo)})
+		if err := w.Run(func(r *Rank) {
+			local := op.FoldSlice(xs[r.ID*perRank : (r.ID+1)*perRank])
+			got[r.ID] = math.Float64bits(op.Finalize(r.AllReduce(local, op, topo, ArrivalOrder)))
+		}); err != nil {
+			t.Fatalf("%v: %v", topo, err)
+		}
+		for id, g := range got {
+			if g != want {
+				t.Errorf("%v rank %d: bits %x want %x", topo, id, g, want)
+			}
 		}
 	}
 }

@@ -177,25 +177,18 @@ func (w *World) Size() int { return w.size }
 
 // Run launches one goroutine per rank executing body and waits for all
 // of them. A panicking rank aborts the run and is reported as an error.
+// The ranks live in one slab, so a run allocates O(1) blocks besides
+// its goroutines.
 func (w *World) Run(body func(r *Rank)) error {
 	var wg sync.WaitGroup
+	ranks := make([]Rank, w.size)
 	errs := make([]error, w.size)
-	for id := 0; id < w.size; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[id] = fmt.Errorf("mpirt: rank %d panicked: %v", id, p)
-				}
-			}()
-			body(&Rank{
-				ID:   id,
-				Size: w.size,
-				w:    w,
-				rng:  fpu.NewRNG(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
-			})
-		}(id)
+	wg.Add(w.size)
+	for id := range ranks {
+		r := &ranks[id]
+		r.ID, r.Size, r.w = id, w.size, w
+		r.rng.Reseed(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
+		go r.run(body, &wg, &errs[id])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -206,6 +199,18 @@ func (w *World) Run(body func(r *Rank)) error {
 	return nil
 }
 
+// run is one rank's goroutine: it executes body and turns a panic into
+// *err.
+func (r *Rank) run(body func(r *Rank), wg *sync.WaitGroup, err *error) {
+	defer wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			*err = fmt.Errorf("mpirt: rank %d panicked: %v", r.ID, p)
+		}
+	}()
+	body(r)
+}
+
 // Rank is one process in the world; methods on it may only be called
 // from within the goroutine Run assigned to it.
 type Rank struct {
@@ -213,7 +218,7 @@ type Rank struct {
 	w        *World
 	pending  []envelope
 	coll     int // per-rank collective sequence number
-	rng      *fpu.RNG
+	rng      fpu.RNG
 }
 
 // collective tags live above user tags; user tags must be >= 0.
@@ -372,6 +377,9 @@ func (r *Rank) Barrier() {
 }
 
 // Broadcast distributes root's payload to every rank and returns it.
+// Every rank gets the same payload value, not a copy: a reference
+// payload (slice, pointer, reduce.State) is shared by all ranks and must
+// be treated as read-only.
 func (r *Rank) Broadcast(root int, payload any) any {
 	tag := r.nextCollTag()
 	parent, children := r.family(Binomial, root)
@@ -437,6 +445,10 @@ func (r *Rank) Scatter(root int, items []any) any {
 // one-element vector: their merge order is fixed by the schedule, so
 // they are deterministic in either mode (and bitwise identical to the
 // trees for exactly-mergeable operators such as BN).
+//
+// Reduce consumes local: merges may reuse its storage (reduce.Op.Merge),
+// here or on the rank it is sent to, so the caller must not read or
+// reuse local afterwards.
 func (r *Rank) Reduce(root int, local reduce.State, op reduce.Op, topo Topology, mode Mode) reduce.State {
 	if !topo.isTree() {
 		states, ok := r.reduceStates(root, []reduce.State{local}, op, topo, mode, 1)
@@ -481,7 +493,10 @@ func (r *Rank) Reduce(root int, local reduce.State, op reduce.Op, topo Topology,
 }
 
 // AllReduce performs Reduce to rank 0 followed by a Broadcast of the
-// final state, returning it on every rank.
+// final state, returning it on every rank. It consumes local, as Reduce
+// does. Every rank gets the same state object, so the result is shared
+// and read-only: finalize it, encode it, or pass it as Merge's right
+// operand, but never as Merge's left operand or as a collective's local.
 func (r *Rank) AllReduce(local reduce.State, op reduce.Op, topo Topology, mode Mode) reduce.State {
 	st := r.Reduce(0, local, op, topo, mode)
 	return r.Broadcast(0, st)

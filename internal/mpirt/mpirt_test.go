@@ -405,3 +405,24 @@ func TestScatterWrongCountPanics(t *testing.T) {
 		t.Fatal("expected error from mis-sized scatter")
 	}
 }
+
+// TestRunRankSlab pins World.Run's per-run cost and rank state: an
+// empty run allocates about one block per rank (its goroutine), and
+// each rank's jitter stream is the one its seed derivation names.
+func TestRunRankSlab(t *testing.T) {
+	const n = 128
+	w := NewWorld(n, Config{Seed: 77})
+	body := func(r *Rank) {}
+	if allocs := testing.AllocsPerRun(20, func() { _ = w.Run(body) }); allocs > n+16 {
+		t.Errorf("empty %d-rank Run: %v allocs, want <= %d", n, allocs, n+16)
+	}
+	first := make([]float64, n)
+	if err := w.Run(func(r *Rank) { first[r.ID] = r.rng.Float64() }); err != nil {
+		t.Fatal(err)
+	}
+	for id, got := range first {
+		if want := fpu.NewRNG(77 ^ (uint64(id)+1)*0x9e3779b97f4a7c15).Float64(); got != want {
+			t.Fatalf("rank %d jitter stream starts at %g, want %g", id, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package mpirt
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/reduce"
 )
@@ -101,6 +102,8 @@ func finalizeStates(op reduce.Op, states []reduce.State) []float64 {
 	return out
 }
 
+// mergeSeg merges src into dst elementwise: dst's states are the left
+// operands and may be reused in place; src is only read.
 func mergeSeg(op reduce.Op, dst, src []reduce.State) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mpirt: vector segment length mismatch: %d vs %d", len(dst), len(src)))
@@ -111,9 +114,11 @@ func mergeSeg(op reduce.Op, dst, src []reduce.State) {
 }
 
 // VectorAllReduce reduces elementwise and returns the finalized vector
-// on every rank. RSAllgather runs natively (its allgather phase already
-// leaves bitwise-identical states everywhere, so no broadcast is
-// needed); every other topology reduces to rank 0 and broadcasts.
+// on every rank, each rank its own slice. RSAllgather runs natively (its
+// allgather phase already leaves bitwise-identical states everywhere,
+// so no broadcast is needed and each rank finalizes its own vector);
+// every other topology reduces to rank 0 and broadcasts, and each rank
+// copies the shared broadcast vector.
 func (r *Rank) VectorAllReduce(local []float64, op reduce.Op,
 	topo Topology, mode Mode, segSize int) []float64 {
 	if topo == RSAllgather {
@@ -125,5 +130,5 @@ func (r *Rank) VectorAllReduce(local []float64, op reduce.Op,
 		return finalizeStates(op, out)
 	}
 	v, _ := r.VectorReduce(0, local, op, topo, mode, segSize)
-	return r.Broadcast(0, v).([]float64)
+	return slices.Clone(r.Broadcast(0, v).([]float64))
 }

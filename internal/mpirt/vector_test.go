@@ -1,6 +1,7 @@
 package mpirt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -139,5 +140,28 @@ func TestVectorReduceSingleRank(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVectorAllReduceOwnResult is the regression test for a shared
+// result: every rank writes its own result vector, and no rank may see
+// another rank's write (a shared broadcast slice also races under
+// -race).
+func TestVectorAllReduceOwnResult(t *testing.T) {
+	const ranks, n = 4, 6
+	vecs := vecData(ranks, n, 5)
+	for _, topo := range Topologies {
+		w := NewWorld(ranks, Config{})
+		err := w.Run(func(r *Rank) {
+			v := r.VectorAllReduce(vecs[r.ID], sum.BinnedAlg.Op(), topo, FixedOrder, 0)
+			v[0] = float64(r.ID)
+			r.Barrier()
+			if v[0] != float64(r.ID) {
+				panic(fmt.Sprintf("rank %d's result was overwritten with %g", r.ID, v[0]))
+			}
+		})
+		if err != nil {
+			t.Errorf("%v: %v", topo, err)
+		}
 	}
 }

@@ -32,6 +32,10 @@ type State interface{}
 type Op interface {
 	Name() string
 	Leaf(x float64) State
+	// Merge combines a and b. It may reuse a's storage (BN's operator
+	// folds b into a in place and returns a), so after the call the
+	// caller keeps only the returned state: a must not be read, merged
+	// or sent again. b is read-only and stays valid.
 	Merge(a, b State) State
 	Finalize(s State) float64
 	// FoldSlice folds xs into one partial state — the "local sum" each

@@ -7,9 +7,9 @@ import (
 
 // This file adapts internal/binned — the single-pass binned (indexed)
 // reproducible engine, the ladder's fast-reproducible middle rung — to
-// the sum package's three algorithm forms (one-shot, streaming
-// Accumulator, mergeable Monoid). The numerical machinery and the
-// order-invariance argument live in the binned package.
+// the sum package's algorithm forms (one-shot, streaming Accumulator,
+// mergeable Monoid, and the dynamic reduce.Op). The numerical machinery
+// and the order-invariance argument live in the binned package.
 
 // Binned computes the one-shot binned reproducible sum of xs: bitwise
 // identical for every permutation, chunking, and reduction tree over
@@ -69,3 +69,37 @@ func (BNMonoid) FoldSlice(xs []float64) binned.State {
 }
 
 var _ reduce.SliceFolder[binned.State] = BNMonoid{}
+
+// bnOp is BN's dynamic reduce.Op. It boxes *binned.State rather than
+// the 584-byte value reduce.Boxed(BNMonoid{}) would box: Leaf and
+// FoldSlice allocate the one state, Merge folds its right operand into
+// the left one in place and returns it, and Finalize reads through the
+// pointer — so the collectives' merges neither allocate nor copy.
+type bnOp struct{}
+
+func (bnOp) Name() string { return BinnedAlg.String() }
+
+func (bnOp) Leaf(x float64) reduce.State {
+	st := new(binned.State)
+	st.Add(x)
+	return st
+}
+
+// Merge reuses a's storage, as reduce.Op.Merge allows; b is only read.
+func (bnOp) Merge(a, b reduce.State) reduce.State {
+	st := a.(*binned.State)
+	st.Merge(b.(*binned.State))
+	return st
+}
+
+func (bnOp) Finalize(s reduce.State) float64 { return s.(*binned.State).Finalize() }
+
+// FoldSlice runs the batch deposit kernel into one fresh state.
+func (o bnOp) FoldSlice(xs []float64) reduce.State {
+	if len(xs) == 0 {
+		return o.Leaf(0) // reduce.LeftFold's empty fold
+	}
+	st := new(binned.State)
+	st.AddSlice(xs)
+	return st
+}

@@ -225,7 +225,9 @@ func (a Algorithm) NewAccumulator() Accumulator {
 }
 
 // Op returns the dynamic mergeable reduction operator for a, for use
-// with simulated collectives and runtime selection.
+// with simulated collectives and runtime selection. BN's operator
+// merges in place (see reduce.Op.Merge for the ownership rule); the
+// others box their monoid's state by value.
 func (a Algorithm) Op() reduce.Op {
 	switch a {
 	case StandardAlg, PairwiseAlg:
@@ -239,7 +241,7 @@ func (a Algorithm) Op() reduce.Op {
 	case PreroundedAlg:
 		return reduce.Boxed(a.String(), DefaultPRConfig().Monoid())
 	case BinnedAlg:
-		return reduce.Boxed(a.String(), BNMonoid{})
+		return bnOp{}
 	}
 	panic("sum: invalid algorithm " + a.String())
 }

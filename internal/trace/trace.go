@@ -151,7 +151,10 @@ func (t Trace) Depth() int {
 // through the same tree — with another operator. Replaying with the
 // original operator reproduces its result bitwise; replaying with an
 // exact oracle yields the true sum of the same tree's operands,
-// attributing any discrepancy to the tree.
+// attributing any discrepancy to the tree. Merges rerun in recorded
+// order, so an operator that reuses Merge's left operand (BN's) is safe
+// here whenever the recorded run kept only each Merge's result: no
+// replayed node is read after it was a left operand.
 func (t Trace) Replay(op reduce.Op) float64 {
 	if len(t.nodes) == 0 {
 		return op.Finalize(op.Leaf(0))
