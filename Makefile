@@ -27,7 +27,11 @@ test:
 # credit backpressure, >=80% selection-table/model agreement, BN
 # AllReduce bits on every rank, a private VectorAllReduce result per
 # rank, and World.Run's one-slab rank allocation. The BN pass also pins
-# the reduce.Op.Merge ownership rule for every algorithm's operator.
+# the reduce.Op.Merge ownership rule for every algorithm's operator,
+# the window finalize against the superaccumulator (random states and
+# the FuzzBinnedFinalize seeds), and restore validation: forged bins
+# rejected by binned.Restore and by the aggregation server, and every
+# live state accepted.
 # The final step is the binned performance gate: a fresh measurement of
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
@@ -43,7 +47,7 @@ verify:
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
-	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership' ./internal/binned ./internal/sum ./internal/kernel
+	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|RestoreRejects|LiveStatesValidate|ForgedBins' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \

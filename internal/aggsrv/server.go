@@ -414,7 +414,7 @@ func (s *Server) depositVals(c *connState, key []byte, vals []float64) {
 
 // copyState returns a consistent copy of key's accumulator, taken under
 // that shard's lock only — snapshots never stall deposits on other
-// shards. A missing key yields an empty state (value -0 by Finalize's
+// shards. A missing key yields an empty state (value +0 by Finalize's
 // empty-sum convention, count 0).
 func (s *Server) copyState(key []byte) binned.State {
 	sh := s.shardOf(key)

@@ -1,6 +1,7 @@
 package aggsrv
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"flag"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/binned"
 	"repro/internal/gen"
+	"repro/internal/wire"
 )
 
 var serveCheck = flag.Bool("servecheck", false,
@@ -227,6 +229,72 @@ func TestStateDeposit(t *testing.T) {
 	}
 	if snap.Count != int64(len(xs)) {
 		t.Fatalf("count %d, want %d", snap.Count, len(xs))
+	}
+}
+
+// TestStateDepositRejectsForgedBins pins the restore validation at the
+// service boundary: a state frame whose bins no live state can hold (off
+// the bin's quantum grid, non-finite, or in a pad slot) gets an error
+// reply, and the key it named keeps its snapshot bits. An off-grid bin
+// would make the key's value depend on the order later frames arrive
+// in; an Inf bin would turn it into NaN.
+func TestStateDepositRejectsForgedBins(t *testing.T) {
+	addr, srv := startServer(t, Config{})
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer cl.Close()
+	var local binned.State
+	local.AddSlice([]float64{0x1p13, 0.1, -3})
+	if err := cl.DepositState("k", &local); err != nil {
+		t.Fatalf("deposit state: %v", err)
+	}
+	before, err := cl.Snapshot("k")
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+
+	// Bins[j+2] is bin j; slots 0 and 1 are padding.
+	forge := map[string]func(*binned.Snapshot){
+		"off-grid bin": func(s *binned.Snapshot) { s.Bins[33+2] = 0.1 },
+		"Inf bin":      func(s *binned.Snapshot) { s.Bins[33+2] = math.Inf(1) },
+		"NaN bin":      func(s *binned.Snapshot) { s.Bins[40+2] = math.NaN() },
+		"pad slot":     func(s *binned.Snapshot) { s.Bins[0] = 0x1p-1074 },
+	}
+	for name, mut := range forge {
+		t.Run(name, func(t *testing.T) {
+			var st binned.State
+			st.Add(0x1p13)
+			snap := st.Snapshot()
+			mut(&snap)
+			payload := wire.AppendBinned(nil, &snap)
+			frame := appendFrameHeader(nil, 1+2+len("k")+len(payload))
+			frame = append(frame, opState)
+			frame = appendKey(frame, "k")
+			frame = append(frame, payload...)
+			fc, err := Dial(addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer fc.Close()
+			if _, err := fc.bw.Write(frame); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if err := fc.Flush(); err == nil {
+				t.Fatal("forged state frame was accepted")
+			}
+		})
+	}
+	after, err := cl.Snapshot("k")
+	if err != nil {
+		t.Fatalf("snapshot after forged frames: %v", err)
+	}
+	if math.Float64bits(after.Value) != math.Float64bits(before.Value) || !bytes.Equal(after.Wire, before.Wire) {
+		t.Fatalf("forged frames changed the key: value %x -> %x", math.Float64bits(before.Value), math.Float64bits(after.Value))
+	}
+	if got := srv.Stats().Deposits; got != 3 {
+		t.Fatalf("deposit count %d, want 3", got)
 	}
 }
 

@@ -21,8 +21,9 @@
 //     operation (chunks are exact multiples of their bin's quantum and
 //     bin magnitudes are kept under 2^53 quanta by a fixed
 //     renormalization schedule), and
-//   - Finalize rounds the exact represented value Σ x_i with an exact
-//     superaccumulator pass over the ~66 bins.
+//   - Finalize rounds the exact represented value Σ x_i by exact
+//     integer arithmetic over the live bin window only (typically 2–6
+//     of the 66 bins), see State.Finalize.
 //
 // The represented value is therefore the same real number for every
 // deposit order, chunking, merge tree, worker count, and batch kernel
@@ -54,11 +55,11 @@
 //
 // Top-of-range handling: bins 64 and 65 (operand magnitudes >= 2^974)
 // are stored scaled by 2^-512 so their totals cannot overflow float64;
-// Finalize deposits them at their true weight. The exactness guarantee
-// there holds up to ~2^34 such huge operands — beyond that the top
-// bin's total can exceed 2^53 of its quantum (strictly wider coverage
-// than the windowed PR operator, which voids its guarantee above 2^1020
-// for any count). NaN and ±Inf operands are tallied outside the bins
+// Finalize reads their quantum counts at their true weight like any
+// other bin's. The exactness guarantee there holds up to ~2^34 such
+// huge operands — beyond that the top bin's total can exceed 2^53 of
+// its quantum (strictly wider coverage than the windowed PR operator,
+// which voids its guarantee above 2^1020 for any count). NaN and ±Inf operands are tallied outside the bins
 // and reproduce IEEE semantics order-invariantly: any NaN, or both Inf
 // signs, yields NaN; otherwise an Inf sign wins; a represented value
 // beyond the float64 range rounds to ±Inf.
@@ -66,8 +67,7 @@ package binned
 
 import (
 	"math"
-
-	"repro/internal/superacc"
+	"math/bits"
 )
 
 const (
@@ -116,6 +116,13 @@ const (
 // Slots hiBin+pad.. hold the scaled constants (q reduced by scaleSH).
 var bigTab [numSlots]float64
 
+// quantumScale[j] is a pair of powers of two whose product is the
+// reciprocal of bin j's stored quantum (q_j, or 2^-scaleSH q_j for the
+// scaled bins): bin j's total times both factors is exactly its integer
+// multiple m_j. One factor alone would overflow for j < 2
+// (1/q_0 = 2^1074); each half keeps every intermediate normal.
+var quantumScale [numBins][2]float64
+
 func init() {
 	for j := 0; j < numBins; j++ {
 		q := j*BinWidth - 1074
@@ -123,6 +130,7 @@ func init() {
 			q -= scaleSH
 		}
 		bigTab[j+pad] = math.Ldexp(1.5, q+52)
+		quantumScale[j] = [2]float64{math.Ldexp(1, -q/2), math.Ldexp(1, q/2-q)}
 	}
 }
 
@@ -286,9 +294,17 @@ func (st *State) Merge(o *State) {
 }
 
 // Finalize rounds the represented value to the nearest float64 (ties to
-// even) via an exact superaccumulator pass over the bins. It does not
-// modify st. NaN and ±Inf tallies reproduce IEEE semantics: any NaN or
-// both Inf signs give NaN, otherwise a present Inf sign wins.
+// even). It does not modify st. NaN and ±Inf tallies reproduce IEEE
+// semantics: any NaN or both Inf signs give NaN, otherwise a present
+// Inf sign wins; a represented value beyond the float64 range rounds to
+// ±Inf.
+//
+// Bin j holds m_j·q_j with |m_j| < 2^53 and q_j = 2^(32j-1074), so the
+// represented value is the base-2^32 integer Σ m_j·2^(32j) times
+// 2^-1074, with m_j as its (unnormalized) limb j. Finalize carries the
+// limbs of the live window lo..hi into digits, negates a negative
+// total, and rounds the leading 64 bits with a sticky bit below them:
+// its cost is that of the window, not of the 66-bin range.
 func (st *State) Finalize() float64 {
 	if st.nan || (st.posInf > 0 && st.negInf > 0) {
 		return math.NaN()
@@ -299,18 +315,87 @@ func (st *State) Finalize() float64 {
 	if st.negInf > 0 {
 		return math.Inf(-1)
 	}
-	var sa superacc.Acc
-	for s := 0; s < hiBin+pad; s++ {
-		if v := st.bins[s]; v != 0 {
-			sa.Add(v)
+	lo, hi := pad, numSlots-1
+	for lo <= hi && st.bins[lo] == 0 {
+		lo++
+	}
+	if lo > hi {
+		return 0
+	}
+	for st.bins[hi] == 0 {
+		hi--
+	}
+	// d[2+j-jlo] is digit j of the window's integer; d[0] and d[1] are
+	// zero digits below it, so the rounding step may read two digits
+	// under the leading one. The last digit takes the final carry.
+	const mask = 1<<BinWidth - 1
+	var d [numBins + 3]uint64
+	var c int64
+	k := 2
+	for s := lo; s <= hi; s++ {
+		f := &quantumScale[s-pad]
+		t := int64(st.bins[s]*f[0]*f[1]) + c
+		d[k] = uint64(t) & mask
+		c = t >> BinWidth
+		k++
+	}
+	// |c| < 2^22 here: the limb above the window holds it whole, and
+	// its sign is the sign of the represented value.
+	d[k] = uint64(c) & mask
+	neg := c < 0
+	if neg {
+		// The digits hold D = 2^(32(k-1)) - |v| > 0. Two's-complement
+		// negate them: D's lowest nonzero digit d becomes 2^32 - d, and
+		// every digit above it is complemented.
+		i := 2
+		for d[i] == 0 {
+			i++
+		}
+		d[i] = 1<<BinWidth - d[i]
+		for i++; i <= k; i++ {
+			d[i] ^= mask
 		}
 	}
-	for s := hiBin + pad; s < numSlots; s++ {
-		if v := st.bins[s]; v != 0 {
-			sa.AddLdexp(v, scaleSH)
+	h := k
+	for h >= 2 && d[h] == 0 {
+		h--
+	}
+	if h < 2 {
+		return 0
+	}
+	// w holds bits T..T-63 of the magnitude, T its leading bit.
+	bl := bits.Len64(d[h])
+	T := BinWidth*(lo-pad+h-2) + bl - 1
+	w := (d[h]<<BinWidth|d[h-1])<<(BinWidth-bl) | d[h-2]>>bl
+	var r float64
+	if T <= 52 {
+		// Below 2^53 ulps of 2^-1074 the magnitude is exact: scaling
+		// the integer down to the subnormal grid rounds nothing.
+		r = float64(w>>(63-T)) * 0x1p-1074
+	} else {
+		// Fold every bit under w into its lowest bit (sticky); the
+		// uint64 conversion then rounds to 53 bits, ties to even.
+		if d[h-2]&(1<<bl-1) != 0 {
+			w |= 1
+		}
+		for i := 2; i < h-2 && w&1 == 0; i++ {
+			if d[i] != 0 {
+				w |= 1
+			}
+		}
+		// float64(w) is in [2^63, 2^64]; rescale it by 2^(T-63-1074) in
+		// the exponent field. T >= 53 keeps the result normal.
+		fb := math.Float64bits(float64(w))
+		if int(fb>>52)+T-(63+1074) >= 0x7ff {
+			r = math.Inf(1)
+		} else {
+			r = math.Float64frombits(fb + uint64(T-(63+1074))<<52)
 		}
 	}
-	return sa.Float64()
+	if neg {
+		return -r
+	}
+	return r
 }
 
 // Sum computes the one-shot binned reproducible sum of xs.

@@ -1,6 +1,9 @@
 package binned
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StateSlots is the length of a State's bin array (66 bins spanning the
 // float64 exponent range plus Folds-1 pad slots below bin 0), exported
@@ -56,11 +59,24 @@ func (st *State) Snapshot() Snapshot {
 }
 
 // Validate checks the invariants every API-produced state satisfies:
-// non-negative counters and a pending-deposit count inside the carry
-// schedule's budget. A snapshot violating them cannot have come from
-// Snapshot on a live state, and restoring it would void the exactness
-// bounds (a forged Pend defers renormalization past the 2^53-quanta
-// headroom), so Restore rejects it.
+// non-negative counters, a pending-deposit count inside the carry
+// schedule's budget, and bins that the deposit, carry and merge
+// operations can produce. A snapshot violating them cannot have come
+// from Snapshot on a live state, and restoring it would void the
+// exactness argument, so Restore rejects it:
+//
+//   - a forged Pend defers renormalization past the 2^53-quanta
+//     headroom;
+//   - a non-finite bin turns the state's value into NaN;
+//   - a bin off its quantum's grid, or above its headroom bound, makes
+//     later deposits and merges round, so Finalize would depend on the
+//     order they arrive in.
+//
+// Every bin j must be an exact multiple m_j of its quantum q_j (scaled
+// by 2^-512 for bins >= 64) with |m_j| <= 2^31 + Pend·2^32 — the bound
+// the carry schedule keeps between renormalizations — except the top
+// bin, which has no carry target and only needs |m_j| < 2^53. The pad
+// slots below bin 0 are always zero.
 func (s *Snapshot) Validate() error {
 	if s.Count < 0 {
 		return fmt.Errorf("binned: negative operand count %d", s.Count)
@@ -73,6 +89,36 @@ func (s *Snapshot) Validate() error {
 	}
 	if s.PosInf+s.NegInf > s.Count {
 		return fmt.Errorf("binned: infinity tallies %d exceed operand count %d", s.PosInf+s.NegInf, s.Count)
+	}
+	for i := 0; i < pad; i++ {
+		if s.Bins[i] != 0 {
+			return fmt.Errorf("binned: pad slot %d holds %v", i, s.Bins[i])
+		}
+	}
+	limit := float64(1<<31 + s.Pend<<32)
+	for j := 0; j < numBins; j++ {
+		v := s.Bins[j+pad]
+		if v == 0 {
+			continue
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("binned: bin %d holds %v", j, v)
+		}
+		// Scaling by the reciprocal quantum is exact whenever |v| is at
+		// least one quantum, so m is then the exact quantum count; a
+		// smaller nonzero v is off the grid and gives |m| < 1.
+		f := &quantumScale[j]
+		m := v * f[0] * f[1]
+		if math.Abs(m) < 1 || m != math.Trunc(m) {
+			return fmt.Errorf("binned: bin %d value %v is not a multiple of its quantum", j, v)
+		}
+		if j == numBins-1 {
+			if math.Abs(m) >= 1<<53 {
+				return fmt.Errorf("binned: top bin holds %v quanta, want < 2^53", m)
+			}
+		} else if math.Abs(m) > limit {
+			return fmt.Errorf("binned: bin %d holds %v quanta, above the bound %v for Pend %d", j, m, limit, s.Pend)
+		}
 	}
 	return nil
 }

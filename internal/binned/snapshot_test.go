@@ -1,7 +1,9 @@
 package binned
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -100,12 +102,14 @@ func TestSnapshotRestoreTwin(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsInvalid pins the validation envelope: counters no
-// live state can hold are rejected rather than silently voiding the
-// exactness bounds.
+// TestRestoreRejectsInvalid pins the validation envelope: counters and
+// bins no live state can hold are rejected rather than silently voiding
+// the exactness bounds. good holds 1 (bin 33, quantum 2^-18) and
+// 0x1p1000 (bins 64 and 65, scaled by 2^-512) with Pend 2.
 func TestRestoreRejectsInvalid(t *testing.T) {
 	var st State
 	st.Add(1)
+	st.Add(0x1p1000)
 	good := st.Snapshot()
 	if _, err := Restore(good); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
@@ -121,6 +125,19 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 		{"negative posInf", func(s *Snapshot) { s.PosInf = -1 }},
 		{"negative negInf", func(s *Snapshot) { s.NegInf = -2 }},
 		{"inf tallies exceed count", func(s *Snapshot) { s.PosInf = s.Count + 1 }},
+		{"NaN bin", func(s *Snapshot) { s.Bins[33+pad] = math.NaN() }},
+		{"Inf bin", func(s *Snapshot) { s.Bins[33+pad] = math.Inf(1) }},
+		{"-Inf scaled bin", func(s *Snapshot) { s.Bins[65+pad] = math.Inf(-1) }},
+		{"off-grid bin", func(s *Snapshot) { s.Bins[33+pad] = 0.1 }},
+		{"off-grid bin 1", func(s *Snapshot) { s.Bins[1+pad] = 0x1p-1074 }},
+		{"off-grid scaled bin", func(s *Snapshot) { s.Bins[65+pad] = 0x1.8p494 }},
+		{"sub-quantum scaled bin", func(s *Snapshot) { s.Bins[64+pad] = 0x1p-1074 }},
+		{"bin over headroom", func(s *Snapshot) { s.Bins[20+pad] = math.Ldexp(1<<31+2<<32+1, 20*BinWidth-1074) }},
+		{"bin over headroom, negative", func(s *Snapshot) { s.Bins[40+pad] = math.Ldexp(-(1<<31 + 2<<32 + 1), 40*BinWidth-1074) }},
+		{"scaled bin over headroom", func(s *Snapshot) { s.Bins[64+pad] = math.Ldexp(1<<31+2<<32+1, 64*BinWidth-1074-scaleSH) }},
+		{"top bin at 2^53", func(s *Snapshot) { s.Bins[65+pad] = math.Ldexp(1<<53, 65*BinWidth-1074-scaleSH) }},
+		{"nonzero pad slot", func(s *Snapshot) { s.Bins[0] = 0x1p-1074 }},
+		{"nonzero pad slot 1", func(s *Snapshot) { s.Bins[1] = -1 }},
 	}
 	for _, tc := range cases {
 		s := good
@@ -128,5 +145,98 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 		if _, err := Restore(s); err == nil {
 			t.Errorf("%s: Restore accepted an invalid snapshot", tc.name)
 		}
+	}
+	// The bounds themselves are inclusive for the non-top bins and
+	// exclusive for the top bin; -0 is zero everywhere.
+	edge := good
+	edge.Bins[20+pad] = math.Ldexp(1<<31+2<<32, 20*BinWidth-1074)
+	edge.Bins[64+pad] = math.Ldexp(-(1<<31 + 2<<32), 64*BinWidth-1074-scaleSH)
+	edge.Bins[65+pad] = math.Ldexp(1<<53-1, 65*BinWidth-1074-scaleSH)
+	edge.Bins[0] = math.Copysign(0, -1)
+	edge.Bins[0+pad] = -0x1p-1074
+	if _, err := Restore(edge); err != nil {
+		t.Fatalf("snapshot at the headroom bounds rejected: %v", err)
+	}
+}
+
+// TestLiveStatesValidate is the property behind Validate's bin checks:
+// every state Add, AddSlice, AddSliceRef, Merge and the carry schedule
+// produce passes them. The streams push bins toward the headroom bound
+// (a full renorm budget of same-sign operands at the top of one bin),
+// through the two-level anchor windows and the scaled top bins, and
+// the states are checked before and after merges and carry passes.
+func TestLiveStatesValidate(t *testing.T) {
+	check := func(label string, st *State) {
+		t.Helper()
+		s := st.Snapshot()
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: live state rejected: %v", label, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	// topOfBin is the largest operand whose top bin is j.
+	topOfBin := func(j int) float64 { return math.Ldexp(0x1.fffffffffffffp31, j*BinWidth-1074) }
+	full := MaxPend - 1
+	streams := map[string][]float64{
+		"adversarial": nil,
+		"random":      randSlice(rng, 100000, 1e100),
+		"tiny":        randSlice(rng, 100000, 1e-300),
+		"huge":        randSlice(rng, 100000, 1e290),
+	}
+	for i := 0; i < 20000; i++ {
+		streams["adversarial"] = append(streams["adversarial"], adversarialOperands()...)
+	}
+	for _, j := range []int{2, 63} {
+		xs := make([]float64, full)
+		for i := range xs {
+			xs[i] = topOfBin(j)
+		}
+		streams[fmt.Sprintf("top of bin %d", j)] = xs
+	}
+	// Two adjacent windows: the two-level kernel splits the lower one
+	// against the upper one's grids.
+	mixed := make([]float64, full)
+	for i := range mixed {
+		mixed[i] = topOfBin(34 - i%2)
+	}
+	streams["bins 34 and 33"] = mixed
+	maxes := make([]float64, 1<<16)
+	for i := range maxes {
+		maxes[i] = math.MaxFloat64
+		if i%3 == 0 {
+			maxes[i] = -0x1.fffffffffffffp1005
+		}
+	}
+	streams["scaled bins"] = maxes
+
+	for name, xs := range streams {
+		var fast, ref, elem State
+		fast.AddSlice(xs)
+		ref.AddSliceRef(xs)
+		check(name+" AddSlice", &fast)
+		check(name+" AddSliceRef", &ref)
+		if len(xs) <= 1<<17 {
+			for _, x := range xs {
+				elem.Add(x)
+			}
+			check(name+" Add", &elem)
+		}
+		// Merges of states near the pend budget, and of a state with
+		// itself, before and after the carry pass they trigger.
+		cut := len(xs) / 3
+		var a, b State
+		a.AddSlice(xs[:cut])
+		b.AddSliceRef(xs[cut:])
+		check(name+" parts", &a)
+		check(name+" parts", &b)
+		a.Merge(&b)
+		check(name+" merged", &a)
+		twice := fast
+		twice.Merge(&fast)
+		check(name+" self-merge", &twice)
+		fast.renorm()
+		check(name+" renormalized", &fast)
+		fast.AddSlice(xs[:cut])
+		check(name+" after renorm", &fast)
 	}
 }

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -60,15 +61,53 @@ func BenchmarkBinnedSum1M(b *testing.B) {
 	})
 }
 
-// BenchmarkBinnedFinalize isolates the Finalize-only cost — the
-// superacc pass (superacc.AddLdexp for the scaled bins) over the ~66
-// bins of a populated 1M-element state. It must stay far below 1% of
-// the sum itself for the "Finalize off the hot path" framing to hold.
+// BenchmarkBinnedFinalize isolates the Finalize-only cost on the state
+// of the canonical 1M-element workload: the rounding of its live bin
+// window. It must stay far below 1% of the sum itself for the
+// "Finalize off the hot path" framing to hold.
 func BenchmarkBinnedFinalize(b *testing.B) {
 	st := kernel.Binned(benchData())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = st.Finalize()
+	}
+}
+
+// BenchmarkBinnedFinalizeWindow times Finalize against the width of
+// the live bin window: 2, 4 and 6 bins are what real data leaves
+// (2–6 nonzero bins for n from 16 to 65536 at dynamic range up to 256),
+// 66 is every bin of the float64 range, the scaled top bins included.
+// Each state holds mixed-sign counts of up to 2^31 quanta per bin, the
+// most a renormalized bin carries.
+func BenchmarkBinnedFinalizeWindow(b *testing.B) {
+	for _, w := range []int{2, 4, 6, 66} {
+		lo := 32 - w/2
+		if w == 66 {
+			lo = 0
+		}
+		var snap binned.Snapshot
+		m := int64(0x5bd1e995)
+		for j := lo; j < lo+w; j++ {
+			m = (m*0x41c64e6d + 12345) % (1 << 31)
+			q := 32*j - 1074
+			if j >= 64 {
+				q -= 512
+			}
+			v := math.Ldexp(float64(m+1), q)
+			if j%3 == 1 {
+				v = -v
+			}
+			snap.Bins[j+2] = v
+		}
+		st, err := binned.Restore(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("bins=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkF = st.Finalize()
+			}
+		})
 	}
 }
 

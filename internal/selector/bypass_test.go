@@ -11,9 +11,10 @@ import (
 
 // bypassCases adds to fusedCases the inputs where a tolerance-0 answer
 // can part from BN or from the BN fold's bits: one operand, signed
-// zeros, an exactly cancelling pair, an overflowing sum, every kind of
-// poison, subnormal-only and tiny-magnitude data, and sums just above
-// the bypass ceiling.
+// zeros, exactly cancelling nonzero operands (at the top of the range,
+// on the subnormal grid, and fusedCases' generated sum-zero set), an
+// overflowing sum, every kind of poison, subnormal-only and
+// tiny-magnitude data, and sums just above the bypass ceiling.
 func bypassCases() map[string][]float64 {
 	negZero := math.Copysign(0, -1)
 	cases := fusedCases()
@@ -23,6 +24,8 @@ func bypassCases() map[string][]float64 {
 		"allnegzero":    {negZero, negZero, negZero},
 		"mixedzero":     {0, negZero, negZero, 0},
 		"cancelpair":    {0x1.8p3, -0x1.8p3},
+		"cancelmax":     {math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64},
+		"cancelsub":     {0x1p-1074, -0x1p-1074},
 		"overflow":      {math.MaxFloat64, math.MaxFloat64},
 		"nearmax":       {0x1p1000, 0x1p999, -0x1p999},
 		"abovewindow":   {math.MaxFloat64, 0x1p1000, -0x1p1000},
@@ -165,12 +168,12 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 	all := len(analytic) * 2 * len(modes)
 	for _, name := range []string{"benign", "illcond", "widerange", "smallbenign", "nearmax", "tinycancel",
 		"subonly", "tiny", "tiny400", "tiny401", "tinypair", "tinyulps", "tinyulpsrev", "cancelbelow",
-		"minnormalpair", "subpair"} {
+		"minnormalpair", "subpair", "cancelpair", "cancelmax", "cancelsub", "sumzero"} {
 		if served[name] != all {
 			t.Errorf("%s: bypass served %d of %d configurations", name, served[name], all)
 		}
 	}
-	for _, name := range []string{"empty", "one", "zeros", "allnegzero", "cancelpair", "overflow", "onlynan",
+	for _, name := range []string{"empty", "one", "zeros", "allnegzero", "mixedzero", "overflow", "onlynan",
 		"bothinf", "abovewindow"} {
 		if served[name] != 0 {
 			t.Errorf("%s: bypass served %d requests, want 0", name, served[name])

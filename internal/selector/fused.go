@@ -186,7 +186,7 @@ type Selection struct {
 // policies try the exact bypass first (binned.Sum, no profile).
 func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 	if s.exactBypass(len(xs)) {
-		if v := binned.Sum(xs); bypassServes(v) {
+		if v := binned.Sum(xs); bypassServes(v, xs) {
 			return v, exactSelection(len(xs))
 		}
 	}
@@ -220,7 +220,7 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 // bypass runs parallel.Sum(BinnedAlg) at the same cfg.
 func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
 	if s.exactBypass(len(xs)) {
-		if v := parallel.Sum(sum.BinnedAlg, xs, cfg); bypassServes(v) {
+		if v := parallel.Sum(sum.BinnedAlg, xs, cfg); bypassServes(v, xs) {
 			return v, exactSelection(len(xs))
 		}
 	}
@@ -250,26 +250,28 @@ func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (floa
 //
 // At tolerance 0 the analytic policies pick the first ladder rung
 // predicting no variability. ST is the only rung before BN. The
-// heuristic's ST prediction c_st·u·√n·k is positive on every
+// heuristic's ST prediction c_st·u·√n·k is positive (or NaN) on every
 // non-degenerate profile, and the bound-driven policy accepts a
 // non-reproducible rung at tolerance 0 only on a degenerate one, so
-// every request of n >= 2 finite operands whose sum is nonzero resolves
-// to BN — with or without the decision cache, whose bucket
-// representatives are unit-scale profiles of n >= 3. The profile pass
-// there only confirms what the request already says, at more cost than
-// the BN fold. The bypass runs the fold first and keeps its answer when
-// the exact sum v shows the input was of that kind:
+// every request of n >= 2 finite operands, not all zero, resolves to
+// BN — with or without the decision cache, whose bucket representatives
+// are unit-scale profiles of n >= 3. The profile pass there only
+// confirms what the request already says, at more cost than the BN
+// fold. The bypass runs the fold first and keeps its answer when the
+// exact sum v shows the input was of that kind:
 //
 //   - v is NaN or ±Inf: a non-finite operand, which the full path
 //     serves with the poisoned ST fallback, or an overflowing sum;
-//   - v is 0: possibly an all-zero set, where the degenerate profile
-//     picks ST and the sign of a -0 sum matters;
 //   - |v| > 2^1000: the profile's Σx estimate can overflow, so the
-//     full path decides.
+//     full path decides;
+//   - v is 0 and every operand is ±0: the degenerate profile picks ST,
+//     and the sign of a -0 sum matters.
 //
-// Every other v is returned with algorithm BN: bits, Algorithm and
-// NonFinite equal the full path's on every input, pinned by
-// TestSelectAndSumExactBypass against the two-pass oracle.
+// An exact zero sum of nonzero operands is served: v == 0 rules out
+// NaN and ±Inf operands, and a nonzero operand makes the profile
+// non-degenerate. Every other v is returned with algorithm BN: bits,
+// Algorithm and NonFinite equal the full path's on every input, pinned
+// by TestSelectAndSumExactBypass against the two-pass oracle.
 const bypassMax = 0x1p1000
 
 // exactBypass reports whether a request of n values may take the exact
@@ -288,10 +290,18 @@ func (s *Selector) exactBypass(n int) bool {
 }
 
 // bypassServes reports whether the bypass may return the exact sum v
-// (see the list above).
-func bypassServes(v float64) bool {
-	a := math.Abs(v)
-	return a > 0 && a <= bypassMax
+// of xs (see the list above). Only a zero sum reads xs, and it stops at
+// the first nonzero operand.
+func bypassServes(v float64, xs []float64) bool {
+	if v == 0 {
+		for _, x := range xs {
+			if x != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	return math.Abs(v) <= bypassMax
 }
 
 // exactSelection is the report of a bypassed request.

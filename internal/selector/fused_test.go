@@ -187,9 +187,9 @@ func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, s
 
 // servedExact states, independently of the serving code, when the
 // exact bypass serves a request: tolerance 0, an analytic policy (the
-// heuristic or the bound-driven policy), at least two operands, and a
-// nonzero exact sum of magnitude at most 2^1000 (NaN for poisoned
-// inputs).
+// heuristic or the bound-driven policy), at least two operands, and an
+// exact sum of magnitude at most 2^1000 (NaN for poisoned inputs) that
+// is nonzero or comes from at least one nonzero operand.
 func servedExact(s *Selector, xs []float64) bool {
 	if s.Req.Tolerance != 0 || len(xs) < 2 {
 		return false
@@ -200,7 +200,15 @@ func servedExact(s *Selector, xs []float64) bool {
 		return false
 	}
 	v := math.Abs(superacc.Sum(xs))
-	return v > 0 && v <= 0x1p1000
+	if v == 0 {
+		for _, x := range xs {
+			if x != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	return v <= 0x1p1000
 }
 
 // wantProfile is the profile a selection must report: Profile{N: n}

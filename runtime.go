@@ -176,12 +176,12 @@ func (r Report) String() string {
 //
 // At tolerance 0 the analytic policies (the default heuristic and the
 // bound-driven ProbabilisticPolicy) can only choose BN for data of two
-// or more finite operands with a nonzero sum, so such requests skip
-// the profile: the BN fold runs first and its exact answer is returned
-// when it shows the input was of that kind. The rest (empty, single,
-// all-zero, non-finite, or sums above 2^1000) take the full route.
-// Bits, Algorithm and NonFinite are those of the full route on every
-// input.
+// or more finite operands, not all zero, so such requests skip the
+// profile: the BN fold runs first and its exact answer is returned when
+// it shows the input was of that kind — exact-zero sums of nonzero
+// operands included. The rest (empty, single, all-zero, non-finite, or
+// sums above 2^1000) take the full route. Bits, Algorithm and NonFinite
+// are those of the full route on every input.
 //
 // With the engine enabled (WithWorkers/WithChunkSize) and
 // an input spanning at least two chunks, both the profiling pass and
