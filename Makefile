@@ -31,7 +31,11 @@ test:
 # the window finalize against the superaccumulator (random states and
 # the FuzzBinnedFinalize seeds), and restore validation: forged bins
 # rejected by binned.Restore and by the aggregation server, and every
-# live state accepted.
+# live state accepted. The kernel/parallel pass also pins the engine's
+# chunk-fold contract (every algorithm equals its sequential monoid
+# fold, ST/PW from a +0 start on all-zero data), and the BN pass the
+# algorithm table (every sum row's names, cost order, reproducible flag
+# and out-of-range panics).
 # The final step is the binned performance gate: a fresh measurement of
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
@@ -45,9 +49,9 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
-	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
+	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
-	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|RestoreRejects|LiveStatesValidate|ForgedBins' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
+	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|RestoreRejects|LiveStatesValidate|ForgedBins|Registry' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"repro/internal/binned"
 	"repro/internal/kernel"
 	"repro/internal/sum"
 	"repro/internal/superacc"
@@ -13,75 +12,38 @@ import (
 // the same plan (fixed chunks, fixed intra-chunk fold, fixed balanced
 // merge tree).
 //
-// The chunk folds are the devirtualized reference-order kernels of
-// internal/kernel, bit-identical to the algorithms' monoid folds
-// (verified by the kernel and package tests); CP chunks run the monoid
-// fold kernel directly because dd.AddFloat64 and dd.Add are not
-// guaranteed to round identically at the last bit. PW chunks fold like
-// ST chunks: the engine's fixed merge tree is the pairwise part.
+// Every algorithm but ST and PW runs Reduce over its registry operator,
+// alg.Op(), whose chunk fold is the algorithm's devirtualized batch
+// kernel. ST and PW chunks fold with kernel.ST, which starts from +0
+// like sum.Standard — so an all -0 input sums to +0 — where the ST
+// operator's fold starts from xs[0]. PW chunks fold like ST chunks: the
+// engine's fixed merge tree is the pairwise part.
 func Sum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
-	return algSum(alg, xs, cfg, false)
+	if plusZeroST(alg) {
+		st, _ := MapReduce(len(xs), cfg, stChunk(xs), sum.STMonoid{}.Merge)
+		return st
+	}
+	return Reduce(alg.Op(), xs, cfg)
 }
 
 // SeqSum executes the identical plan as Sum on a single goroutine — the
 // bitwise oracle for the engine and the baseline for its benchmarks.
 func SeqSum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
-	return algSum(alg, xs, cfg, true)
+	if plusZeroST(alg) {
+		st, _ := MapReduceSeq(len(xs), cfg, stChunk(xs), sum.STMonoid{}.Merge)
+		return st
+	}
+	return SeqReduce(alg.Op(), xs, cfg)
 }
 
-func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
-	switch alg {
-	case sum.StandardAlg, sum.PairwiseAlg:
-		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) },
-			sum.STMonoid{}.Merge)
-		if !ok {
-			return 0
-		}
-		return st
-	case sum.KahanAlg:
-		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) sum.KState {
-				s, c := kernel.Kahan(xs[lo:hi])
-				return sum.KState{S: s, C: c}
-			},
-			sum.KahanMonoid{}.Merge)
-		if !ok {
-			return 0
-		}
-		return sum.KahanMonoid{}.Finalize(st)
-	case sum.NeumaierAlg:
-		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) sum.NState {
-				s, c := kernel.Neumaier(xs[lo:hi])
-				return sum.NState{S: s, C: c}
-			},
-			sum.NeumaierMonoid{}.Merge)
-		if !ok {
-			return 0
-		}
-		return sum.NeumaierMonoid{}.Finalize(st)
-	case sum.CompositeAlg:
-		if seq {
-			return SeqReduce(sum.CPMonoid{}, xs, cfg)
-		}
-		return Reduce(sum.CPMonoid{}, xs, cfg)
-	case sum.PreroundedAlg:
-		return prSum(sum.DefaultPRConfig(), xs, cfg, seq)
-	case sum.BinnedAlg:
-		// Binned chunks fold with the batch kernel; deposits and merges
-		// are exact, so the result is invariant to the chunk plan itself,
-		// like PR.
-		m := sum.BNMonoid{}
-		st, ok := mapReduce(len(xs), cfg, seq,
-			func(lo, hi int) binned.State { return kernel.Binned(xs[lo:hi]) },
-			m.Merge)
-		if !ok {
-			return 0
-		}
-		return m.Finalize(st)
-	}
-	panic("parallel: invalid algorithm " + alg.String())
+// plusZeroST reports whether alg's chunks fold with the +0-start
+// kernel.ST instead of its operator.
+func plusZeroST(alg sum.Algorithm) bool {
+	return alg == sum.StandardAlg || alg == sum.PairwiseAlg
+}
+
+func stChunk(xs []float64) func(lo, hi int) float64 {
+	return func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) }
 }
 
 // SumPR computes the prerounded sum with an explicit bin configuration
@@ -89,18 +51,7 @@ func algSum(alg sum.Algorithm, xs []float64, cfg Config, seq bool) float64 {
 // is exactly associative and commutative, so the result is additionally
 // invariant to the chunk plan itself, not just the worker count.
 func SumPR(prCfg sum.PRConfig, xs []float64, cfg Config) float64 {
-	return prSum(prCfg, xs, cfg, false)
-}
-
-func prSum(prCfg sum.PRConfig, xs []float64, cfg Config, seq bool) float64 {
-	m := prCfg.Monoid()
-	st, ok := mapReduce(len(xs), cfg, seq,
-		func(lo, hi int) sum.PRState { return m.FoldSlice(xs[lo:hi]) },
-		m.Merge)
-	if !ok {
-		return 0
-	}
-	return m.Finalize(st)
+	return Reduce(prCfg.Monoid(), xs, cfg)
 }
 
 // ExactSum computes the exact, correctly rounded sum of xs with sharded
@@ -122,11 +73,4 @@ func ExactSum(xs []float64, cfg Config) float64 {
 		return 0
 	}
 	return st.Float64()
-}
-
-func mapReduce[S any](n int, cfg Config, seq bool, chunk func(lo, hi int) S, merge func(a, b S) S) (S, bool) {
-	if seq {
-		return MapReduceSeq(n, cfg, chunk, merge)
-	}
-	return MapReduce(n, cfg, chunk, merge)
 }

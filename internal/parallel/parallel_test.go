@@ -13,8 +13,20 @@ import (
 
 // adversarialSets spans the hostile corners of the generator's parameter
 // space: benign same-sign data, exact cancellation, near-total
-// cancellation at wide dynamic range, and odd/non-chunk-aligned lengths.
+// cancellation at wide dynamic range, odd/non-chunk-aligned lengths, and
+// signed zeros (an odd-length all -0 set and a mixed ±0 set).
 func adversarialSets() map[string][]float64 {
+	negZero := math.Copysign(0, -1)
+	allNegZero := make([]float64, 777)
+	mixedZero := make([]float64, 1001)
+	for i := range allNegZero {
+		allNegZero[i] = negZero
+	}
+	for i := range mixedZero {
+		if i%3 != 0 {
+			mixedZero[i] = negZero
+		}
+	}
 	sets := map[string][]float64{
 		"benign":      gen.Spec{N: 5000, Cond: 1, DynRange: 8, Seed: 1}.Generate(),
 		"sumzero":     gen.Spec{N: 4096, Cond: math.Inf(1), DynRange: 32, Seed: 2}.Generate(),
@@ -23,6 +35,8 @@ func adversarialSets() map[string][]float64 {
 		"nbodyforces": gen.NBodyForces(3000, 5),
 		"tiny":        {1.0, 0x1p-40},
 		"single":      {3.25},
+		"negzero":     allNegZero,
+		"mixedzero":   mixedZero,
 	}
 	return sets
 }
@@ -51,10 +65,12 @@ func TestSumBitwiseAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSumMatchesSequentialMonoidFold(t *testing.T) {
-	// Sum's native chunk kernels (streaming accumulators) must be
-	// bitwise-equivalent to folding the same chunks through the
-	// algorithm's monoid — the contract that lets SeqReduce serve as the
-	// engine's oracle.
+	// Sum must equal folding the same chunks through the algorithm's
+	// monoid — the contract that lets SeqReduce serve as the engine's
+	// oracle — with one exception: ST and PW chunks fold with kernel.ST,
+	// which starts from +0 like sum.Standard, where the ST monoid's fold
+	// starts from xs[0]. The two differ only when every operand is -0
+	// (+0 against -0), so on all-zero sets the ST/PW oracle is +0.
 	cfg := Config{ChunkSize: 512, Workers: 4}
 	for name, xs := range adversarialSets() {
 		check := func(alg sum.Algorithm, ref float64) {
@@ -62,12 +78,27 @@ func TestSumMatchesSequentialMonoidFold(t *testing.T) {
 				t.Errorf("%s/%v: engine %x, monoid fold %x", name, alg, bits(got), bits(ref))
 			}
 		}
-		check(sum.StandardAlg, SeqReduce(sum.STMonoid{}, xs, cfg))
+		stRef := SeqReduce(sum.STMonoid{}, xs, cfg)
+		if allZero(xs) {
+			stRef = 0
+		}
+		check(sum.StandardAlg, stRef)
+		check(sum.PairwiseAlg, stRef)
+		check(sum.BinnedAlg, SeqReduce(sum.BNMonoid{}, xs, cfg))
 		check(sum.KahanAlg, SeqReduce(sum.KahanMonoid{}, xs, cfg))
 		check(sum.NeumaierAlg, SeqReduce(sum.NeumaierMonoid{}, xs, cfg))
 		check(sum.CompositeAlg, SeqReduce(sum.CPMonoid{}, xs, cfg))
 		check(sum.PreroundedAlg, SeqReduce(sum.DefaultPRConfig().Monoid(), xs, cfg))
 	}
+}
+
+func allZero(xs []float64) bool {
+	for _, x := range xs {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestPRInvariantToChunkPlan(t *testing.T) {

@@ -99,22 +99,9 @@ func DotExact(a, b []float64) float64 {
 	return acc.Float64()
 }
 
-// Dot computes the dot product with the named algorithm.
-func Dot(alg Algorithm, a, b []float64) float64 {
-	switch alg {
-	case StandardAlg, PairwiseAlg:
-		return DotStandard(a, b)
-	case KahanAlg, NeumaierAlg:
-		return DotKahan(a, b)
-	case CompositeAlg:
-		return DotComposite(a, b)
-	case PreroundedAlg:
-		return DotPrerounded(a, b)
-	case BinnedAlg:
-		return DotBinned(a, b)
-	}
-	panic("sum: invalid algorithm " + alg.String())
-}
+// Dot computes the dot product with the named algorithm: the variant
+// of its registry row (N shares Kahan's, PW shares ST's).
+func Dot(alg Algorithm, a, b []float64) float64 { return alg.row().dot(a, b) }
 
 func checkDotLen(a, b []float64) {
 	if len(a) != len(b) {

@@ -19,6 +19,7 @@ package sum
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/reduce"
 )
@@ -52,9 +53,66 @@ const (
 	numAlgorithms
 )
 
+// algInfo is one row of the registry: every per-algorithm fact the
+// package serves, so the cost order and each algorithm's forms are
+// stated exactly once.
+type algInfo struct {
+	abbr, name   string
+	rank         int // CostRank: lower is cheaper
+	reproducible bool
+	sum          func(xs []float64) float64
+	acc          func() Accumulator
+	op           reduce.Op
+	dot          func(a, b []float64) float64
+}
+
+// registry holds one row per Algorithm, indexed by its enum value.
+//
+// The ranks keep the measured ladder of the paper's Figs 4–5 for the
+// non-reproducible rungs (ST < K < CP < PR); BN's rank reflects the
+// measured cost of the two-level deposit kernel — under 2x the ST floor
+// and below the Kahan kernel at 1M elements (BENCH_binned.json) — which
+// places the cheapest reproducible rung directly after the plain loops.
+// PW shares ST's accumulator, operator and dot product: its pairwise
+// shape lives in the one-shot sum and in the engines' merge trees. BN's
+// operator merges in place (see reduce.Op.Merge for the ownership
+// rule); the others box their monoid's state by value.
+var registry = [numAlgorithms]algInfo{
+	StandardAlg: {"ST", "standard iterative summation", 0, false, Standard,
+		func() Accumulator { return &StandardAcc{} }, reduce.Boxed("ST", STMonoid{}), DotStandard},
+	PairwiseAlg: {"PW", "pairwise summation", 1, false, Pairwise,
+		func() Accumulator { return &StandardAcc{} }, reduce.Boxed("PW", STMonoid{}), DotStandard},
+	BinnedAlg: {"BN", "binned (indexed) reproducible summation", 2, true, Binned,
+		func() Accumulator { return &BinnedAcc{} }, bnOp{}, DotBinned},
+	KahanAlg: {"K", "Kahan compensated summation", 3, false, Kahan,
+		func() Accumulator { return &KahanAcc{} }, reduce.Boxed("K", KahanMonoid{}), DotKahan},
+	NeumaierAlg: {"N", "Neumaier compensated summation", 4, false, Neumaier,
+		func() Accumulator { return &NeumaierAcc{} }, reduce.Boxed("N", NeumaierMonoid{}), DotKahan},
+	CompositeAlg: {"CP", "composite precision summation", 5, false, Composite,
+		func() Accumulator { return &CompositeAcc{} }, reduce.Boxed("CP", CPMonoid{}), DotComposite},
+	PreroundedAlg: {"PR", "prerounded (windowed binned) summation", 6, true, Prerounded,
+		func() Accumulator { return NewPreroundedAcc(DefaultPRConfig()) },
+		reduce.Boxed("PR", DefaultPRConfig().Monoid()), DotPrerounded},
+}
+
+// row returns a's registry row, panicking on an unregistered value.
+func (a Algorithm) row() *algInfo {
+	if !a.Valid() {
+		panic("sum: invalid algorithm " + a.String())
+	}
+	return &registry[a]
+}
+
 // Algorithms lists every registered algorithm in cost order.
-var Algorithms = []Algorithm{
-	StandardAlg, PairwiseAlg, BinnedAlg, KahanAlg, NeumaierAlg, CompositeAlg, PreroundedAlg,
+var Algorithms = byCost()
+
+func byCost() []Algorithm {
+	out := make([]Algorithm, numAlgorithms)
+	for i := range out {
+		out[i] = Algorithm(i)
+	}
+	slices.SortFunc(out, func(a, b Algorithm) int { return registry[a].rank - registry[b].rank })
+	return out
 }
 
 // SelectionLadder lists, in cost order, the algorithms the runtime
@@ -76,13 +134,8 @@ var SelectionLadder = []Algorithm{
 // are bitwise reproducible under arbitrary reduction orders — the
 // ladder-driven replacement for hardcoded PreroundedAlg fallbacks.
 func CheapestReproducible() Algorithm {
-	best := PreroundedAlg
-	for _, a := range Algorithms {
-		if a.Reproducible() && a.CostRank() < best.CostRank() {
-			best = a
-		}
-	}
-	return best
+	i := slices.IndexFunc(Algorithms, Algorithm.Reproducible)
+	return Algorithms[i]
 }
 
 // PaperAlgorithms lists the four algorithms the paper evaluates, in the
@@ -91,68 +144,25 @@ var PaperAlgorithms = []Algorithm{StandardAlg, KahanAlg, CompositeAlg, Prerounde
 
 // String returns the paper's abbreviation for the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case StandardAlg:
-		return "ST"
-	case PairwiseAlg:
-		return "PW"
-	case KahanAlg:
-		return "K"
-	case NeumaierAlg:
-		return "N"
-	case CompositeAlg:
-		return "CP"
-	case PreroundedAlg:
-		return "PR"
-	case BinnedAlg:
-		return "BN"
+	if a.Valid() {
+		return registry[a].abbr
 	}
 	return fmt.Sprintf("Algorithm(%d)", uint8(a))
 }
 
 // FullName returns the descriptive name used in prose and reports.
 func (a Algorithm) FullName() string {
-	switch a {
-	case StandardAlg:
-		return "standard iterative summation"
-	case PairwiseAlg:
-		return "pairwise summation"
-	case KahanAlg:
-		return "Kahan compensated summation"
-	case NeumaierAlg:
-		return "Neumaier compensated summation"
-	case CompositeAlg:
-		return "composite precision summation"
-	case PreroundedAlg:
-		return "prerounded (windowed binned) summation"
-	case BinnedAlg:
-		return "binned (indexed) reproducible summation"
+	if a.Valid() {
+		return registry[a].name
 	}
 	return a.String()
 }
 
-// CostRank orders algorithms by runtime expense: lower is cheaper. The
-// non-reproducible rungs keep the measured ladder of the paper's
-// Figs 4–5 (ST < K < CP < PR); BN's rank reflects the measured cost of
-// the two-level deposit kernel — under 2x the ST floor and below the
-// Kahan kernel at 1M elements (BENCH_binned.json) — which places the
-// cheapest reproducible rung directly after the plain loops.
+// CostRank orders algorithms by runtime expense: lower is cheaper (see
+// registry for the measurements behind the order).
 func (a Algorithm) CostRank() int {
-	switch a {
-	case StandardAlg:
-		return 0
-	case PairwiseAlg:
-		return 1
-	case BinnedAlg:
-		return 2
-	case KahanAlg:
-		return 3
-	case NeumaierAlg:
-		return 4
-	case CompositeAlg:
-		return 5
-	case PreroundedAlg:
-		return 6
+	if a.Valid() {
+		return registry[a].rank
 	}
 	return int(a) + 100
 }
@@ -185,74 +195,21 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 }
 
 // Sum computes the one-shot sum of xs with algorithm a.
-func (a Algorithm) Sum(xs []float64) float64 {
-	switch a {
-	case StandardAlg:
-		return Standard(xs)
-	case PairwiseAlg:
-		return Pairwise(xs)
-	case KahanAlg:
-		return Kahan(xs)
-	case NeumaierAlg:
-		return Neumaier(xs)
-	case CompositeAlg:
-		return Composite(xs)
-	case PreroundedAlg:
-		return Prerounded(xs)
-	case BinnedAlg:
-		return Binned(xs)
-	}
-	panic("sum: invalid algorithm " + a.String())
-}
+func (a Algorithm) Sum(xs []float64) float64 { return a.row().sum(xs) }
 
 // NewAccumulator returns a fresh streaming accumulator for a.
-func (a Algorithm) NewAccumulator() Accumulator {
-	switch a {
-	case StandardAlg, PairwiseAlg:
-		return &StandardAcc{}
-	case KahanAlg:
-		return &KahanAcc{}
-	case NeumaierAlg:
-		return &NeumaierAcc{}
-	case CompositeAlg:
-		return &CompositeAcc{}
-	case PreroundedAlg:
-		return NewPreroundedAcc(DefaultPRConfig())
-	case BinnedAlg:
-		return &BinnedAcc{}
-	}
-	panic("sum: invalid algorithm " + a.String())
-}
+func (a Algorithm) NewAccumulator() Accumulator { return a.row().acc() }
 
 // Op returns the dynamic mergeable reduction operator for a, for use
-// with simulated collectives and runtime selection. BN's operator
-// merges in place (see reduce.Op.Merge for the ownership rule); the
-// others box their monoid's state by value.
-func (a Algorithm) Op() reduce.Op {
-	switch a {
-	case StandardAlg, PairwiseAlg:
-		return reduce.Boxed(a.String(), STMonoid{})
-	case KahanAlg:
-		return reduce.Boxed(a.String(), KahanMonoid{})
-	case NeumaierAlg:
-		return reduce.Boxed(a.String(), NeumaierMonoid{})
-	case CompositeAlg:
-		return reduce.Boxed(a.String(), CPMonoid{})
-	case PreroundedAlg:
-		return reduce.Boxed(a.String(), DefaultPRConfig().Monoid())
-	case BinnedAlg:
-		return bnOp{}
-	}
-	panic("sum: invalid algorithm " + a.String())
-}
+// with simulated collectives, the parallel engine and runtime
+// selection.
+func (a Algorithm) Op() reduce.Op { return a.row().op }
 
 // Reproducible reports whether a guarantees bitwise-identical results
 // under arbitrary reduction trees. Call sites must not assume a single
 // reproducible algorithm: use CheapestReproducible or walk
 // SelectionLadder instead of hardcoding one.
-func (a Algorithm) Reproducible() bool {
-	return a == PreroundedAlg || a == BinnedAlg
-}
+func (a Algorithm) Reproducible() bool { return a.Valid() && registry[a].reproducible }
 
 // Accumulator is a streaming summation state: the "local sum" half of a
 // distributed reduction.

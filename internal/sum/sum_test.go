@@ -1,6 +1,7 @@
 package sum
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -185,7 +186,7 @@ func TestSortedOrders(t *testing.T) {
 
 func TestRegistryMetadata(t *testing.T) {
 	seen := map[string]bool{}
-	for _, a := range Algorithms {
+	for i, a := range Algorithms {
 		if !a.Valid() {
 			t.Errorf("%v not valid", a)
 		}
@@ -196,10 +197,25 @@ func TestRegistryMetadata(t *testing.T) {
 			t.Errorf("duplicate abbreviation %q", a)
 		}
 		seen[a.String()] = true
-		back, err := ParseAlgorithm(a.String())
-		if err != nil || back != a {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), back, err)
+		for _, name := range []string{a.String(), a.FullName()} {
+			back, err := ParseAlgorithm(name)
+			if err != nil || back != a {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v", name, back, err)
+			}
 		}
+		if i > 0 && Algorithms[i-1].CostRank() >= a.CostRank() {
+			t.Errorf("cost order violated at %v (%d) >= %v (%d)",
+				Algorithms[i-1], Algorithms[i-1].CostRank(), a, a.CostRank())
+		}
+		if want := a == PreroundedAlg || a == BinnedAlg; a.Reproducible() != want {
+			t.Errorf("%v.Reproducible() = %v, want %v", a, a.Reproducible(), want)
+		}
+	}
+	if len(Algorithms) != int(numAlgorithms) {
+		t.Errorf("Algorithms lists %d of %d registered algorithms", len(Algorithms), numAlgorithms)
+	}
+	if got := CheapestReproducible(); got != BinnedAlg {
+		t.Errorf("CheapestReproducible() = %v, want BN", got)
 	}
 	if _, err := ParseAlgorithm("nope"); err == nil {
 		t.Error("ParseAlgorithm should reject unknown names")
@@ -210,9 +226,38 @@ func TestRegistryMetadata(t *testing.T) {
 			t.Errorf("cost ladder violated at %v >= %v", PaperAlgorithms[i-1], PaperAlgorithms[i])
 		}
 	}
-	if PreroundedAlg.Reproducible() != true || StandardAlg.Reproducible() {
-		t.Error("Reproducible flags wrong")
+	// Values past the registry keep their out-of-range behaviour: a
+	// formatted name, rank n+100, and the package's own panic rather
+	// than an index-out-of-range one.
+	for _, a := range []Algorithm{numAlgorithms, 255} {
+		want := fmt.Sprintf("Algorithm(%d)", uint8(a))
+		if a.Valid() || a.Reproducible() {
+			t.Errorf("%d: Valid=%v Reproducible=%v, want false", uint8(a), a.Valid(), a.Reproducible())
+		}
+		if a.String() != want || a.FullName() != want {
+			t.Errorf("%d: String %q FullName %q, want %q", uint8(a), a.String(), a.FullName(), want)
+		}
+		if a.CostRank() != int(a)+100 {
+			t.Errorf("%d: CostRank %d, want %d", uint8(a), a.CostRank(), int(a)+100)
+		}
+		for name, call := range map[string]func(){
+			"Sum":            func() { a.Sum([]float64{1}) },
+			"NewAccumulator": func() { a.NewAccumulator() },
+			"Op":             func() { a.Op() },
+			"Dot":            func() { Dot(a, []float64{1}, []float64{2}) },
+		} {
+			if msg := panicMessage(call); msg != "sum: invalid algorithm "+want {
+				t.Errorf("%d: %s panicked with %q", uint8(a), name, msg)
+			}
+		}
 	}
+}
+
+// panicMessage runs f and returns what it panicked with, as a string.
+func panicMessage(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return ""
 }
 
 func TestOpsMatchMonoids(t *testing.T) {

@@ -58,8 +58,9 @@ func (a *Acc) Add(x float64) {
 
 // AddLdexp deposits x·2^e2 exactly, even when the scaled value exceeds
 // the float64 range (it lands in the accumulator's 64 headroom bits).
-// This is how the binned engine's 2^-512-scaled top bins are folded in
-// at their true weight. NaN or ±Inf x poisons the accumulator; a scaled
+// The binned package's test oracles use it to fold BN's 2^-512-scaled
+// top bins in at their true weight; the binned finalize itself rounds
+// without it. NaN or ±Inf x poisons the accumulator; a scaled
 // value that would fall outside the represented bit span panics (only
 // reachable beyond ~2^50 maximum-magnitude operands).
 func (a *Acc) AddLdexp(x float64, e2 int) {

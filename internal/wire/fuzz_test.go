@@ -10,79 +10,47 @@ import (
 	"testing"
 
 	"repro/internal/binned"
-	"repro/internal/kernel"
-	"repro/internal/superacc"
 )
 
 // checkDecodeProperties is the fuzz property, shared by the fuzz target
 // and the deterministic corpus replay: decoding arbitrary bytes must
 // never panic (the harness catches that), a successful Peek must agree
-// with the typed decoders, and any accepted frame must re-encode
+// with DecodeBinned, and any accepted frame must re-encode
 // byte-identically to the bytes that were consumed — the canonicality
 // contract.
 func checkDecodeProperties(t *testing.T, data []byte) {
 	t.Helper()
 	k, n, err := Peek(data)
 	if err != nil {
-		// Rejected input: the typed decoders must reject it too (they
-		// all begin with the same header check).
+		// Rejected input: DecodeBinned must reject it too (it begins
+		// with the same header check).
 		if _, _, err := DecodeBinned(data); err == nil {
 			t.Fatal("Peek rejected but DecodeBinned accepted")
-		}
-		if _, _, err := DecodeSuperacc(data); err == nil {
-			t.Fatal("Peek rejected but DecodeSuperacc accepted")
-		}
-		if _, _, err := DecodeFused(data); err == nil {
-			t.Fatal("Peek rejected but DecodeFused accepted")
 		}
 		return
 	}
 	if n < HeaderSize || n > len(data) {
 		t.Fatalf("Peek returned frame length %d outside [%d, %d]", n, HeaderSize, len(data))
 	}
-	switch k {
-	case KindBinned:
-		st, dn, err := DecodeBinned(data)
-		if err != nil {
-			return // header fine, payload violates a state invariant
-		}
-		if dn != n {
-			t.Fatalf("DecodeBinned consumed %d, Peek said %d", dn, n)
-		}
-		s := st.Snapshot()
-		if re := AppendBinned(nil, &s); !bytes.Equal(re, data[:n]) {
-			t.Fatal("accepted binned frame does not re-encode byte-identically")
-		}
-	case KindSuperacc:
-		acc, dn, err := DecodeSuperacc(data)
-		if err != nil {
-			return
-		}
-		if dn != n {
-			t.Fatalf("DecodeSuperacc consumed %d, Peek said %d", dn, n)
-		}
-		s := acc.Snapshot()
-		if re := AppendSuperacc(nil, &s); !bytes.Equal(re, data[:n]) {
-			t.Fatal("accepted superacc frame does not re-encode byte-identically")
-		}
-	case KindFused:
-		fa, dn, err := DecodeFused(data)
-		if err != nil {
-			return
-		}
-		if dn != n {
-			t.Fatalf("DecodeFused consumed %d, Peek said %d", dn, n)
-		}
-		if re := AppendFused(nil, &fa); !bytes.Equal(re, data[:n]) {
-			t.Fatal("accepted fused frame does not re-encode byte-identically")
-		}
-	default:
+	if k != KindBinned {
 		t.Fatalf("Peek returned unknown kind %d", k)
+	}
+	st, dn, err := DecodeBinned(data)
+	if err != nil {
+		return // header fine, payload violates a state invariant
+	}
+	if dn != n {
+		t.Fatalf("DecodeBinned consumed %d, Peek said %d", dn, n)
+	}
+	s := st.Snapshot()
+	if re := AppendBinned(nil, &s); !bytes.Equal(re, data[:n]) {
+		t.Fatal("accepted binned frame does not re-encode byte-identically")
 	}
 }
 
-// seedFrames builds the in-code seed corpus: one valid frame per kind
-// (specials included) plus targeted corruptions.
+// seedFrames builds the in-code seed corpus: two valid binned frames
+// (specials included), one frame of each retired kind, and targeted
+// corruptions of all four.
 func seedFrames() [][]byte {
 	var st binned.State
 	st.AddSlice([]float64{1, -0x1p-1074, 6.5e300, 0})
@@ -91,17 +59,11 @@ func seedFrames() [][]byte {
 	poisoned.Add(0x1p1023)
 	ss, ps := st.Snapshot(), poisoned.Snapshot()
 
-	var acc superacc.Acc
-	acc.AddSlice([]float64{0x1p-1074, -1e308})
-	as := acc.Snapshot()
-
-	fa := kernel.FusedProfileSum([]float64{3, -4, 0x1p-1050})
-
 	frames := [][]byte{
 		AppendBinned(nil, &ss),
 		AppendBinned(nil, &ps),
-		AppendSuperacc(nil, &as),
-		AppendFused(nil, &fa),
+		retiredFrame(2, 553),
+		retiredFrame(3, 81),
 	}
 	// Corrupted variants: flipped version, kind, flags, and a torn tail.
 	for _, f := range frames[:4] {

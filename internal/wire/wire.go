@@ -1,11 +1,9 @@
 // Package wire implements "reprostate v1": a versioned, canonical
-// binary encoding for the repo's mergeable reduction states — the
-// binned (BN) engine's State, the exact superaccumulator, and the fused
-// profile+speculative-sum accumulator. It is the substrate of the
-// reduction-as-a-service layer (internal/aggsrv): ranks and clients
-// ship partial states over the network, servers merge them in any
-// arrival order, and the merge-order invariance of the underlying
-// engines guarantees the result's bits.
+// binary encoding for the binned (BN) engine's mergeable State — BN
+// states only. It is the substrate of the reduction-as-a-service layer
+// (internal/aggsrv): ranks and clients ship partial states over the
+// network, servers merge them in any arrival order, and the
+// merge-order invariance of the engine guarantees the result's bits.
 //
 // Canonical: a given state has exactly one encoding. The layout is
 // fixed per kind — every field is a fixed-width little-endian word,
@@ -18,11 +16,11 @@
 // not a canonical encoding of a reachable state — wrong magic, unknown
 // versions, unknown kinds, a payload length that disagrees with the
 // kind, truncation at any boundary, undefined flag bits, and counter
-// or limb values outside the engines' documented invariants (validated
-// by binned.Restore / superacc.Restore, so a forged renorm counter can
-// never void the exactness headroom of subsequent deposits). Decoding
-// arbitrary bytes never panics and never allocates beyond the fixed
-// decoded state itself.
+// or bin values outside the engine's documented invariants (validated
+// by binned.Restore, so a forged renorm counter can never void the
+// exactness headroom of subsequent deposits). Decoding arbitrary bytes
+// never panics and never allocates beyond the fixed decoded state
+// itself.
 package wire
 
 import (
@@ -32,8 +30,6 @@ import (
 	"math"
 
 	"repro/internal/binned"
-	"repro/internal/kernel"
-	"repro/internal/superacc"
 )
 
 // Version is the encoding version this package writes and accepts.
@@ -49,35 +45,22 @@ const HeaderSize = 8
 // Kind identifies the encoded state type.
 type Kind uint8
 
-const (
-	// KindBinned is a binned.State (BN partial sum).
-	KindBinned Kind = 1
-	// KindSuperacc is a superacc.Acc (exact partial sum).
-	KindSuperacc Kind = 2
-	// KindFused is a kernel.FusedAcc (profile + speculative sums).
-	KindFused Kind = 3
-)
+// KindBinned is a binned.State (BN partial sum), the only kind. Kinds
+// 2 and 3 (superaccumulator and fused-profile states) were retired
+// unsent and are rejected with ErrKind.
+const KindBinned Kind = 1
 
 // String names the kind for diagnostics.
 func (k Kind) String() string {
-	switch k {
-	case KindBinned:
+	if k == KindBinned {
 		return "binned"
-	case KindSuperacc:
-		return "superacc"
-	case KindFused:
-		return "fused-profile"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Payload sizes per kind. Every field is 8 bytes except the trailing
-// flags byte.
-const (
-	binnedPayload   = binned.StateSlots*8 + 4*8 + 1 // bins, count, pend, posInf, negInf, flags
-	superaccPayload = superacc.Limbs*8 + 8 + 1      // limbs, pending, flags
-	fusedPayload    = 10*8 + 1                      // n, st, sumS, sumC, absS, absC, maxExp, minExp, pos, neg, flags
-)
+// binnedPayload is the BN payload size: every field is 8 bytes except
+// the trailing flags byte.
+const binnedPayload = binned.StateSlots*8 + 4*8 + 1 // bins, count, pend, posInf, negInf, flags
 
 // Decoding errors. ErrTruncated distinguishes "need more bytes" from
 // corruption, so stream readers can grow their buffer instead of
@@ -93,13 +76,8 @@ var (
 // payloadSize returns the fixed payload length for a kind, or 0 for an
 // unknown kind.
 func payloadSize(k Kind) int {
-	switch k {
-	case KindBinned:
+	if k == KindBinned {
 		return binnedPayload
-	case KindSuperacc:
-		return superaccPayload
-	case KindFused:
-		return fusedPayload
 	}
 	return 0
 }
@@ -167,12 +145,9 @@ func AppendBinned(dst []byte, s *binned.Snapshot) []byte {
 // the restored state and the number of bytes consumed. The state is
 // validated (binned.Restore), so it is safe to merge and deposit into.
 func DecodeBinned(b []byte) (binned.State, int, error) {
-	k, n, err := Peek(b)
+	_, n, err := Peek(b)
 	if err != nil {
 		return binned.State{}, 0, err
-	}
-	if k != KindBinned {
-		return binned.State{}, 0, fmt.Errorf("%w: have %s, want binned", ErrCorrupt, k)
 	}
 	p := b[HeaderSize:n]
 	var s binned.Snapshot
@@ -194,136 +169,6 @@ func DecodeBinned(b []byte) (binned.State, int, error) {
 		return binned.State{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return st, n, nil
-}
-
-// AppendSuperacc appends the canonical encoding of a superaccumulator
-// snapshot to dst and returns the extended slice.
-func AppendSuperacc(dst []byte, s *superacc.Snapshot) []byte {
-	dst = appendHeader(dst, KindSuperacc)
-	for _, v := range s.Limbs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.Pending))
-	return append(dst, boolByte(s.NaN))
-}
-
-// DecodeSuperacc decodes one superaccumulator frame from the start of
-// b, returning the restored accumulator and the bytes consumed.
-func DecodeSuperacc(b []byte) (superacc.Acc, int, error) {
-	k, n, err := Peek(b)
-	if err != nil {
-		return superacc.Acc{}, 0, err
-	}
-	if k != KindSuperacc {
-		return superacc.Acc{}, 0, fmt.Errorf("%w: have %s, want superacc", ErrCorrupt, k)
-	}
-	p := b[HeaderSize:n]
-	var s superacc.Snapshot
-	for i := range s.Limbs {
-		s.Limbs[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
-	}
-	off := len(s.Limbs) * 8
-	s.Pending = int64(binary.LittleEndian.Uint64(p[off:]))
-	nan, err := decodeBool(p[off+8])
-	if err != nil {
-		return superacc.Acc{}, 0, err
-	}
-	s.NaN = nan
-	acc, err := superacc.Restore(s)
-	if err != nil {
-		return superacc.Acc{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return acc, n, nil
-}
-
-// Fused-profile flag bits. Undefined bits must be zero.
-const (
-	fusedHasNonzero = 1 << 0
-	fusedNonFinite  = 1 << 1
-)
-
-// AppendFused appends the canonical encoding of a fused profile+sum
-// accumulator to dst and returns the extended slice.
-func AppendFused(dst []byte, a *kernel.FusedAcc) []byte {
-	dst = appendHeader(dst, KindFused)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.N))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.ST))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.SumS))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.SumC))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.AbsS))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.AbsC))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(a.MaxExp)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(a.MinExp)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Pos))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(a.Neg))
-	var flags byte
-	if a.HasNonzero {
-		flags |= fusedHasNonzero
-	}
-	if a.NonFinite {
-		flags |= fusedNonFinite
-	}
-	return append(dst, flags)
-}
-
-// DecodeFused decodes one fused-profile frame from the start of b,
-// returning the accumulator and the bytes consumed. The profile
-// invariants are validated: counts non-negative and consistent, binary
-// exponents inside the float64 range, and the zero-observation
-// normal form (no nonzero seen => exponents and sign counts are zero,
-// exactly as the fold and Merge maintain them).
-func DecodeFused(b []byte) (kernel.FusedAcc, int, error) {
-	k, n, err := Peek(b)
-	if err != nil {
-		return kernel.FusedAcc{}, 0, err
-	}
-	if k != KindFused {
-		return kernel.FusedAcc{}, 0, fmt.Errorf("%w: have %s, want fused-profile", ErrCorrupt, k)
-	}
-	p := b[HeaderSize:n]
-	var a kernel.FusedAcc
-	a.N = int64(binary.LittleEndian.Uint64(p[0:]))
-	a.ST = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-	a.SumS = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-	a.SumC = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-	a.AbsS = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-	a.AbsC = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-	a.MaxExp = int(int64(binary.LittleEndian.Uint64(p[48:])))
-	a.MinExp = int(int64(binary.LittleEndian.Uint64(p[56:])))
-	a.Pos = int64(binary.LittleEndian.Uint64(p[64:]))
-	a.Neg = int64(binary.LittleEndian.Uint64(p[72:]))
-	flags := p[80]
-	if flags&^(fusedHasNonzero|fusedNonFinite) != 0 {
-		return kernel.FusedAcc{}, 0, fmt.Errorf("%w: undefined fused flag bits %#x", ErrCorrupt, flags)
-	}
-	a.HasNonzero = flags&fusedHasNonzero != 0
-	a.NonFinite = flags&fusedNonFinite != 0
-	if err := validateFused(&a); err != nil {
-		return kernel.FusedAcc{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return a, n, nil
-}
-
-// validateFused checks the invariants every fold- or merge-produced
-// accumulator satisfies.
-func validateFused(a *kernel.FusedAcc) error {
-	if a.N < 0 || a.Pos < 0 || a.Neg < 0 {
-		return fmt.Errorf("negative count (n=%d pos=%d neg=%d)", a.N, a.Pos, a.Neg)
-	}
-	if a.Pos+a.Neg > a.N || a.Pos+a.Neg < 0 {
-		return fmt.Errorf("sign counts %d+%d exceed n=%d", a.Pos, a.Neg, a.N)
-	}
-	if a.HasNonzero {
-		if a.Pos+a.Neg == 0 {
-			return errors.New("HasNonzero with zero sign counts")
-		}
-		if a.MinExp > a.MaxExp || a.MinExp < -1074 || a.MaxExp > 1023 {
-			return fmt.Errorf("exponent range [%d, %d] outside float64", a.MinExp, a.MaxExp)
-		}
-	} else if a.MaxExp != 0 || a.MinExp != 0 || a.Pos != 0 || a.Neg != 0 {
-		return errors.New("zero-observation state with nonzero exponents or sign counts")
-	}
-	return nil
 }
 
 func boolByte(b bool) byte {

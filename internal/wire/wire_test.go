@@ -2,13 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/binned"
 	"repro/internal/gen"
-	"repro/internal/kernel"
-	"repro/internal/superacc"
 )
 
 // corpusInputs are the adversarial operand sets the round-trip corpus
@@ -55,30 +55,14 @@ func binnedCorpus() []*binned.State {
 	return out
 }
 
-func superaccCorpus() []*superacc.Acc {
-	var out []*superacc.Acc
-	for _, xs := range corpusInputs() {
-		a := new(superacc.Acc)
-		a.AddSlice(xs)
-		out = append(out, a)
-	}
-	scaled := new(superacc.Acc)
-	scaled.AddLdexp(0x1.8p40, 512)
-	scaled.AddLdexp(-0x1p-30, 512)
-	out = append(out, scaled)
-	return out
-}
-
-func fusedCorpus() []kernel.FusedAcc {
-	var out []kernel.FusedAcc
-	for _, xs := range corpusInputs() {
-		out = append(out, kernel.FusedProfileSum(xs))
-	}
-	m := out[0]
-	for _, a := range out[1:] {
-		m = m.Merge(a)
-	}
-	return append(out, m)
+// retiredFrame is a header-shaped frame of a retired kind at its old
+// payload length — kind 2 (superaccumulator, 553 bytes) or kind 3
+// (fused profile, 81 bytes) — which decoding rejects with ErrKind.
+func retiredFrame(k Kind, payload int) []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = append(b, Version, byte(k))
+	b = binary.LittleEndian.AppendUint16(b, uint16(payload))
+	return append(b, make([]byte, payload)...)
 }
 
 // TestWireRoundTripBinned: encode→decode→re-encode is byte-identical
@@ -123,59 +107,6 @@ func snapshotsBitEqual(a, b *binned.Snapshot) bool {
 		a.PosInf == b.PosInf && a.NegInf == b.NegInf && a.NaN == b.NaN
 }
 
-// TestWireRoundTripSuperacc mirrors the BN pin for the exact
-// superaccumulator.
-func TestWireRoundTripSuperacc(t *testing.T) {
-	for i, a := range superaccCorpus() {
-		snap := a.Snapshot()
-		enc := AppendSuperacc(nil, &snap)
-		if len(enc) != EncodedSize(KindSuperacc) {
-			t.Fatalf("acc %d: encoded %d bytes, want %d", i, len(enc), EncodedSize(KindSuperacc))
-		}
-		dec, n, err := DecodeSuperacc(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("acc %d: decode failed: n=%d err=%v", i, n, err)
-		}
-		ds := dec.Snapshot()
-		if ds != snap {
-			t.Fatalf("acc %d: decoded snapshot differs", i)
-		}
-		if math.Float64bits(dec.Float64()) != math.Float64bits(a.Float64()) {
-			t.Fatalf("acc %d: Float64 bits differ after round-trip", i)
-		}
-		// Float64 normalizes; re-snapshot the pristine decode.
-		dec2, _, _ := DecodeSuperacc(enc)
-		s2 := dec2.Snapshot()
-		re := AppendSuperacc(nil, &s2)
-		if !bytes.Equal(re, enc) {
-			t.Fatalf("acc %d: re-encode not byte-identical", i)
-		}
-	}
-}
-
-// TestWireRoundTripFused mirrors the pin for the fused profile state.
-func TestWireRoundTripFused(t *testing.T) {
-	for i, a := range fusedCorpus() {
-		enc := AppendFused(nil, &a)
-		if len(enc) != EncodedSize(KindFused) {
-			t.Fatalf("acc %d: encoded %d bytes, want %d", i, len(enc), EncodedSize(KindFused))
-		}
-		dec, n, err := DecodeFused(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("acc %d: decode failed: n=%d err=%v", i, n, err)
-		}
-		re := AppendFused(nil, &dec)
-		if !bytes.Equal(re, enc) {
-			t.Fatalf("acc %d: re-encode not byte-identical", i)
-		}
-		if math.Float64bits(dec.ST) != math.Float64bits(a.ST) ||
-			math.Float64bits(dec.SumS) != math.Float64bits(a.SumS) ||
-			math.Float64bits(dec.SumC) != math.Float64bits(a.SumC) {
-			t.Fatalf("acc %d: speculative sums differ after round-trip", i)
-		}
-	}
-}
-
 // TestWireMergePin: merging decoded states is bitwise-identical to
 // merging the in-memory originals — the property the aggregation
 // server's correctness rests on.
@@ -207,49 +138,6 @@ func TestWireMergePin(t *testing.T) {
 			}
 		}
 	}
-
-	// Superacc merge pin over a smaller cross product.
-	accs := superaccCorpus()
-	for i := 0; i < len(accs); i += 3 {
-		for j := 1; j < len(accs); j += 4 {
-			ref := *accs[i]
-			arg := *accs[j] // Merge normalizes a copy; keep corpus pristine
-			ref.Merge(&arg)
-			si, sj := accs[i].Snapshot(), accs[j].Snapshot()
-			di, _, err := DecodeSuperacc(AppendSuperacc(nil, &si))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dj, _, err := DecodeSuperacc(AppendSuperacc(nil, &sj))
-			if err != nil {
-				t.Fatal(err)
-			}
-			di.Merge(&dj)
-			if math.Float64bits(ref.Float64()) != math.Float64bits(di.Float64()) {
-				t.Fatalf("superacc merge(%d, %d): Float64 bits differ", i, j)
-			}
-		}
-	}
-
-	// Fused merge pin.
-	fused := fusedCorpus()
-	for i := 0; i < len(fused); i += 2 {
-		for j := 1; j < len(fused); j += 3 {
-			ref := fused[i].Merge(fused[j])
-			di, _, err := DecodeFused(AppendFused(nil, &fused[i]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dj, _, err := DecodeFused(AppendFused(nil, &fused[j]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := di.Merge(dj)
-			if AppendFused(nil, &got) == nil || !bytes.Equal(AppendFused(nil, &got), AppendFused(nil, &ref)) {
-				t.Fatalf("fused merge(%d, %d): decoded merge differs", i, j)
-			}
-		}
-	}
 }
 
 // TestWireRejectsTruncation: every proper prefix of a valid frame is
@@ -259,33 +147,13 @@ func TestWireRejectsTruncation(t *testing.T) {
 	var st binned.State
 	st.AddSlice([]float64{1, -2.5, 0x1p-1074, math.Inf(1)})
 	snap := st.Snapshot()
-	frames := [][]byte{AppendBinned(nil, &snap)}
-
-	var a superacc.Acc
-	a.Add(3.25)
-	as := a.Snapshot()
-	frames = append(frames, AppendSuperacc(nil, &as))
-
-	f := kernel.FusedProfileSum([]float64{1, 2, -3})
-	frames = append(frames, AppendFused(nil, &f))
-
-	for fi, frame := range frames {
-		for i := 0; i < len(frame); i++ {
-			if _, _, err := Peek(frame[:i]); err == nil {
-				t.Fatalf("frame %d: Peek accepted a %d-byte prefix of %d", fi, i, len(frame))
-			}
-			var err error
-			switch fi {
-			case 0:
-				_, _, err = DecodeBinned(frame[:i])
-			case 1:
-				_, _, err = DecodeSuperacc(frame[:i])
-			case 2:
-				_, _, err = DecodeFused(frame[:i])
-			}
-			if err == nil {
-				t.Fatalf("frame %d: decode accepted a %d-byte prefix of %d", fi, i, len(frame))
-			}
+	frame := AppendBinned(nil, &snap)
+	for i := 0; i < len(frame); i++ {
+		if _, _, err := Peek(frame[:i]); err == nil {
+			t.Fatalf("Peek accepted a %d-byte prefix of %d", i, len(frame))
+		}
+		if _, _, err := DecodeBinned(frame[:i]); err == nil {
+			t.Fatalf("DecodeBinned accepted a %d-byte prefix of %d", i, len(frame))
 		}
 	}
 }
@@ -312,6 +180,10 @@ func TestWireRejectsCorruption(t *testing.T) {
 		{"future version", mutate(func(b []byte) { b[4] = 2 })},
 		{"version zero", mutate(func(b []byte) { b[4] = 0 })},
 		{"unknown kind", mutate(func(b []byte) { b[5] = 99 })},
+		{"unknown kind", mutate(func(b []byte) { b[5] = 2 })},
+		{"unknown kind", mutate(func(b []byte) { b[5] = 3 })},
+		{"unknown kind", retiredFrame(2, 553)},
+		{"unknown kind", retiredFrame(3, 81)},
 		{"kind zero", mutate(func(b []byte) { b[5] = 0 })},
 		{"length field low", mutate(func(b []byte) { b[6] = 1; b[7] = 0 })},
 		{"length field high", mutate(func(b []byte) { b[6] = 0xff; b[7] = 0xff })},
@@ -328,25 +200,13 @@ func TestWireRejectsCorruption(t *testing.T) {
 		})},
 	}
 	for _, tc := range cases {
-		if _, _, err := DecodeBinned(tc.b); err == nil {
+		_, _, err := DecodeBinned(tc.b)
+		if err == nil {
 			t.Errorf("%s: DecodeBinned accepted corrupt frame", tc.name)
 		}
-	}
-
-	// A kind mismatch against the typed decoder is rejected even though
-	// the frame itself is valid.
-	var acc superacc.Acc
-	acc.Add(1)
-	as := acc.Snapshot()
-	saFrame := AppendSuperacc(nil, &as)
-	if _, _, err := DecodeBinned(saFrame); err == nil {
-		t.Error("DecodeBinned accepted a superacc frame")
-	}
-	if _, _, err := DecodeSuperacc(good); err == nil {
-		t.Error("DecodeSuperacc accepted a binned frame")
-	}
-	if _, _, err := DecodeFused(good); err == nil {
-		t.Error("DecodeFused accepted a binned frame")
+		if tc.name == "unknown kind" && !errors.Is(err, ErrKind) {
+			t.Errorf("%s %d: got %v, want ErrKind", tc.name, tc.b[5], err)
+		}
 	}
 }
 
