@@ -23,20 +23,22 @@ func TestBinnedKernelEquivalenceAndAllocs(t *testing.T) {
 		ref.Add(x)
 	}
 	want := math.Float64bits(ref.Finalize())
-	st := kernel.Binned(xs)
+	var st binned.State
+	st.AddSlice(xs)
 	if got := math.Float64bits(st.Finalize()); got != want {
-		t.Fatalf("kernel.Binned: %x != element-wise %x", got, want)
+		t.Fatalf("AddSlice: %x != element-wise %x", got, want)
 	}
 	refSt := kernel.BinnedRef(xs)
 	if got := math.Float64bits(refSt.Finalize()); got != want {
 		t.Fatalf("kernel.BinnedRef: %x != element-wise %x", got, want)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		sinkBN = kernel.Binned(xs)
+		sinkBN = binned.State{}
+		sinkBN.AddSlice(xs)
 		sinkF = sinkBN.Finalize()
 	})
 	if allocs != 0 {
-		t.Fatalf("Binned+Finalize allocates %v per run, want 0", allocs)
+		t.Fatalf("AddSlice+Finalize allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -49,7 +51,8 @@ func BenchmarkBinnedSum1M(b *testing.B) {
 	xs := benchData()
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st := kernel.Binned(xs)
+			var st binned.State
+			st.AddSlice(xs)
 			sinkF = st.Finalize()
 		}
 	})
@@ -66,7 +69,8 @@ func BenchmarkBinnedSum1M(b *testing.B) {
 // window. It must stay far below 1% of the sum itself for the
 // "Finalize off the hot path" framing to hold.
 func BenchmarkBinnedFinalize(b *testing.B) {
-	st := kernel.Binned(benchData())
+	var st binned.State
+	st.AddSlice(benchData())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = st.Finalize()
@@ -119,7 +123,8 @@ func BenchmarkBinnedVsAlternatives1M(b *testing.B) {
 	xs := benchData()
 	b.Run("binned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			st := kernel.Binned(xs)
+			var st binned.State
+			st.AddSlice(xs)
 			sinkF = st.Finalize()
 		}
 	})

@@ -65,8 +65,26 @@ func (f foldRoles) oldRank(newrank int) int {
 	return newrank + f.rem
 }
 
+// coreRange replays the first rounds of the recursive halving over
+// nElem elements and returns the [lo,hi) range core-group rank newrank
+// keeps after them. Every rank can derive every other rank's range, so
+// the schedules skip the exchanges that would carry no state without
+// sending any range metadata.
+func coreRange(newrank, nElem, pof2, rounds int) (lo, hi int) {
+	hi = nElem
+	for k := 0; k < rounds; k++ {
+		mid := lo + (hi-lo)/2
+		if newrank&(pof2>>(k+1)) == 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo, hi
+}
+
 // chunkMsg carries a contiguous range of reduced element states with
-// its vector offset, for the gather and allgather phases.
+// its vector offset, for the gather phase.
 type chunkMsg struct {
 	lo     int
 	states []reduce.State
@@ -78,6 +96,11 @@ type chunkMsg struct {
 // reduce-scatter + allgather allreduce). It returns the full reduced
 // state vector and whether this rank holds it: only the root for the
 // gather form, every rank for the allgather form.
+//
+// Inside the core group a rank sends only non-empty ranges and
+// receives only what its partner holds, so a vector shorter than the
+// core group moves only the messages that carry a state; the merges,
+// their operands and their order are the same as with every exchange.
 //
 // The states slice is consumed: ranges sent away must not be reused by
 // the caller. A rank whose partner holds the lower group merges into
@@ -122,53 +145,50 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 
 	// Reduce-scatter by recursive halving over the core group. Both
 	// partners derive the same [lo,hi) range split from their shared
-	// newrank prefix, so no range metadata needs to travel.
+	// newrank prefix, and each gives exactly the range the other keeps.
 	lo, hi := 0, nElem
 	for k := 0; k < L; k++ {
 		halfBit := f.pof2 >> (k + 1)
-		partnerNew := f.newrank ^ halfBit
-		partnerOld := f.oldRank(partnerNew)
+		partnerOld := f.oldRank(f.newrank ^ halfBit)
 		mid := lo + (hi-lo)/2
-		var keepLo, keepHi, giveLo, giveHi int
-		if f.newrank&halfBit == 0 {
-			keepLo, keepHi, giveLo, giveHi = lo, mid, mid, hi
-		} else {
+		keepLo, keepHi, giveLo, giveHi := lo, mid, mid, hi
+		if f.newrank&halfBit != 0 {
 			keepLo, keepHi, giveLo, giveHi = mid, hi, lo, mid
 		}
-		r.send(partnerOld, tRS, states[giveLo:giveHi])
-		theirs := r.Recv(partnerOld, tRS).([]reduce.State)
-		for i := range theirs {
-			// The group with the lower newranks is the earlier operand.
-			if f.newrank&halfBit == 0 {
-				states[keepLo+i] = op.Merge(states[keepLo+i], theirs[i])
-			} else {
-				states[keepLo+i] = op.Merge(theirs[i], states[keepLo+i])
+		if giveHi > giveLo {
+			r.send(partnerOld, tRS, states[giveLo:giveHi])
+		}
+		if keepHi > keepLo {
+			theirs := r.Recv(partnerOld, tRS).([]reduce.State)
+			for i := range theirs {
+				// The group with the lower newranks is the earlier operand.
+				if f.newrank&halfBit == 0 {
+					states[keepLo+i] = op.Merge(states[keepLo+i], theirs[i])
+				} else {
+					states[keepLo+i] = op.Merge(theirs[i], states[keepLo+i])
+				}
 			}
 		}
 		lo, hi = keepLo, keepHi
 	}
 
 	if !allgather {
-		return r.rabenseifnerGather(root, states, lo, hi, nElem, f, tGath, tPost)
+		return r.rabenseifnerGather(root, states, lo, hi, nElem, f, L, tGath, tPost)
 	}
 
 	// Allgather by recursive doubling: undo the halving, exchanging
-	// owned ranges with the same partners in reverse round order.
+	// owned ranges with the same partners in reverse round order. The
+	// sibling's range is the one it kept in round k.
 	for k := L - 1; k >= 0; k-- {
-		halfBit := f.pof2 >> (k + 1)
-		partnerOld := f.oldRank(f.newrank ^ halfBit)
-		r.send(partnerOld, tGath, chunkMsg{lo: lo, states: states[lo:hi]})
-		got := r.Recv(partnerOld, tGath).(chunkMsg)
-		copy(states[got.lo:got.lo+len(got.states)], got.states)
-		// Sibling ranges partition their parent range, so the union is
-		// exactly the parent — take min/max independently (an empty
-		// sibling still marks a correct boundary point).
-		if got.lo < lo {
-			lo = got.lo
+		partnerNew := f.newrank ^ (f.pof2 >> (k + 1))
+		partnerOld := f.oldRank(partnerNew)
+		if hi > lo {
+			r.send(partnerOld, tGath, states[lo:hi])
 		}
-		if end := got.lo + len(got.states); end > hi {
-			hi = end
+		if sLo, sHi := coreRange(partnerNew, nElem, f.pof2, k+1); sHi > sLo {
+			copy(states[sLo:sHi], r.Recv(partnerOld, tGath).([]reduce.State))
 		}
+		lo, hi = coreRange(f.newrank, nElem, f.pof2, k)
 	}
 	// Post-fold: hand the finished vector back to the dropped ranks.
 	if r.ID < 2*f.rem && f.newrank >= 0 {
@@ -179,9 +199,10 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 
 // rabenseifnerGather performs the binomial gather of scattered chunks
 // to the root (or its surrogate when the root was folded out), then
-// ships the assembled vector to the root if needed.
+// ships the assembled vector to the root if needed. A subtree that owns
+// no element sends nothing, and its parent does not wait for it.
 func (r *Rank) rabenseifnerGather(root int, states []reduce.State,
-	lo, hi, nElem int, f foldRoles, tGath, tPost int) ([]reduce.State, bool) {
+	lo, hi, nElem int, f foldRoles, L, tGath, tPost int) ([]reduce.State, bool) {
 	// The gather target inside the core group: the root itself, or —
 	// when the root is a folded-out even rank — the odd neighbor that
 	// absorbed it.
@@ -190,36 +211,39 @@ func (r *Rank) rabenseifnerGather(root int, states []reduce.State,
 		surrogate = root + 1
 	}
 	rootNew := foldInfo(surrogate, r.Size).newrank
+	// owns reports whether any vertex in [v, v+size) keeps an element.
+	owns := func(v, size int) bool {
+		for u := v; u < v+size; u++ {
+			if eLo, eHi := coreRange((u+rootNew)%f.pof2, nElem, f.pof2, L); eHi > eLo {
+				return true
+			}
+		}
+		return false
+	}
 
-	// Binomial gather over core-group vertices. Chunks are disjoint
+	// Binomial gather over core-group vertices: vertex v's children are
+	// v+b for every b below its lowest set bit (every b at the root),
+	// and child v+b roots a subtree of b vertices. Chunks are disjoint
 	// element ranges, so no merging happens here — only placement.
 	v := (f.newrank - rootNew + f.pof2) % f.pof2
-	owned := []chunkMsg{}
+	lsb := v & -v
+	if v == 0 {
+		lsb = f.pof2
+	}
+	var owned []chunkMsg
 	if hi > lo {
 		owned = append(owned, chunkMsg{lo: lo, states: states[lo:hi]})
 	}
-	var parentV int
-	var nChildren int
-	if v == 0 {
-		parentV = -1
-		for b := 1; b < f.pof2; b <<= 1 {
-			nChildren++
-		}
-	} else {
-		lsb := v & -v
-		parentV = v - lsb
-		for b := 1; b < lsb; b <<= 1 {
-			if v+b < f.pof2 {
-				nChildren++
-			}
+	for b := 1; b < lsb; b <<= 1 {
+		if owns(v+b, b) {
+			_, p := r.RecvAny(tGath)
+			owned = append(owned, p.([]chunkMsg)...)
 		}
 	}
-	for i := 0; i < nChildren; i++ {
-		_, p := r.RecvAny(tGath)
-		owned = append(owned, p.([]chunkMsg)...)
-	}
-	if parentV >= 0 {
-		r.send(f.oldRank((parentV+rootNew)%f.pof2), tGath, owned)
+	if v != 0 {
+		if len(owned) > 0 {
+			r.send(f.oldRank((v-lsb+rootNew)%f.pof2), tGath, owned)
+		}
 		return nil, false
 	}
 	// v == 0: this rank is the gather target; assemble the full vector.

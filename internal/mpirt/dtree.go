@@ -2,7 +2,6 @@ package mpirt
 
 import (
 	"math/bits"
-	"sync"
 
 	"repro/internal/reduce"
 )
@@ -80,31 +79,22 @@ type dtreeInfo struct {
 	children [2][][]int
 }
 
-var (
-	dtreeMu    sync.Mutex
-	dtreeCache = map[int]*dtreeInfo{}
-)
-
-// dtreeFor returns the double-tree structure for an n-rank world,
-// memoized per size. The structure depends only on n and is never
-// mutated after construction, so one copy serves every rank of every
-// world: without the cache each rank rebuilds O(n) arrays, turning a
-// single collective into O(n^2) work and allocation across the world
-// (seconds of pure construction at 10^4 ranks).
-func dtreeFor(n int) *dtreeInfo {
-	dtreeMu.Lock()
-	defer dtreeMu.Unlock()
-	if info, ok := dtreeCache[n]; ok {
-		return info
-	}
-	p1, p2, r1, r2 := doubleTrees(n)
-	info := &dtreeInfo{
-		parents:  [2][]int{p1, p2},
-		roots:    [2]int{r1, r2},
-		children: [2][][]int{childLists(p1), childLists(p2)},
-	}
-	dtreeCache[n] = info
-	return info
+// doubleTree returns the double-tree structure of the world, built on
+// first use. The structure depends only on the size and is never
+// mutated after construction, so one copy serves every rank: without
+// sharing, each rank would rebuild O(n) arrays, turning a single
+// collective into O(n^2) work and allocation across the world (seconds
+// of pure construction at 10^4 ranks).
+func (w *World) doubleTree() *dtreeInfo {
+	w.dtreeOnce.Do(func() {
+		p1, p2, r1, r2 := doubleTrees(w.size)
+		w.dtree = &dtreeInfo{
+			parents:  [2][]int{p1, p2},
+			roots:    [2]int{r1, r2},
+			children: [2][][]int{childLists(p1), childLists(p2)},
+		}
+	})
+	return w.dtree
 }
 
 // childLists inverts a parent array into per-rank sorted child lists.
@@ -129,7 +119,7 @@ func (r *Rank) doubleTreeReduceStates(root int, states []reduce.State,
 	op reduce.Op, mode Mode, segSize int) ([]reduce.State, bool) {
 	n := len(states)
 	numSegs, segSize := segmentPlan(n, segSize)
-	dt := dtreeFor(r.Size)
+	dt := r.w.doubleTree()
 	parents := dt.parents
 	roots := dt.roots
 	children := dt.children

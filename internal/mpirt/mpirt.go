@@ -138,6 +138,10 @@ type World struct {
 	size    int
 	cfg     Config
 	inboxes []chan envelope
+	sent    int // messages sent by the ranks of every finished Run
+
+	dtreeOnce sync.Once
+	dtree     *dtreeInfo
 }
 
 type envelope struct {
@@ -152,10 +156,9 @@ type envelope struct {
 // 8*size+64 capacity allocated O(size^2) envelope slots across the
 // world, which is ~26 GB of channel buffers at 10^4 ranks before a
 // single message is sent. Senders to a full inbox park on the channel
-// (credit-based backpressure); every collective here eventually drains
-// its inbox, so bounded credit throttles pipelines without deadlock —
-// no schedule sends more than a handful of messages to one peer before
-// that peer receives.
+// (credit-based backpressure) while still draining their own inbox
+// into pending, so bounded credit throttles pipelines without deadlock
+// even when back-to-back collectives let some ranks run ahead.
 const inboxCap = 16
 
 // NewWorld creates a communicator with size ranks. Inboxes are bounded
@@ -191,6 +194,9 @@ func (w *World) Run(body func(r *Rank)) error {
 		go r.run(body, &wg, &errs[id])
 	}
 	wg.Wait()
+	for i := range ranks {
+		w.sent += ranks[i].sent
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -218,6 +224,7 @@ type Rank struct {
 	w        *World
 	pending  []envelope
 	coll     int // per-rank collective sequence number
+	sent     int // messages this rank has sent
 	rng      fpu.RNG
 }
 
@@ -242,7 +249,35 @@ func (r *Rank) send(dst, tag int, payload any) {
 	if j := r.w.cfg.Jitter; j > 0 {
 		jitterDelay(time.Duration(r.rng.Float64() * float64(j)))
 	}
-	r.w.inboxes[dst] <- envelope{src: r.ID, tag: tag, payload: payload}
+	r.sent++
+	select {
+	case r.w.inboxes[dst] <- envelope{src: r.ID, tag: tag, payload: payload}:
+	default:
+		r.sendWaiting(dst, envelope{src: r.ID, tag: tag, payload: payload})
+	}
+}
+
+// sendWaiting delivers e to a full inbox. While it waits for credit it
+// keeps draining this rank's own inbox into pending, as a blocked MPI
+// send still progresses its receives: otherwise two ranks sending to
+// each other's full inbox wait forever, which back-to-back collectives
+// reach when ranks with no part left in one run ahead into the next.
+// It stays out of line because rank goroutines run close to their
+// initial stack size: inlined, its select enlarges send's frame enough
+// that every rank of a 10^4-rank binomial reduce grows and copies its
+// stack, about 1.5x the run's wall-clock.
+//
+//go:noinline
+func (r *Rank) sendWaiting(dst int, e envelope) {
+	own := r.w.inboxes[r.ID]
+	for {
+		select {
+		case r.w.inboxes[dst] <- e:
+			return
+		case in := <-own:
+			r.pending = append(r.pending, in)
+		}
+	}
 }
 
 // jitterDelay delays the caller for d. Short delays yield-spin instead

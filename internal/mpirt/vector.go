@@ -30,11 +30,7 @@ import (
 // finalized vector at root and ok = true there; nil, false elsewhere.
 func (r *Rank) VectorReduce(root int, local []float64, op reduce.Op,
 	topo Topology, mode Mode, segSize int) ([]float64, bool) {
-	states := make([]reduce.State, len(local))
-	for i, x := range local {
-		states[i] = op.Leaf(x)
-	}
-	out, ok := r.reduceStates(root, states, op, topo, mode, segSize)
+	out, ok := r.reduceStates(root, op.Leaves(local), op, topo, mode, segSize)
 	if !ok {
 		return nil, false
 	}
@@ -122,11 +118,7 @@ func mergeSeg(op reduce.Op, dst, src []reduce.State) {
 func (r *Rank) VectorAllReduce(local []float64, op reduce.Op,
 	topo Topology, mode Mode, segSize int) []float64 {
 	if topo == RSAllgather {
-		states := make([]reduce.State, len(local))
-		for i, x := range local {
-			states[i] = op.Leaf(x)
-		}
-		out, _ := r.rabenseifner(0, states, op, true)
+		out, _ := r.rabenseifner(0, op.Leaves(local), op, true)
 		return finalizeStates(op, out)
 	}
 	v, _ := r.VectorReduce(0, local, op, topo, mode, segSize)

@@ -43,6 +43,13 @@ type Op interface {
 	// Wrappers that observe individual Leaf and Merge calls implement
 	// it as LeftFold(self, xs).
 	FoldSlice(xs []float64) State
+	// Leaves lifts each element of xs: element i equals Leaf(xs[i]) bit
+	// for bit, and each element is owned on its own, so Merge may reuse
+	// any one of them without touching its neighbours. A vector
+	// collective lifts a rank's whole vector with one call; wrappers
+	// that observe individual Leaf calls implement it as LeafEach(self,
+	// xs).
+	Leaves(xs []float64) []State
 }
 
 // boxed adapts a generic Monoid into a dynamic Op.
@@ -64,6 +71,8 @@ func (b boxed[S]) Merge(a, c State) State {
 // SliceFolder kernel when the monoid has one, else the unboxed generic
 // Leaf/Merge loop.
 func (b boxed[S]) FoldSlice(xs []float64) State { return FoldState(b.m, xs) }
+
+func (b boxed[S]) Leaves(xs []float64) []State { return LeafEach[State](b, xs) }
 
 // Boxed wraps a generic monoid as a dynamic Op under the given name.
 func Boxed[S any](name string, m Monoid[S]) Op {
@@ -96,6 +105,15 @@ func LeftFold[S any](m Monoid[S], xs []float64) S {
 		acc = m.Merge(acc, m.Leaf(x))
 	}
 	return acc
+}
+
+// LeafEach lifts every element of xs with its own Leaf call.
+func LeafEach[S any](m Monoid[S], xs []float64) []S {
+	out := make([]S, len(xs))
+	for i, x := range xs {
+		out[i] = m.Leaf(x)
+	}
+	return out
 }
 
 // FoldState is LeftFold with m's devirtualized SliceFolder batch loop

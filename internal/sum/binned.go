@@ -72,9 +72,10 @@ var _ reduce.SliceFolder[binned.State] = BNMonoid{}
 
 // bnOp is BN's dynamic reduce.Op. It boxes *binned.State rather than
 // the 584-byte value reduce.Boxed(BNMonoid{}) would box: Leaf and
-// FoldSlice allocate the one state, Merge folds its right operand into
-// the left one in place and returns it, and Finalize reads through the
-// pointer — so the collectives' merges neither allocate nor copy.
+// FoldSlice allocate the one state, Leaves one slab for the whole
+// vector, Merge folds its right operand into the left one in place and
+// returns it, and Finalize reads through the pointer — so the
+// collectives' merges neither allocate nor copy.
 type bnOp struct{}
 
 func (bnOp) Name() string { return BinnedAlg.String() }
@@ -90,6 +91,19 @@ func (bnOp) Merge(a, b reduce.State) reduce.State {
 	st := a.(*binned.State)
 	st.Merge(b.(*binned.State))
 	return st
+}
+
+// Leaves lifts xs into one slab of states: two allocations per vector
+// instead of one per element. Each element is a distinct state, so an
+// in-place Merge into one leaves its neighbours alone.
+func (bnOp) Leaves(xs []float64) []reduce.State {
+	slab := make([]binned.State, len(xs))
+	out := make([]reduce.State, len(xs))
+	for i, x := range xs {
+		slab[i].Add(x)
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 func (bnOp) Finalize(s reduce.State) float64 { return s.(*binned.State).Finalize() }

@@ -55,6 +55,8 @@ func stateWire(s reduce.State) []byte {
 // algorithm's dynamic operator: Merge(a, b) may reuse a but leaves b
 // unchanged (same Finalize bits; for BN the same wire encoding), and
 // the merged result equals the typed monoid's LeftFold bit for bit.
+// Leaves must lift element i to Leaf(xs[i])'s bits, each element owned
+// on its own: an in-place Merge into one leaves its neighbours alone.
 func TestOpMergeOwnership(t *testing.T) {
 	rng := fpu.NewRNG(20)
 	xs := make([]float64, 240)
@@ -75,6 +77,32 @@ func TestOpMergeOwnership(t *testing.T) {
 		}
 		if got, want := math.Float64bits(op.Finalize(acc)), typedFold(a, xs, nil); got != want {
 			t.Errorf("%v: boxed LeftFold %x, typed LeftFold %x", a, got, want)
+		}
+		// Leaves: element i is Leaf(xs[i]); merging into one element
+		// changes none of its neighbours.
+		if len(op.Leaves(nil)) != 0 {
+			t.Errorf("%v: Leaves(nil) is not empty", a)
+		}
+		leaves := op.Leaves(xs)
+		if len(leaves) != len(xs) {
+			t.Fatalf("%v: Leaves returned %d states for %d values", a, len(leaves), len(xs))
+		}
+		bits, wires := make([]uint64, len(xs)), make([][]byte, len(xs))
+		for i, st := range leaves {
+			leaf := op.Leaf(xs[i])
+			bits[i], wires[i] = math.Float64bits(op.Finalize(st)), stateWire(st)
+			if bits[i] != math.Float64bits(op.Finalize(leaf)) || !bytes.Equal(wires[i], stateWire(leaf)) {
+				t.Errorf("%v: Leaves element %d differs from Leaf", a, i)
+			}
+		}
+		for _, i := range []int{0, 1, 120, len(xs) - 1} {
+			leaves[i] = op.Merge(leaves[i], op.Leaf(0x1p20))
+			for j, st := range leaves {
+				if j != i && (math.Float64bits(op.Finalize(st)) != bits[j] || !bytes.Equal(stateWire(st), wires[j])) {
+					t.Fatalf("%v: Merge into Leaves element %d changed element %d", a, i, j)
+				}
+			}
+			bits[i], wires[i] = math.Float64bits(op.Finalize(leaves[i])), stateWire(leaves[i])
 		}
 		// Two folded halves, the split point including the empty slice.
 		for _, k := range []int{0, 1, 97, len(xs)} {
@@ -106,5 +134,22 @@ func TestBNOpMergeFinalizeAllocs(t *testing.T) {
 	}
 	if want := 1 - 3 + 0x1p-60 + 101*0x1p40; sink != want {
 		t.Errorf("BN after 101 merges = %g, want %g", sink, want)
+	}
+}
+
+// TestBNOpLeavesAllocs pins BN's slab lift: Leaves allocates the state
+// slab and the box slice, two allocations for any vector length.
+func TestBNOpLeavesAllocs(t *testing.T) {
+	op := sum.BinnedAlg.Op()
+	xs := make([]float64, 64)
+	for i := range xs {
+		xs[i] = float64(i) - 0x1p-30
+	}
+	var sink []reduce.State
+	if n := testing.AllocsPerRun(100, func() { sink = op.Leaves(xs) }); n != 2 {
+		t.Errorf("BN Leaves(64): %v allocs/op, want 2", n)
+	}
+	if got := op.Finalize(sink[63]); got != 63-0x1p-30 {
+		t.Errorf("BN Leaves element 63 = %g", got)
 	}
 }

@@ -80,6 +80,9 @@ func (r *Recorder) Merge(a, b reduce.State) reduce.State {
 // so a rank's local sum is recorded leaf by leaf and merge by merge.
 func (r *Recorder) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(r, xs) }
 
+// Leaves implements reduce.Op with one recorded Leaf per element.
+func (r *Recorder) Leaves(xs []float64) []reduce.State { return reduce.LeafEach[reduce.State](r, xs) }
+
 // Finalize implements reduce.Op.
 func (r *Recorder) Finalize(s reduce.State) float64 {
 	return r.op.Finalize(s.(traced).st)
