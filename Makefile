@@ -26,13 +26,19 @@ test:
 # MPICH-style non-power-of-two fold-in, O(ranks) inbox memory with
 # credit backpressure, >=80% selection-table/model agreement, BN
 # AllReduce bits on every rank, a private VectorAllReduce result per
-# rank, World.Run's one-slab rank allocation, every Rabenseifner/RSAG
+# rank, World.Run's rank slab, every Rabenseifner/RSAG
 # merge expression against the schedule's definition with empty
-# exchanges skipped, the messages those schedules send, and
-# back-to-back collectives free of credit deadlock. The BN pass also
-# pins the reduce.Op.Merge ownership rule and the Leaves contract (each
-# element its own Leaf) for every algorithm's operator, BN's Leaves at
-# two allocations per vector, the window finalize against the superaccumulator (random states and
+# exchanges skipped, the messages those schedules send,
+# back-to-back collectives free of credit deadlock, states recycled
+# across 50 Runs alternating BN and ST (and never within one Run), a
+# warm World's allocation bounds, and a panicking rank that releases
+# the peers waiting on it (a negative user tag cannot pose as its
+# abort notice). The BN pass also
+# pins the reduce.Op.Merge ownership rule, the Leaves contract (each
+# element its own Leaf) and the FoldSlice/Leaves dst contract for every
+# algorithm's operator, BN's Leaves at two allocations per vector with
+# a nil dst and none with a reused one, a short load run's flush
+# latency, the window finalize against the superaccumulator (random states and
 # the FuzzBinnedFinalize seeds), and restore validation: forged bins
 # rejected by binned.Restore and by the aggregation server, and every
 # live state accepted. The kernel/parallel pass also pins the engine's
@@ -51,11 +57,11 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts' ./internal/mpirt
+	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
-	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
+	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \

@@ -76,7 +76,7 @@ func benchmarkFig4(b *testing.B, alg sum.Algorithm) {
 		w := mpirt.NewWorld(ranks, mpirt.Config{})
 		var out float64
 		if err := w.Run(func(r *mpirt.Rank) {
-			local := op.FoldSlice(chunks[r.ID])
+			local := op.FoldSlice(nil, chunks[r.ID])
 			if st := r.Reduce(0, local, op, mpirt.Binomial, mpirt.FixedOrder); st != nil {
 				out = op.Finalize(st)
 			}
@@ -261,7 +261,7 @@ func BenchmarkAblationLocalStateNative(b *testing.B) {
 	op := sum.KahanAlg.Op()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = op.Finalize(op.FoldSlice(xs))
+		sink = op.Finalize(op.FoldSlice(nil, xs))
 	}
 }
 

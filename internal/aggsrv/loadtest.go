@@ -25,7 +25,9 @@ type LoadConfig struct {
 	// Default "load".
 	Key string
 	// FlushEvery is the number of batches between timed flush
-	// barriers (the latency samples). Default 16.
+	// barriers (the latency samples). Default 16. The closing flush is
+	// timed too when batches are pending, so every client contributes
+	// at least one sample.
 	FlushEvery int
 }
 
@@ -168,8 +170,12 @@ func loadClient(cfg LoadConfig, ci int, perClient int64, deadline time.Time) (se
 			lat = append(lat, time.Since(t0))
 		}
 	}
+	t0 := time.Now()
 	if err := cl.Flush(); err != nil {
 		return sent, batches, lat, err
+	}
+	if batches%int64(cfg.FlushEvery) != 0 || len(lat) == 0 {
+		lat = append(lat, time.Since(t0))
 	}
 	return sent, batches, lat, nil
 }

@@ -555,3 +555,27 @@ func TestServeCheck(t *testing.T) {
 		t.Fatalf("load sum bits %x, want offline-recomputed %x", got, want)
 	}
 }
+
+// TestLoadShortRunLatency pins the closing flush as a latency sample:
+// a cell where no client reaches FlushEvery batches (16 clients sending
+// two 4096-scalar batches each, as BENCH_serve's c16_b4096 does) still
+// reports a flush-barrier p50 and p99.
+func TestLoadShortRunLatency(t *testing.T) {
+	addr, _ := startServer(t, Config{})
+	res, err := RunLoad(LoadConfig{
+		Addr:          addr,
+		Clients:       16,
+		Batch:         4096,
+		TotalDeposits: 16 * 2 * 4096,
+		Key:           "short",
+	})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if res.Batches != 32 {
+		t.Fatalf("%d batches, want 2 per client", res.Batches)
+	}
+	if res.P50 <= 0 || res.P99 < res.P50 {
+		t.Errorf("p50 %v p99 %v: want a positive flush latency from every client", res.P50, res.P99)
+	}
+}

@@ -69,7 +69,7 @@ func runReduction(chunks [][]float64, alg sum.Algorithm) float64 {
 	w := mpirt.NewWorld(len(chunks), mpirt.Config{})
 	var out float64
 	err := w.Run(func(r *mpirt.Rank) {
-		local := op.FoldSlice(chunks[r.ID])
+		local := op.FoldSlice(nil, chunks[r.ID])
 		if st := r.Reduce(0, local, op, mpirt.Binomial, mpirt.FixedOrder); st != nil {
 			out = op.Finalize(st)
 		}

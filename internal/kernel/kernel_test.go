@@ -213,7 +213,7 @@ func TestOpFoldSliceMatchesLeftFold(t *testing.T) {
 		op := alg.Op()
 		for _, set := range sets {
 			for name, xs := range set {
-				got := op.Finalize(op.FoldSlice(xs))
+				got := op.Finalize(op.FoldSlice(nil, xs))
 				want := op.Finalize(reduce.LeftFold(op, xs))
 				if bits(got) != bits(want) {
 					t.Errorf("%v/n=%d/%s: FoldSlice %x (%g), LeftFold %x (%g)",

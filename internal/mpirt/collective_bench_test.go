@@ -57,3 +57,39 @@ func BenchmarkCollectiveVector(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCollectiveWarm runs the steady state of a long-lived World:
+// perfbench collective-sim's 128x32 ReduceSum and 16x64 VectorReduce
+// per topology and operator, each on a World warmed by one Run, so the
+// reported allocations are what a Run costs once its ranks recycle the
+// states they lifted and folded before.
+func BenchmarkCollectiveWarm(b *testing.B) {
+	for _, alg := range []sum.Algorithm{sum.BinnedAlg, sum.StandardAlg} {
+		op := alg.Op()
+		for _, kind := range []struct {
+			name         string
+			ranks, nElem int
+		}{{"sum", 128, 32}, {"vector", 16, 64}} {
+			parts := chunks(makeData(kind.ranks*kind.nElem, 9), kind.ranks)
+			for _, topo := range Topologies {
+				body := func(r *Rank) { r.ReduceSum(0, parts[r.ID], op, topo, ArrivalOrder) }
+				if kind.name == "vector" {
+					body = func(r *Rank) { r.VectorReduce(0, parts[r.ID], op, topo, ArrivalOrder, 0) }
+				}
+				b.Run(fmt.Sprintf("op=%v/kind=%s/topo=%s/ranks=%d", alg, kind.name, topo, kind.ranks), func(b *testing.B) {
+					w := NewWorld(kind.ranks, Config{})
+					if err := w.Run(body); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := w.Run(body); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

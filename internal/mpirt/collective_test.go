@@ -437,7 +437,7 @@ func TestAllReduceBNBitwiseAllTopologies(t *testing.T) {
 		got := make([]uint64, ranks)
 		w := NewWorld(ranks, Config{Jitter: 50 * time.Microsecond, Seed: uint64(topo)})
 		if err := w.Run(func(r *Rank) {
-			local := op.FoldSlice(xs[r.ID*perRank : (r.ID+1)*perRank])
+			local := op.FoldSlice(nil, xs[r.ID*perRank:(r.ID+1)*perRank])
 			got[r.ID] = math.Float64bits(op.Finalize(r.AllReduce(local, op, topo, ArrivalOrder)))
 		}); err != nil {
 			t.Fatalf("%v: %v", topo, err)

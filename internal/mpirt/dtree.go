@@ -1,10 +1,6 @@
 package mpirt
 
-import (
-	"math/bits"
-
-	"repro/internal/reduce"
-)
+import "math/bits"
 
 // Double binary tree reduction (Sanders, Speck & Träff; the schedule
 // behind NCCL's tree allreduce and oneCCL's double_tree). Two
@@ -108,88 +104,6 @@ func childLists(parent []int) [][]int {
 	// Parent arrays are built in ascending rank order, so each list is
 	// already sorted ascending — the canonical FixedOrder merge order.
 	return children
-}
-
-// doubleTreeReduceStates reduces the state vector to root: even
-// segments climb T1, odd segments climb T2, pipelined per segment.
-// Each tree's root forwards its finished segments to the caller's root
-// under a distinct tag (so arrival-order child receives can never
-// confuse a finished segment with a child contribution).
-func (r *Rank) doubleTreeReduceStates(root int, states []reduce.State,
-	op reduce.Op, mode Mode, segSize int) ([]reduce.State, bool) {
-	n := len(states)
-	numSegs, segSize := segmentPlan(n, segSize)
-	dt := r.w.doubleTree()
-	parents := dt.parents
-	roots := dt.roots
-	children := dt.children
-
-	for s := 0; s < numSegs; s++ {
-		lo := s * segSize
-		hi := lo + segSize
-		if hi > n {
-			hi = n
-		}
-		tag := r.nextCollTag()
-		tagFinal := r.nextCollTag()
-		t := s % 2
-		r.mergeSegFromChildren(states[lo:hi], op, children[t][r.ID], mode, tag)
-		switch {
-		case parents[t][r.ID] >= 0:
-			seg := make([]reduce.State, hi-lo)
-			copy(seg, states[lo:hi])
-			r.send(parents[t][r.ID], tag, seg)
-		case r.ID != root:
-			// Tree root, but not the caller's root: forward the
-			// finished segment.
-			seg := make([]reduce.State, hi-lo)
-			copy(seg, states[lo:hi])
-			r.send(root, tagFinal, seg)
-		}
-		if r.ID == root && roots[t] != root {
-			copy(states[lo:hi], r.Recv(roots[t], tagFinal).([]reduce.State))
-		}
-	}
-	if r.ID != root {
-		return nil, false
-	}
-	return states, true
-}
-
-// mergeSegFromChildren absorbs one segment's contribution from each
-// child into dst, in ascending-child order (FixedOrder) or arrival
-// order (ArrivalOrder).
-func (r *Rank) mergeSegFromChildren(dst []reduce.State, op reduce.Op,
-	children []int, mode Mode, tag int) {
-	switch mode {
-	case FixedOrder:
-		got := make([]struct {
-			src int
-			seg []reduce.State
-		}, 0, len(children))
-		for range children {
-			src, p := r.RecvAny(tag)
-			got = append(got, struct {
-				src int
-				seg []reduce.State
-			}{src, p.([]reduce.State)})
-		}
-		for i := 1; i < len(got); i++ {
-			for j := i; j > 0 && got[j].src < got[j-1].src; j-- {
-				got[j], got[j-1] = got[j-1], got[j]
-			}
-		}
-		for _, g := range got {
-			mergeSeg(op, dst, g.seg)
-		}
-	case ArrivalOrder:
-		for range children {
-			_, p := r.RecvAny(tag)
-			mergeSeg(op, dst, p.([]reduce.State))
-		}
-	default:
-		panic("mpirt: invalid mode")
-	}
 }
 
 // segmentPlan normalizes a segment size against a vector length and

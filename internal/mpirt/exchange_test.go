@@ -34,8 +34,8 @@ func (exprOp) Finalize(reduce.State) float64 { return 0 }
 func (exprOp) Merge(a, b reduce.State) reduce.State {
 	return exprMerge(a.(uint64), b.(uint64))
 }
-func (o exprOp) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(o, xs) }
-func (o exprOp) Leaves(xs []float64) []reduce.State {
+func (o exprOp) FoldSlice(_ reduce.State, xs []float64) reduce.State { return reduce.LeftFold(o, xs) }
+func (o exprOp) Leaves(_ []reduce.State, xs []float64) []reduce.State {
 	return reduce.LeafEach[reduce.State](o, xs)
 }
 
@@ -131,7 +131,7 @@ func TestRabenseifnerMergeExpression(t *testing.T) {
 				}
 				// Fingerprints are immutable, so the lifted leaves can
 				// be shared by every collective of the run.
-				leaves := exprOp{}.Leaves(local)
+				leaves := exprOp{}.Leaves(nil, local)
 				for _, root := range roots {
 					states, ok := r.reduceStates(root, slices.Clone(leaves), exprOp{}, topo, modes[root%2], 0)
 					if ok != (r.ID == root) {

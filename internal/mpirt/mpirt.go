@@ -19,8 +19,9 @@ package mpirt
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fpu"
@@ -140,6 +141,12 @@ type World struct {
 	inboxes []chan envelope
 	sent    int // messages sent by the ranks of every finished Run
 
+	ranks []Rank // kept from Run to Run with their spare states
+	runs  uint64 // Runs started
+
+	aborted, over atomic.Bool    // a rank of this Run panicked; all returned
+	poster        sync.WaitGroup // the abort notice's helper goroutine
+
 	dtreeOnce sync.Once
 	dtree     *dtreeInfo
 }
@@ -179,42 +186,94 @@ func NewWorld(size int, cfg Config) *World {
 func (w *World) Size() int { return w.size }
 
 // Run launches one goroutine per rank executing body and waits for all
-// of them. A panicking rank aborts the run and is reported as an error.
-// The ranks live in one slab, so a run allocates O(1) blocks besides
-// its goroutines.
+// of them. A panicking rank aborts the run and is reported as an error:
+// every rank still waiting on a message unwinds, and the next Run
+// starts with drained inboxes and no spare states. The ranks live in
+// one slab kept from Run to Run, so a run allocates O(1) blocks besides
+// its goroutines. Run is not reentrant.
 func (w *World) Run(body func(r *Rank)) error {
+	if w.ranks == nil {
+		w.ranks = make([]Rank, w.size)
+	}
+	w.runs++
 	var wg sync.WaitGroup
-	ranks := make([]Rank, w.size)
-	errs := make([]error, w.size)
 	wg.Add(w.size)
-	for id := range ranks {
-		r := &ranks[id]
+	for id := range w.ranks {
+		r := &w.ranks[id]
 		r.ID, r.Size, r.w = id, w.size, w
+		r.pending, r.coll, r.sent, r.err = r.pending[:0], 0, 0, nil
 		r.rng.Reseed(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
-		go r.run(body, &wg, &errs[id])
+		go r.run(body, &wg)
 	}
 	wg.Wait()
-	for i := range ranks {
-		w.sent += ranks[i].sent
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	for i := range w.ranks {
+		w.sent += w.ranks[i].sent
+		if err == nil {
+			err = w.ranks[i].err
 		}
 	}
-	return nil
+	if w.aborted.Load() {
+		w.over.Store(true)
+		w.poster.Wait()
+		for _, in := range w.inboxes {
+			for len(in) > 0 {
+				<-in
+			}
+		}
+		w.ranks = nil
+		w.aborted.Store(false)
+		w.over.Store(false)
+	}
+	return err
 }
 
 // run is one rank's goroutine: it executes body and turns a panic into
-// *err.
-func (r *Rank) run(body func(r *Rank), wg *sync.WaitGroup, err *error) {
+// r.err and an abort, unless the abort itself unwound the rank.
+func (r *Rank) run(body func(r *Rank), wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
-		if p := recover(); p != nil {
-			*err = fmt.Errorf("mpirt: rank %d panicked: %v", r.ID, p)
+		if p := recover(); p != nil && p != any(aborted{}) {
+			r.err = fmt.Errorf("mpirt: rank %d panicked: %v", r.ID, p)
+			r.w.abort()
 		}
 	}()
 	body(r)
+}
+
+// abortTag tags the notice posted to every inbox when a rank panics. No
+// receive matches it, so a waiting rank takes it on its mismatch branch
+// (Rank.buffer) and unwinds with the panic value aborted{}.
+const abortTag = -1
+
+type aborted struct{}
+
+// abort starts, on the Run's first panic, a helper goroutine posting the
+// notice to every inbox. It passes over a full inbox and retries it,
+// since a rank that has returned no longer drains its own, until every
+// rank has returned.
+func (w *World) abort() {
+	if w.aborted.Swap(true) {
+		return
+	}
+	w.poster.Add(1)
+	go func() {
+		defer w.poster.Done()
+		left := slices.Clone(w.inboxes)
+		for !w.over.Load() {
+			if left = slices.DeleteFunc(left, func(in chan envelope) bool {
+				select {
+				case in <- envelope{src: -1, tag: abortTag}:
+					return true
+				default:
+					return false
+				}
+			}); len(left) == 0 {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
 }
 
 // Rank is one process in the world; methods on it may only be called
@@ -226,6 +285,49 @@ type Rank struct {
 	coll     int // per-rank collective sequence number
 	sent     int // messages this rank has sent
 	rng      fpu.RNG
+	err      error   // this Run's panic
+	spares   []spare // one per operator name, kept across Runs
+}
+
+// spare is the rank's own storage for one operator's states, which a
+// later Run overwrites instead of allocating. The schedules repoint
+// their working slice at other ranks' states (RSAG copies a partner's
+// in, Rabenseifner merges into a received one), so they get work, a
+// copy of own. Within one Run another rank may still read a spare, so
+// a second call with the same operator allocates afresh.
+type spare struct {
+	name                string
+	localRun, leavesRun uint64 // the Runs that last handed them out
+	local               reduce.State
+	own, work           []reduce.State
+}
+
+func (r *Rank) spare(op reduce.Op) *spare {
+	name := op.Name()
+	i := slices.IndexFunc(r.spares, func(s spare) bool { return s.name == name })
+	if i < 0 {
+		i, r.spares = len(r.spares), append(r.spares, spare{name: name})
+	}
+	return &r.spares[i]
+}
+
+// localState is LocalState into the rank's spare state for op.
+func (r *Rank) localState(op reduce.Op, xs []float64) reduce.State {
+	if sp := r.spare(op); sp.localRun != r.w.runs {
+		sp.localRun, sp.local = r.w.runs, op.FoldSlice(sp.local, xs)
+		return sp.local
+	}
+	return op.FoldSlice(nil, xs)
+}
+
+// leaves is op.Leaves into the rank's spare leaves for op.
+func (r *Rank) leaves(op reduce.Op, xs []float64) []reduce.State {
+	if sp := r.spare(op); sp.leavesRun != r.w.runs {
+		sp.leavesRun, sp.own = r.w.runs, op.Leaves(sp.own, xs)
+		sp.work = append(sp.work[:0], sp.own...)
+		return sp.work
+	}
+	return op.Leaves(nil, xs)
 }
 
 // collective tags live above user tags; user tags must be >= 0.
@@ -236,9 +338,13 @@ func (r *Rank) nextCollTag() int {
 	return collTagBase + r.coll
 }
 
-// Send delivers payload to rank dst under the given tag (tag >= 0 for
-// user messages). Jitter, if configured, delays the send.
+// Send delivers payload to rank dst under the given tag, which must be
+// >= 0 (negative tags are the runtime's). Jitter, if configured, delays
+// the send.
 func (r *Rank) Send(dst, tag int, payload any) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpirt: negative user tag %d", tag))
+	}
 	r.send(dst, tag, payload)
 }
 
@@ -275,7 +381,7 @@ func (r *Rank) sendWaiting(dst int, e envelope) {
 		case r.w.inboxes[dst] <- e:
 			return
 		case in := <-own:
-			r.pending = append(r.pending, in)
+			r.buffer(in)
 		}
 	}
 }
@@ -311,8 +417,17 @@ func (r *Rank) Recv(src, tag int) any {
 		if e.src == src && e.tag == tag {
 			return e.payload
 		}
-		r.pending = append(r.pending, e)
+		r.buffer(e)
 	}
+}
+
+// buffer keeps an envelope that arrived before its receive, or unwinds
+// on the abort notice.
+func (r *Rank) buffer(e envelope) {
+	if e.tag == abortTag {
+		panic(aborted{})
+	}
+	r.pending = append(r.pending, e)
 }
 
 // RecvAny blocks until a message with the given tag arrives from any
@@ -329,7 +444,7 @@ func (r *Rank) RecvAny(tag int) (src int, payload any) {
 		if e.tag == tag {
 			return e.src, e.payload
 		}
-		r.pending = append(r.pending, e)
+		r.buffer(e)
 	}
 }
 
@@ -495,36 +610,36 @@ func (r *Rank) Reduce(root int, local reduce.State, op reduce.Op, topo Topology,
 	tag := r.nextCollTag()
 	parent, children := r.family(topo, root)
 	state := local
-	switch mode {
-	case FixedOrder:
-		got := make([]struct {
-			src int
-			st  reduce.State
-		}, 0, len(children))
-		for range children {
-			src, p := r.RecvAny(tag)
-			got = append(got, struct {
-				src int
-				st  reduce.State
-			}{src, p})
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i].src < got[j].src })
-		for _, g := range got {
-			state = op.Merge(state, g.st)
-		}
-	case ArrivalOrder:
-		for range children {
-			_, p := r.RecvAny(tag)
-			state = op.Merge(state, p)
-		}
-	default:
-		panic("mpirt: invalid mode")
-	}
+	r.fromChildren(children, mode, tag, func(p any) { state = op.Merge(state, p) })
 	if parent >= 0 {
 		r.send(parent, tag, state)
 		return nil
 	}
 	return state
+}
+
+// fromChildren receives one payload from each child under tag and
+// hands each to absorb: as they arrive (ArrivalOrder), or once all have
+// arrived in ascending rank order (FixedOrder).
+func (r *Rank) fromChildren(children []int, mode Mode, tag int, absorb func(payload any)) {
+	switch mode {
+	case FixedOrder:
+		got := make([]envelope, len(children))
+		for i := range got {
+			got[i].src, got[i].payload = r.RecvAny(tag)
+		}
+		slices.SortFunc(got, func(a, b envelope) int { return a.src - b.src })
+		for _, e := range got {
+			absorb(e.payload)
+		}
+	case ArrivalOrder:
+		for range children {
+			_, p := r.RecvAny(tag)
+			absorb(p)
+		}
+	default:
+		panic("mpirt: invalid mode")
+	}
 }
 
 // AllReduce performs Reduce to rank 0 followed by a Broadcast of the
@@ -539,10 +654,10 @@ func (r *Rank) AllReduce(local reduce.State, op reduce.Op, topo Topology, mode M
 
 // ReduceSum folds the rank's local values with op.FoldSlice and reduces
 // the partial states globally, returning the finalized sum at root and
-// NaN elsewhere.
+// NaN elsewhere. The fold reuses the state this rank folded for op in an
+// earlier Run.
 func (r *Rank) ReduceSum(root int, local []float64, op reduce.Op, topo Topology, mode Mode) (float64, bool) {
-	state := LocalState(op, local)
-	st := r.Reduce(root, state, op, topo, mode)
+	st := r.Reduce(root, r.localState(op, local), op, topo, mode)
 	if st == nil {
 		return 0, false
 	}
@@ -551,4 +666,4 @@ func (r *Rank) ReduceSum(root int, local []float64, op reduce.Op, topo Topology,
 
 // LocalState folds a slice into a single partial state under op (the
 // "local sum" phase executed by each rank before the global reduce).
-func LocalState(op reduce.Op, xs []float64) reduce.State { return op.FoldSlice(xs) }
+func LocalState(op reduce.Op, xs []float64) reduce.State { return op.FoldSlice(nil, xs) }

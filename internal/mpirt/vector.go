@@ -30,7 +30,7 @@ import (
 // finalized vector at root and ok = true there; nil, false elsewhere.
 func (r *Rank) VectorReduce(root int, local []float64, op reduce.Op,
 	topo Topology, mode Mode, segSize int) ([]float64, bool) {
-	out, ok := r.reduceStates(root, op.Leaves(local), op, topo, mode, segSize)
+	out, ok := r.reduceStates(root, r.leaves(op, local), op, topo, mode, segSize)
 	if !ok {
 		return nil, false
 	}
@@ -52,36 +52,42 @@ func (r *Rank) reduceStates(root int, states []reduce.State, op reduce.Op,
 		}
 		return out, true
 	case DoubleTree:
-		return r.doubleTreeReduceStates(root, states, op, mode, segSize)
+		dt, id := r.w.doubleTree(), r.ID
+		return r.segTreeReduce(root, states, op, mode, segSize, [2]int{dt.parents[0][id], dt.parents[1][id]},
+			[2][]int{dt.children[0][id], dt.children[1][id]}, dt.roots)
 	default:
-		return r.treeReduceStates(root, states, op, topo, mode, segSize)
+		parent, children := r.family(topo, root)
+		return r.segTreeReduce(root, states, op, mode, segSize, [2]int{parent, parent},
+			[2][]int{children, children}, [2]int{root, root})
 	}
 }
 
-// treeReduceStates is the segmented, pipelined reduction over the
-// single-tree topologies (binomial, binary, chain, flat).
-func (r *Rank) treeReduceStates(root int, states []reduce.State, op reduce.Op,
-	topo Topology, mode Mode, segSize int) ([]reduce.State, bool) {
+// segTreeReduce is the segmented, pipelined reduction over rooted
+// trees: segment s climbs tree s%2, in which this rank's parent is
+// parents[s%2] (-1 at that tree's root) and its children children[s%2].
+// The single-tree topologies pass their one tree twice. A tree rooted
+// away from root forwards its finished segments there under a second
+// tag, so an arrival-order child receive never takes one for a child's
+// contribution. All ranks must agree on the segment count, which
+// derives from the (assumed uniform) local length: a mismatch deadlocks
+// loudly in tests rather than corrupting silently.
+func (r *Rank) segTreeReduce(root int, states []reduce.State, op reduce.Op, mode Mode, segSize int,
+	parents [2]int, children [2][]int, roots [2]int) ([]reduce.State, bool) {
 	n := len(states)
 	numSegs, segSize := segmentPlan(n, segSize)
-	// All ranks must agree on the segment count; it derives from the
-	// (assumed uniform) local length. Guard against mismatched lengths
-	// by exchanging the count via the tag sequence itself: each segment
-	// reduction is an independent collective round, so a mismatch
-	// deadlocks loudly in tests rather than corrupting silently.
-	parent, children := r.family(topo, root)
 	for s := 0; s < numSegs; s++ {
-		lo := s * segSize
-		hi := lo + segSize
-		if hi > n {
-			hi = n
+		lo, hi, t := s*segSize, min((s+1)*segSize, n), s%2
+		tag, tagFinal := r.nextCollTag(), r.nextCollTag()
+		r.fromChildren(children[t], mode, tag, func(p any) { mergeSeg(op, states[lo:hi], p.([]reduce.State)) })
+		// No copy: this rank never writes a sent segment again.
+		switch {
+		case parents[t] >= 0:
+			r.send(parents[t], tag, states[lo:hi])
+		case r.ID != root:
+			r.send(root, tagFinal, states[lo:hi])
 		}
-		tag := r.nextCollTag()
-		r.mergeSegFromChildren(states[lo:hi], op, children, mode, tag)
-		if parent >= 0 {
-			seg := make([]reduce.State, hi-lo)
-			copy(seg, states[lo:hi])
-			r.send(parent, tag, seg)
+		if r.ID == root && roots[t] != root {
+			copy(states[lo:hi], r.Recv(roots[t], tagFinal).([]reduce.State))
 		}
 	}
 	if r.ID != root {
@@ -118,7 +124,7 @@ func mergeSeg(op reduce.Op, dst, src []reduce.State) {
 func (r *Rank) VectorAllReduce(local []float64, op reduce.Op,
 	topo Topology, mode Mode, segSize int) []float64 {
 	if topo == RSAllgather {
-		out, _ := r.rabenseifner(0, op.Leaves(local), op, true)
+		out, _ := r.rabenseifner(0, r.leaves(op, local), op, true)
 		return finalizeStates(op, out)
 	}
 	v, _ := r.VectorReduce(0, local, op, topo, mode, segSize)

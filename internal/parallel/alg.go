@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"repro/internal/kernel"
+	"repro/internal/reduce"
 	"repro/internal/sum"
 	"repro/internal/superacc"
 )
@@ -23,7 +24,7 @@ func Sum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
 		st, _ := MapReduce(len(xs), cfg, stChunk(xs), sum.STMonoid{}.Merge)
 		return st
 	}
-	return Reduce(alg.Op(), xs, cfg)
+	return Reduce[reduce.State](opFolder{alg.Op()}, xs, cfg)
 }
 
 // SeqSum executes the identical plan as Sum on a single goroutine — the
@@ -33,8 +34,14 @@ func SeqSum(alg sum.Algorithm, xs []float64, cfg Config) float64 {
 		st, _ := MapReduceSeq(len(xs), cfg, stChunk(xs), sum.STMonoid{}.Merge)
 		return st
 	}
-	return SeqReduce(alg.Op(), xs, cfg)
+	return SeqReduce[reduce.State](opFolder{alg.Op()}, xs, cfg)
 }
+
+// opFolder is an operator as a reduce.SliceFolder, so the engine's
+// chunk folds run the operator's batch kernel into a fresh state.
+type opFolder struct{ reduce.Op }
+
+func (o opFolder) FoldSlice(xs []float64) reduce.State { return o.Op.FoldSlice(nil, xs) }
 
 // plusZeroST reports whether alg's chunks fold with the +0-start
 // kernel.ST instead of its operator.

@@ -32,51 +32,102 @@ type State interface{}
 type Op interface {
 	Name() string
 	Leaf(x float64) State
-	// Merge combines a and b. It may reuse a's storage (BN's operator
-	// folds b into a in place and returns a), so after the call the
+	// Merge combines a and b. It may reuse a's storage (every registered
+	// operator folds b into a in place and returns a), so after the call the
 	// caller keeps only the returned state: a must not be read, merged
 	// or sent again. b is read-only and stays valid.
 	Merge(a, b State) State
 	Finalize(s State) float64
 	// FoldSlice folds xs into one partial state — the "local sum" each
 	// rank runs before a collective — bit for bit LeftFold(op, xs).
-	// Wrappers that observe individual Leaf and Merge calls implement
-	// it as LeftFold(self, xs).
-	FoldSlice(xs []float64) State
+	// dst is nil or a dead state of this op: FoldSlice may overwrite its
+	// storage and return it, and ignores a dst of another type. The
+	// result never depends on what dst held. Wrappers that observe
+	// individual Leaf and Merge calls ignore dst and implement it as
+	// LeftFold(self, xs).
+	FoldSlice(dst State, xs []float64) State
 	// Leaves lifts each element of xs: element i equals Leaf(xs[i]) bit
 	// for bit, and each element is owned on its own, so Merge may reuse
-	// any one of them without touching its neighbours. A vector
-	// collective lifts a rank's whole vector with one call; wrappers
-	// that observe individual Leaf calls implement it as LeafEach(self,
-	// xs).
-	Leaves(xs []float64) []State
+	// any one of them without touching its neighbours. dst works like
+	// append's first argument: nil, or distinct dead states of this op
+	// (an earlier Leaves result) whose storage Leaves may overwrite and
+	// return; an element of another type is replaced, not reused. A
+	// vector collective lifts a rank's whole vector with one call;
+	// wrappers that observe individual Leaf calls ignore dst and
+	// implement it as LeafEach(self, xs).
+	Leaves(dst []State, xs []float64) []State
 }
 
-// boxed adapts a generic Monoid into a dynamic Op.
+// boxed adapts a generic Monoid into a dynamic Op. It boxes *S, so
+// Merge folds its right operand into the left one in place and a
+// reused dst is overwritten instead of reallocated.
 type boxed[S any] struct {
 	name string
 	m    Monoid[S]
 }
 
-func (b boxed[S]) Name() string         { return b.name }
-func (b boxed[S]) Leaf(x float64) State { return b.m.Leaf(x) }
-func (b boxed[S]) Finalize(s State) float64 {
-	return b.m.Finalize(s.(S))
+func (b boxed[S]) Name() string { return b.name }
+func (b boxed[S]) Leaf(x float64) State {
+	s := b.m.Leaf(x)
+	return &s
 }
+func (b boxed[S]) Finalize(s State) float64 { return b.m.Finalize(*s.(*S)) }
+
+// Merge reuses a's storage, as Op.Merge allows; c is only read.
 func (b boxed[S]) Merge(a, c State) State {
-	return b.m.Merge(a.(S), c.(S))
+	p := a.(*S)
+	*p = b.m.Merge(*p, *c.(*S))
+	return p
 }
 
-// FoldSlice folds in the monoid's own state type and boxes once: the
-// SliceFolder kernel when the monoid has one, else the unboxed generic
-// Leaf/Merge loop.
-func (b boxed[S]) FoldSlice(xs []float64) State { return FoldState(b.m, xs) }
+// FoldSlice folds in the monoid's own state type — the SliceFolder
+// kernel when the monoid has one, else the unboxed generic Leaf/Merge
+// loop — into dst's storage when it is a *S.
+func (b boxed[S]) FoldSlice(dst State, xs []float64) State {
+	p, ok := dst.(*S)
+	if !ok {
+		p = new(S)
+	}
+	*p = FoldState(b.m, xs)
+	return p
+}
 
-func (b boxed[S]) Leaves(xs []float64) []State { return LeafEach[State](b, xs) }
+func (b boxed[S]) Leaves(dst []State, xs []float64) []State {
+	dst = ReuseStates[S](dst, len(xs))
+	for i, x := range xs {
+		*dst[i].(*S) = b.m.Leaf(x)
+	}
+	return dst
+}
 
 // Boxed wraps a generic monoid as a dynamic Op under the given name.
 func Boxed[S any](name string, m Monoid[S]) Op {
 	return boxed[S]{name: name, m: m}
+}
+
+// ReuseStates resizes dst to n elements, each a distinct *S holding a
+// zero S for an Op's Leaves to fill: an element that already is a *S
+// keeps its storage, reset, and any other is replaced from one fresh
+// slab. With a nil dst that is two allocations for any n.
+func ReuseStates[S any](dst []State, n int) []State {
+	if n > cap(dst) {
+		dst = append(make([]State, 0, n), dst...)
+	}
+	d := len(dst)
+	dst = dst[:n]
+	clear(dst[min(d, n):])
+	var slab []S
+	for i, s := range dst {
+		if p, ok := s.(*S); ok {
+			*p = *new(S)
+			continue
+		}
+		if len(slab) == 0 {
+			slab = make([]S, n-i)
+		}
+		dst[i], slab = &slab[0], slab[1:]
+	}
+	return dst
 }
 
 // SliceFolder is the optional batch fast path a Monoid may implement.

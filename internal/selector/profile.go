@@ -289,11 +289,16 @@ func (ProfileOp) Merge(a, b reduce.State) reduce.State {
 	return a.(Profile).Merge(b.(Profile))
 }
 
-// FoldSlice implements reduce.Op with the reference per-element fold.
-func (p ProfileOp) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(p, xs) }
+// FoldSlice implements reduce.Op with the reference per-element fold; it
+// ignores dst.
+func (p ProfileOp) FoldSlice(_ reduce.State, xs []float64) reduce.State {
+	return reduce.LeftFold(p, xs)
+}
 
-// Leaves implements reduce.Op with one Leaf per element.
-func (p ProfileOp) Leaves(xs []float64) []reduce.State { return reduce.LeafEach[reduce.State](p, xs) }
+// Leaves implements reduce.Op with one Leaf per element; it ignores dst.
+func (p ProfileOp) Leaves(_ []reduce.State, xs []float64) []reduce.State {
+	return reduce.LeafEach[reduce.State](p, xs)
+}
 
 // Finalize returns the profiled condition number — reduce.Op constrains
 // Finalize to a single scalar, and k is the headline one. The full

@@ -70,12 +70,11 @@ func (BNMonoid) FoldSlice(xs []float64) binned.State {
 
 var _ reduce.SliceFolder[binned.State] = BNMonoid{}
 
-// bnOp is BN's dynamic reduce.Op. It boxes *binned.State rather than
-// the 584-byte value reduce.Boxed(BNMonoid{}) would box: Leaf and
-// FoldSlice allocate the one state, Leaves one slab for the whole
-// vector, Merge folds its right operand into the left one in place and
-// returns it, and Finalize reads through the pointer — so the
-// collectives' merges neither allocate nor copy.
+// bnOp is BN's dynamic reduce.Op. Like every reduce.Boxed operator it
+// boxes a pointer, *binned.State, and merges in place, but with its own
+// methods: Merge folds b into a without copying the 584-byte values a
+// boxed *a = Merge(*a, *b) would, and FoldSlice and Leaves deposit
+// straight into the boxed states.
 type bnOp struct{}
 
 func (bnOp) Name() string { return BinnedAlg.String() }
@@ -93,27 +92,33 @@ func (bnOp) Merge(a, b reduce.State) reduce.State {
 	return st
 }
 
-// Leaves lifts xs into one slab of states: two allocations per vector
-// instead of one per element. Each element is a distinct state, so an
-// in-place Merge into one leaves its neighbours alone.
-func (bnOp) Leaves(xs []float64) []reduce.State {
-	slab := make([]binned.State, len(xs))
-	out := make([]reduce.State, len(xs))
+// Leaves lifts xs into dst's states, or into one fresh slab: two
+// allocations per vector with a nil dst, none with a reused one. Each
+// element is a distinct state, so an in-place Merge into one leaves its
+// neighbours alone.
+func (bnOp) Leaves(dst []reduce.State, xs []float64) []reduce.State {
+	dst = reduce.ReuseStates[binned.State](dst, len(xs))
 	for i, x := range xs {
-		slab[i].Add(x)
-		out[i] = &slab[i]
+		dst[i].(*binned.State).Add(x)
 	}
-	return out
+	return dst
 }
 
 func (bnOp) Finalize(s reduce.State) float64 { return s.(*binned.State).Finalize() }
 
-// FoldSlice runs the batch deposit kernel into one fresh state.
-func (o bnOp) FoldSlice(xs []float64) reduce.State {
-	if len(xs) == 0 {
-		return o.Leaf(0) // reduce.LeftFold's empty fold
+// FoldSlice runs the batch deposit kernel into dst's state, or into a
+// fresh one.
+func (bnOp) FoldSlice(dst reduce.State, xs []float64) reduce.State {
+	st, ok := dst.(*binned.State)
+	if ok {
+		st.Reset()
+	} else {
+		st = new(binned.State)
 	}
-	st := new(binned.State)
-	st.AddSlice(xs)
+	if len(xs) == 0 {
+		st.Add(0) // reduce.LeftFold's empty fold is Leaf(0)
+	} else {
+		st.AddSlice(xs)
+	}
 	return st
 }

@@ -74,9 +74,9 @@ type algInfo struct {
 // and below the Kahan kernel at 1M elements (BENCH_binned.json) — which
 // places the cheapest reproducible rung directly after the plain loops.
 // PW shares ST's accumulator, operator and dot product: its pairwise
-// shape lives in the one-shot sum and in the engines' merge trees. BN's
-// operator merges in place (see reduce.Op.Merge for the ownership
-// rule); the others box their monoid's state by value.
+// shape lives in the one-shot sum and in the engines' merge trees. Every
+// operator boxes a pointer to its state and merges in place (see
+// reduce.Op.Merge for the ownership rule).
 var registry = [numAlgorithms]algInfo{
 	StandardAlg: {"ST", "standard iterative summation", 0, false, Standard,
 		func() Accumulator { return &StandardAcc{} }, reduce.Boxed("ST", STMonoid{}), DotStandard},

@@ -77,11 +77,17 @@ func (r *Recorder) Merge(a, b reduce.State) reduce.State {
 }
 
 // FoldSlice implements reduce.Op with the per-element reference fold,
-// so a rank's local sum is recorded leaf by leaf and merge by merge.
-func (r *Recorder) FoldSlice(xs []float64) reduce.State { return reduce.LeftFold(r, xs) }
+// so a rank's local sum is recorded leaf by leaf and merge by merge; it
+// ignores dst.
+func (r *Recorder) FoldSlice(_ reduce.State, xs []float64) reduce.State {
+	return reduce.LeftFold(r, xs)
+}
 
-// Leaves implements reduce.Op with one recorded Leaf per element.
-func (r *Recorder) Leaves(xs []float64) []reduce.State { return reduce.LeafEach[reduce.State](r, xs) }
+// Leaves implements reduce.Op with one recorded Leaf per element; it
+// ignores dst.
+func (r *Recorder) Leaves(_ []reduce.State, xs []float64) []reduce.State {
+	return reduce.LeafEach[reduce.State](r, xs)
+}
 
 // Finalize implements reduce.Op.
 func (r *Recorder) Finalize(s reduce.State) float64 {
@@ -155,7 +161,7 @@ func (t Trace) Depth() int {
 // original operator reproduces its result bitwise; replaying with an
 // exact oracle yields the true sum of the same tree's operands,
 // attributing any discrepancy to the tree. Merges rerun in recorded
-// order, so an operator that reuses Merge's left operand (BN's) is safe
+// order, so an operator that reuses Merge's left operand is safe
 // here whenever the recorded run kept only each Merge's result: no
 // replayed node is read after it was a left operand.
 func (t Trace) Replay(op reduce.Op) float64 {
