@@ -62,7 +62,7 @@ verify:
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
 	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
-	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
+	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \
 		| $(GO) run ./cmd/benchjson -ratio 'BenchmarkBinnedVsAlternatives1M/binned,BenchmarkBinnedVsAlternatives1M/stkernel' -max 2.2

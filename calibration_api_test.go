@@ -27,7 +27,6 @@ func TestPublicCalibrationLoop(t *testing.T) {
 		},
 		Cost: selector.CostSweepConfig{
 			Ns:      []int{256},
-			Workers: []int{0},
 			MinTime: 100 * time.Microsecond,
 			Reps:    1,
 		},

@@ -1,7 +1,7 @@
 // Command calibrate closes the selection loop on the local host: it
 // benchmarks the summation engines (accuracy sweep across the
-// (n, k, dynamic-range) envelope plus engine cost sweep across
-// workers × sizes), fits the results into selection
+// (n, k, dynamic-range) envelope plus a cost sweep of the serial
+// sums across sizes), fits the results into selection
 // surfaces, and writes a versioned calibration artifact the runtime
 // loads at startup (repro.LoadCalibrationFile / repro.WithCalibration).
 //

@@ -33,16 +33,11 @@ import (
 // both equalities with exhaustive tests. Tolerance-0 requests under the
 // analytic policies, which can only escalate to BN, skip this pass and
 // run the BN fold alone (the selector's exact bypass).
-//
-// FusedAcc is also a monoid (Merge), component-wise identical to
-// selector.Profile.Merge plus the engine merges for ST (a+b) and
-// Neumaier (nmerge), so per-chunk fused accumulators combined over the
-// parallel engine's fixed tree reproduce parallel.Sum's bits for both
-// speculative algorithms at any worker count.
 
 // FusedAcc is the state of one fused profile+sum pass. The profile
-// fields mirror selector.Profile field-for-field (same accumulation
-// order, same bits); ST carries the plain-sum shadow.
+// fields mirror selector.Profile's (same accumulation order, same
+// bits), except that SumAbs's correction, which a serial fold leaves
+// at 0, has no field; ST carries the plain-sum shadow.
 type FusedAcc struct {
 	// N counts every element, zeros and non-finite values included.
 	N int64
@@ -52,11 +47,10 @@ type FusedAcc struct {
 	// elements: Σx for the profile, and the Neumaier(xs) state when
 	// nothing non-finite was seen.
 	SumS, SumC float64
-	// AbsS, AbsC hold Σ|x| over nonzero finite elements. The fold
-	// accumulates AbsS plainly (|x| never cancels, so n·u relative
-	// accuracy is ample); AbsC is populated only by Merge's exact
-	// combination, mirroring selector.Profile.SumAbs.
-	AbsS, AbsC float64
+	// AbsS is Σ|x| over nonzero finite elements, accumulated plainly
+	// (|x| never cancels, so n·u relative accuracy is ample), as
+	// selector.Profile.SumAbs.S is.
+	AbsS float64
 	// MaxExp, MinExp are the extreme binary exponents of the nonzero
 	// finite elements; valid only when HasNonzero.
 	MaxExp, MinExp int
@@ -136,51 +130,4 @@ func FusedProfileSum(xs []float64) FusedAcc {
 		acc.MinExp = math.Ilogb(math.Float64frombits(minA))
 	}
 	return acc
-}
-
-// nmerge combines two Neumaier states with sum.NeumaierMonoid's merge:
-// an exact TwoSum of the partial sums, corrections added plainly.
-func nmerge(sa, ca, sb, cb float64) (float64, float64) {
-	s, e := fpu.TwoSum(sa, sb)
-	return s, ca + cb + e
-}
-
-// Merge combines two fused accumulators describing adjacent ranges:
-// a+b for the ST shadow (sum.STMonoid), nmerge for both compensated
-// pairs (sum.NeumaierMonoid), and selector.Profile.Merge's rules for
-// the discrete fields. Merging per-chunk FusedProfileSum states over
-// the parallel engine's fixed tree therefore reproduces, bit-for-bit,
-// what parallel.Sum computes for ST and Neumaier and what
-// selector.ProfileOfParallel computes for the profile.
-func (a FusedAcc) Merge(b FusedAcc) FusedAcc {
-	// Zero-observation sides merge as an exact identity (mirroring
-	// selector.Profile.Merge): the general path's ST += and nmerge
-	// against zero are value-preserving but can flip a -0 shadow sum
-	// to +0, breaking bitwise agreement with the serial fold.
-	if b.N == 0 && !b.NonFinite {
-		return a
-	}
-	if a.N == 0 && !a.NonFinite {
-		return b
-	}
-	out := FusedAcc{
-		N:         a.N + b.N,
-		ST:        a.ST + b.ST,
-		Pos:       a.Pos + b.Pos,
-		Neg:       a.Neg + b.Neg,
-		NonFinite: a.NonFinite || b.NonFinite,
-	}
-	out.SumS, out.SumC = nmerge(a.SumS, a.SumC, b.SumS, b.SumC)
-	out.AbsS, out.AbsC = nmerge(a.AbsS, a.AbsC, b.AbsS, b.AbsC)
-	switch {
-	case a.HasNonzero && b.HasNonzero:
-		out.HasNonzero = true
-		out.MaxExp = max(a.MaxExp, b.MaxExp)
-		out.MinExp = min(a.MinExp, b.MinExp)
-	case a.HasNonzero:
-		out.HasNonzero, out.MaxExp, out.MinExp = true, a.MaxExp, a.MinExp
-	case b.HasNonzero:
-		out.HasNonzero, out.MaxExp, out.MinExp = true, b.MaxExp, b.MinExp
-	}
-	return out
 }

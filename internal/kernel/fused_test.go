@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
-	"repro/internal/sum"
 )
 
 // fusedInputs extends the shared adversarial corners with the cases the
@@ -54,9 +53,6 @@ func TestFusedProfileSumEquivalence(t *testing.T) {
 			if a.N != int64(len(xs)) {
 				t.Errorf("n=%d %s: N=%d", n, name, a.N)
 			}
-			if a.AbsC != 0 {
-				t.Errorf("n=%d %s: serial fold populated AbsC=%g", n, name, a.AbsC)
-			}
 		}
 	}
 }
@@ -80,46 +76,6 @@ func TestFusedProfileSumNonFinite(t *testing.T) {
 		}
 		if a.Pos != 2 || a.Neg != 1 || a.N != 5 {
 			t.Errorf("%v: counts pos=%d neg=%d n=%d", bad, a.Pos, a.Neg, a.N)
-		}
-	}
-}
-
-// TestFusedMergeEquivalence pins Merge component-wise against the
-// engine's own merge operators: plain addition for the ST shadow
-// (sum.STMonoid) and the Neumaier monoid merge for both compensated
-// pairs, plus exact combination of the discrete fields.
-func TestFusedMergeEquivalence(t *testing.T) {
-	for _, n := range sizes {
-		if n < 2 {
-			continue
-		}
-		for name, xs := range fusedInputs(n) {
-			for _, cut := range []int{0, 1, n / 3, n / 2, n - 1, n} {
-				a := kernel.FusedProfileSum(xs[:cut])
-				b := kernel.FusedProfileSum(xs[cut:])
-				m := a.Merge(b)
-				if got, want := bits(m.ST), bits(a.ST+b.ST); got != want {
-					t.Fatalf("n=%d %s cut=%d: merged ST %x != a+b %x", n, name, cut, got, want)
-				}
-				ns := sum.NeumaierMonoid{}.Merge(
-					sum.NState{S: a.SumS, C: a.SumC}, sum.NState{S: b.SumS, C: b.SumC})
-				if bits(m.SumS) != bits(ns.S) || bits(m.SumC) != bits(ns.C) {
-					t.Fatalf("n=%d %s cut=%d: merged pair != NeumaierMonoid merge", n, name, cut)
-				}
-				abs := sum.NeumaierMonoid{}.Merge(
-					sum.NState{S: a.AbsS, C: a.AbsC}, sum.NState{S: b.AbsS, C: b.AbsC})
-				if bits(m.AbsS) != bits(abs.S) || bits(m.AbsC) != bits(abs.C) {
-					t.Fatalf("n=%d %s cut=%d: merged abs pair != NeumaierMonoid merge", n, name, cut)
-				}
-				whole := kernel.FusedProfileSum(xs)
-				if m.N != whole.N || m.Pos != whole.Pos || m.Neg != whole.Neg ||
-					m.HasNonzero != whole.HasNonzero || m.NonFinite != whole.NonFinite {
-					t.Fatalf("n=%d %s cut=%d: merged discrete fields diverge", n, name, cut)
-				}
-				if whole.HasNonzero && (m.MaxExp != whole.MaxExp || m.MinExp != whole.MinExp) {
-					t.Fatalf("n=%d %s cut=%d: merged exponents diverge", n, name, cut)
-				}
-			}
 		}
 	}
 }

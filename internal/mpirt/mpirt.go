@@ -287,6 +287,7 @@ type Rank struct {
 	rng      fpu.RNG
 	err      error   // this Run's panic
 	spares   []spare // one per operator name, kept across Runs
+	kids     []int   // family's children, refilled by each collective
 }
 
 // spare is the rank's own storage for one operator's states, which a
@@ -455,10 +456,13 @@ func (r *Rank) vertex(root int) int { return (r.ID - root + r.Size) % r.Size }
 func (r *Rank) rankOf(v, root int) int { return (v + root) % r.Size }
 
 // family returns the parent rank (-1 at the root) and child ranks of
-// this rank in the given topology rooted at root.
+// this rank in the given topology rooted at root. The children live in
+// a buffer the rank keeps, which the next call overwrites: a rank runs
+// one collective at a time, and each calls family once.
 func (r *Rank) family(topo Topology, root int) (parent int, children []int) {
 	v := r.vertex(root)
 	n := r.Size
+	children = r.kids[:0]
 	switch topo {
 	case Binomial:
 		if v == 0 {
@@ -507,6 +511,7 @@ func (r *Rank) family(topo Topology, root int) (parent int, children []int) {
 	default:
 		panic("mpirt: invalid topology " + topo.String())
 	}
+	r.kids = children
 	return parent, children
 }
 

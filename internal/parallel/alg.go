@@ -53,14 +53,6 @@ func stChunk(xs []float64) func(lo, hi int) float64 {
 	return func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) }
 }
 
-// SumPR computes the prerounded sum with an explicit bin configuration
-// (e.g. one tuned by selector.TunePR) on the parallel engine. PR's merge
-// is exactly associative and commutative, so the result is additionally
-// invariant to the chunk plan itself, not just the worker count.
-func SumPR(prCfg sum.PRConfig, xs []float64, cfg Config) float64 {
-	return Reduce(prCfg.Monoid(), xs, cfg)
-}
-
 // ExactSum computes the exact, correctly rounded sum of xs with sharded
 // superaccumulators: one exact accumulator per chunk, merged exactly at
 // the root. Because every operation is exact, the result is identical to

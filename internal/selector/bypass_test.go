@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/parallel"
 	"repro/internal/sum"
 )
 
@@ -52,31 +51,22 @@ func bypassCases() map[string][]float64 {
 }
 
 // bypassOracle is the independent two-pass route for s on xs: the full
-// profile (ProfileOfParallel on the engine), the policy through a fresh
-// decision cache when s has one, then the chosen operator — or the ST
-// fallback for a poisoned profile.
-func bypassOracle(s *Selector, xs []float64, cfg *parallel.Config) (float64, sum.Algorithm, Profile) {
+// profile, the policy through a fresh decision cache when s has one,
+// then the chosen operator — or the ST fallback for a poisoned profile.
+func bypassOracle(s *Selector, xs []float64) (float64, sum.Algorithm, Profile) {
 	ref := &Selector{Policy: s.Policy, Req: s.Req}
 	if s.Cache != nil {
 		ref.Cache = NewDecisionCache(CacheConfig{})
 	}
 	prof := ProfileOf(xs)
-	if cfg != nil {
-		prof = ProfileOfParallel(xs, *cfg)
-	}
 	if prof.NonFinite {
 		return sum.Standard(xs), sum.StandardAlg, prof
 	}
 	d := ref.Decide(prof)
-	switch {
-	case cfg == nil && d.Alg == sum.PreroundedAlg:
+	if d.Alg == sum.PreroundedAlg {
 		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
-	case cfg == nil:
-		return d.Alg.Sum(xs), d.Alg, prof
-	case d.Alg == sum.PreroundedAlg:
-		return parallel.SumPR(d.PR, xs, *cfg), d.Alg, prof
 	}
-	return parallel.Sum(d.Alg, xs, *cfg), d.Alg, prof
+	return d.Alg.Sum(xs), d.Alg, prof
 }
 
 // sameProfile is profile equality with the compensated pairs compared
@@ -92,8 +82,7 @@ func sameProfile(a, b Profile) bool {
 
 // TestSelectAndSumExactBypass pins the tolerance-0 bypass against the
 // two-pass oracle: the same bits, Algorithm and NonFinite on every
-// input, serial and on the engine at several worker counts, with and
-// without the decision cache. Under the analytic policies a served
+// input, with and without the decision cache. Under the analytic policies a served
 // request reports Profile{N: n}, BN, Predicted 0, zero Bounds and Fast
 // false. Every other request reports the full profile, and every other
 // policy profiles every request: Static (PR must still be tuned) and
@@ -116,15 +105,6 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 		{"calibrated", table},
 		{"surface", FitSurface(table.Cells(), nil, 4)},
 	}...)
-	type mode struct {
-		name string
-		cfg  *parallel.Config
-	}
-	modes := []mode{{"serial", nil}}
-	for _, workers := range []int{1, 2, 4, 7} {
-		cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
-		modes = append(modes, mode{fmt.Sprintf("w=%d", workers), &cfg})
-	}
 	served := map[string]int{}
 	for name, xs := range bypassCases() {
 		for _, p := range policies {
@@ -133,31 +113,23 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 				if cached {
 					s.Cache = NewDecisionCache(CacheConfig{})
 				}
-				for _, m := range modes {
-					where := fmt.Sprintf("%s %s cached=%v %s", name, p.name, cached, m.name)
-					var got float64
-					var sel Selection
-					if m.cfg == nil {
-						got, sel = s.SelectAndSum(xs)
-					} else {
-						got, sel = s.SelectAndSumParallel(xs, *m.cfg)
+				where := fmt.Sprintf("%s %s cached=%v", name, p.name, cached)
+				got, sel := s.SelectAndSum(xs)
+				want, wantAlg, prof := bypassOracle(s, xs)
+				if sel.Alg != wantAlg || fbits(got) != fbits(want) || sel.NonFinite != prof.NonFinite {
+					t.Errorf("%s: got %v %x NonFinite=%v, oracle %v %x NonFinite=%v",
+						where, sel.Alg, fbits(got), sel.NonFinite, wantAlg, fbits(want), prof.NonFinite)
+				}
+				if wantAlg == sum.PreroundedAlg && sel.PR == nil {
+					t.Errorf("%s: PR served without its tuned configuration", where)
+				}
+				if servedExact(s, xs) {
+					served[name]++
+					if exact := (Selection{Profile: Profile{N: int64(len(xs))}, Alg: sum.BinnedAlg}); sel != exact {
+						t.Errorf("%s: bypassed selection %+v, want %+v", where, sel, exact)
 					}
-					want, wantAlg, prof := bypassOracle(s, xs, m.cfg)
-					if sel.Alg != wantAlg || fbits(got) != fbits(want) || sel.NonFinite != prof.NonFinite {
-						t.Errorf("%s: got %v %x NonFinite=%v, oracle %v %x NonFinite=%v",
-							where, sel.Alg, fbits(got), sel.NonFinite, wantAlg, fbits(want), prof.NonFinite)
-					}
-					if wantAlg == sum.PreroundedAlg && sel.PR == nil {
-						t.Errorf("%s: PR served without its tuned configuration", where)
-					}
-					if servedExact(s, xs) {
-						served[name]++
-						if exact := (Selection{Profile: Profile{N: int64(len(xs))}, Alg: sum.BinnedAlg}); sel != exact {
-							t.Errorf("%s: bypassed selection %+v, want %+v", where, sel, exact)
-						}
-					} else if !sameProfile(sel.Profile, prof) {
-						t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, prof)
-					}
+				} else if !sameProfile(sel.Profile, prof) {
+					t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, prof)
 				}
 			}
 		}
@@ -165,7 +137,7 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 	// The generator cases and the plain finite ones must actually take
 	// the bypass, on every configuration, or the pins above prove
 	// nothing about it.
-	all := len(analytic) * 2 * len(modes)
+	all := len(analytic) * 2
 	for _, name := range []string{"benign", "illcond", "widerange", "smallbenign", "nearmax", "tinycancel",
 		"subonly", "tiny", "tiny400", "tiny401", "tinypair", "tinyulps", "tinyulpsrev", "cancelbelow",
 		"minnormalpair", "subpair", "cancelpair", "cancelmax", "cancelsub", "sumzero"} {

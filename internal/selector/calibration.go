@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -392,8 +393,11 @@ func (c CalCheck) Drifted() bool {
 // bitwise equality (grid evaluation is deterministic given the seed;
 // any mismatch means the engines changed or the artifact was edited);
 // cost probes tolerate up to costFactor× in either direction before
-// flagging, so scheduler noise does not trigger recalibration.
-// probes <= 0 selects 3 of each; costFactor <= 1 selects 4.
+// flagging, so scheduler noise does not trigger recalibration. Only
+// serial cost samples are probed: a Workers != 0 sample, which an
+// artifact from the retired engine sweep may hold, times a route the
+// runtime no longer serves. probes <= 0 selects 3 of each; costFactor
+// <= 1 selects 4.
 func CheckCalibration(cal *Calibration, probes int, costFactor float64) CalCheck {
 	if probes <= 0 {
 		probes = 3
@@ -424,10 +428,11 @@ func CheckCalibration(cal *Calibration, probes int, costFactor float64) CalCheck
 			}
 		}
 	}
-	for _, i := range probeIndices(len(cal.Costs), probes) {
-		cs := cal.Costs[i]
+	serial := slices.DeleteFunc(slices.Clone(cal.Costs), func(cs CostSample) bool { return cs.Workers != 0 })
+	for _, i := range probeIndices(len(serial), probes) {
+		cs := serial[i]
 		xs := benignData(cs.N, fpu.MixSeed(cal.Seed, uint64(cs.N)))
-		fresh, ok := measureCost(cs.Alg, xs, cs.Workers, time.Millisecond, 3)
+		fresh, ok := measureCost(cs.Alg, xs, time.Millisecond, 3)
 		check.CostProbes++
 		if !ok {
 			check.CostDrift = append(check.CostDrift, fmt.Sprintf(

@@ -26,7 +26,6 @@ func quickHarness() HarnessConfig {
 		Cost: CostSweepConfig{
 			Algorithms: []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg},
 			Ns:         []int{256},
-			Workers:    []int{0},
 			MinTime:    100 * time.Microsecond,
 			Reps:       1,
 		},
@@ -312,36 +311,29 @@ func TestCompareCalibrations(t *testing.T) {
 }
 
 // TestCostSweep pins the sweep's output contract: every emitted sample
-// is finite and positive, and every algorithm gets a serial row and an
-// engine row.
+// is finite and positive, and every algorithm gets one serial row
+// (Workers 0) per size.
 func TestCostSweep(t *testing.T) {
 	algs := []sum.Algorithm{sum.StandardAlg, sum.BinnedAlg}
 	samples := CostSweep(CostSweepConfig{
 		Algorithms: algs,
 		Ns:         []int{128, 0}, // n < 1 has nothing to time: skipped
-		Workers:    []int{0, 2},
 		MinTime:    50 * time.Microsecond,
 		Reps:       1,
 	})
-	type row struct {
-		alg     sum.Algorithm
-		workers int
-	}
-	seen := map[row]bool{}
+	seen := map[sum.Algorithm]int{}
 	for _, s := range samples {
 		if !(s.NsPerOp > 0) || math.IsInf(s.NsPerOp, 0) {
 			t.Errorf("unusable sample emitted: %+v", s)
 		}
-		if s.N != 128 {
-			t.Errorf("sample for n=%d, want only n=128: %+v", s.N, s)
+		if s.N != 128 || s.Workers != 0 {
+			t.Errorf("sample for n=%d workers=%d, want only serial n=128: %+v", s.N, s.Workers, s)
 		}
-		seen[row{s.Alg, s.Workers}] = true
+		seen[s.Alg]++
 	}
 	for _, alg := range algs {
-		for _, w := range []int{0, 2} {
-			if !seen[row{alg, w}] {
-				t.Errorf("%v workers=%d: no sample", alg, w)
-			}
+		if seen[alg] != 1 {
+			t.Errorf("%v: %d samples, want 1", alg, seen[alg])
 		}
 	}
 

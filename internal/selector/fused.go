@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/binned"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/sum"
 )
 
@@ -33,10 +32,8 @@ import (
 // speculation needs no extra field — it IS Profile.Sum.
 type FusedPass struct {
 	Profile Profile
-	// ST is the plain left-to-right (or, for the parallel variant,
-	// chunk-tree) sum of all elements including zeros and non-finite
-	// values — exactly what sum.Standard / parallel.Sum(StandardAlg)
-	// would return.
+	// ST is the plain left-to-right sum of all elements including
+	// zeros and non-finite values — exactly what sum.Standard returns.
 	ST float64
 }
 
@@ -48,7 +45,7 @@ func passOf(a kernel.FusedAcc) FusedPass {
 		Profile: Profile{
 			N:          a.N,
 			Sum:        CSum{S: a.SumS, C: a.SumC},
-			SumAbs:     CSum{S: a.AbsS, C: a.AbsC},
+			SumAbs:     CSum{S: a.AbsS},
 			MaxExp:     a.MaxExp,
 			MinExp:     a.MinExp,
 			HasNonzero: a.HasNonzero,
@@ -65,21 +62,6 @@ func passOf(a kernel.FusedAcc) FusedPass {
 // the ST shadow to sum.Standard(xs).
 func FusedProfileSum(xs []float64) FusedPass {
 	return passOf(kernel.FusedProfileSum(xs))
-}
-
-// FusedProfileSumParallel is the engine variant: per-chunk fused folds
-// combined with kernel.FusedAcc.Merge over the engine's fixed balanced
-// tree. The profile matches ProfileOfParallel(xs, cfg) and the
-// speculative sums match parallel.Sum(StandardAlg/NeumaierAlg, xs, cfg)
-// bit-for-bit at any worker count.
-func FusedProfileSumParallel(xs []float64, cfg parallel.Config) FusedPass {
-	a, ok := parallel.MapReduce(len(xs), cfg,
-		func(lo, hi int) kernel.FusedAcc { return kernel.FusedProfileSum(xs[lo:hi]) },
-		kernel.FusedAcc.Merge)
-	if !ok {
-		return FusedPass{}
-	}
-	return passOf(a)
 }
 
 // SpecSum returns the already-computed sum for alg, if this pass holds
@@ -210,40 +192,6 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 		return sum.PreroundedWith(cfg, xs), sel
 	}
 	return d.Alg.Sum(xs), sel
-}
-
-// SelectAndSumParallel is SelectAndSum on the parallel engine: fused
-// per-chunk folds, the same decision step, and parallel escalation with
-// the caller's cfg, so the result always equals the two-pass route
-// ProfileOfParallel → Decide → parallel.Sum at the same cfg. Poisoned
-// inputs fall back to one serial ST pass, sum.Standard(xs). The exact
-// bypass runs parallel.Sum(BinnedAlg) at the same cfg.
-func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
-	if s.exactBypass(len(xs)) {
-		if v := parallel.Sum(sum.BinnedAlg, xs, cfg); bypassServes(v, xs) {
-			return v, exactSelection(len(xs))
-		}
-	}
-	fp := FusedProfileSumParallel(xs, cfg)
-	prof := fp.Profile
-	if prof.NonFinite {
-		return sum.Standard(xs), Selection{
-			Profile: prof, Alg: sum.StandardAlg, NonFinite: true,
-			Bounds: boundsFor(s.Policy, prof),
-		}
-	}
-	d := s.Decide(prof)
-	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
-	if v, ok := fp.SpecSum(d.Alg); ok {
-		sel.Fast = true
-		return v, sel
-	}
-	if d.Alg == sum.PreroundedAlg {
-		prCfg := d.PR
-		sel.PR = &prCfg
-		return parallel.SumPR(prCfg, xs, cfg), sel
-	}
-	return parallel.Sum(d.Alg, xs, cfg), sel
 }
 
 // Exact bypass.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/parallel"
 	"repro/internal/sum"
 	"repro/internal/superacc"
 )
@@ -170,21 +169,6 @@ func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm) {
 	return alg.Sum(xs), alg
 }
 
-// twoPassParallel is twoPassSum on the chunked engine at cfg: the
-// oracle for SelectAndSumParallel. The poisoned
-// fallback is the serial ST pass.
-func twoPassParallel(s *Selector, xs []float64, cfg parallel.Config) (float64, sum.Algorithm) {
-	prof := ProfileOfParallel(xs, cfg)
-	if prof.NonFinite {
-		return sum.Standard(xs), sum.StandardAlg
-	}
-	alg, _ := s.Policy.Select(prof, s.Req)
-	if alg == sum.PreroundedAlg {
-		return parallel.SumPR(TunePR(prof, s.Req), xs, cfg), alg
-	}
-	return parallel.Sum(alg, xs, cfg), alg
-}
-
 // servedExact states, independently of the serving code, when the
 // exact bypass serves a request: tolerance 0, an analytic policy (the
 // heuristic or the bound-driven policy), at least two operands, and an
@@ -272,135 +256,49 @@ func TestSelectorSumStaticAlgorithms(t *testing.T) {
 // TestSelectAndSumEquivalence pins the serving call against the legacy
 // core-style route: poisoned inputs fall back to sum.Standard, PR
 // selections run the TunePR configuration, everything else alg.Sum.
+// Besides the heuristic at three tolerances it runs a bound-driven
+// policy whose λ and plan make its bounds differ from
+// ComputeBounds(prof, 0).
 func TestSelectAndSumEquivalence(t *testing.T) {
+	prob := New(1e-12)
+	prob.Policy = ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan}
+	selectors := []*Selector{New(1e-6), New(1e-12), New(0), prob}
 	for name, xs := range fusedCases() {
-		for _, tol := range []float64{1e-6, 1e-12, 0} {
-			s := New(tol)
+		for _, s := range selectors {
+			where := fmt.Sprintf("%s %T tol=%g", name, s.Policy, s.Req.Tolerance)
 			got, sel := s.SelectAndSum(xs)
 			prof := ProfileOf(xs)
 			if sel.Profile != wantProfile(s, xs, prof) {
-				t.Errorf("%s tol=%g: selection profile diverges", name, tol)
+				t.Errorf("%s: selection profile diverges", where)
 			}
 			var want float64
 			switch {
 			case prof.NonFinite:
 				want = sum.Standard(xs)
 				if !sel.NonFinite || sel.Alg != sum.StandardAlg || !sel.Fast {
-					t.Errorf("%s tol=%g: poisoned selection %+v", name, tol, sel)
+					t.Errorf("%s: poisoned selection %+v", where, sel)
 				}
 			default:
 				alg, _ := s.Policy.Select(prof, s.Req)
 				if alg != sel.Alg {
-					t.Errorf("%s tol=%g: chose %v, legacy %v", name, tol, sel.Alg, alg)
+					t.Errorf("%s: chose %v, legacy %v", where, sel.Alg, alg)
 					continue
 				}
 				if alg == sum.PreroundedAlg {
 					cfg := TunePR(prof, s.Req)
 					if sel.PR == nil || *sel.PR != cfg {
-						t.Errorf("%s tol=%g: PR config %+v, want %+v", name, tol, sel.PR, cfg)
+						t.Errorf("%s: PR config %+v, want %+v", where, sel.PR, cfg)
 					}
 					want = sum.PreroundedWith(cfg, xs)
 				} else {
 					want = alg.Sum(xs)
 				}
 				if wantFast := alg == sum.StandardAlg || alg == sum.NeumaierAlg; sel.Fast != wantFast {
-					t.Errorf("%s tol=%g (%v): Fast=%v", name, tol, alg, sel.Fast)
+					t.Errorf("%s (%v): Fast=%v", where, alg, sel.Fast)
 				}
 			}
 			if fbits(got) != fbits(want) {
-				t.Errorf("%s tol=%g (%v): %x != %x", name, tol, sel.Alg, fbits(got), fbits(want))
-			}
-		}
-	}
-}
-
-// TestSelectAndSumParallelEquivalence pins the engine variant against
-// the two-pass parallel route at several worker counts: same profile
-// bits, same selection, same sum bits. Worker count must not change any
-// of it.
-func TestSelectAndSumParallelEquivalence(t *testing.T) {
-	for name, xs := range fusedCases() {
-		for _, workers := range []int{1, 2, 4, 7} {
-			cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
-			for _, tol := range []float64{1e-6, 1e-12, 0} {
-				s := New(tol)
-				got, sel := s.SelectAndSumParallel(xs, cfg)
-				if sel.Profile != wantProfile(s, xs, ProfileOfParallel(xs, cfg)) {
-					t.Errorf("%s w=%d tol=%g: profile diverges from ProfileOfParallel",
-						name, workers, tol)
-				}
-				want, wantAlg := twoPassParallel(s, xs, cfg)
-				if sel.Alg != wantAlg {
-					t.Errorf("%s w=%d tol=%g: chose %v, two-pass %v",
-						name, workers, tol, sel.Alg, wantAlg)
-					continue
-				}
-				if fbits(got) != fbits(want) {
-					t.Errorf("%s w=%d tol=%g (%v): %x != %x",
-						name, workers, tol, sel.Alg, fbits(got), fbits(want))
-				}
-			}
-			// Forced Neumaier exercises the compensated-pair fast path on
-			// the engine.
-			s := New(0)
-			s.Policy = Static{Alg: sum.NeumaierAlg}
-			got, sel := s.SelectAndSumParallel(xs, cfg)
-			if !sel.Profile.NonFinite {
-				if want := parallel.Sum(sum.NeumaierAlg, xs, cfg); fbits(got) != fbits(want) {
-					t.Errorf("%s w=%d: engine Neumaier fast path %x != parallel.Sum %x",
-						name, workers, fbits(got), fbits(want))
-				}
-			}
-		}
-	}
-}
-
-// TestSelectAndSumParallelPolicies pins the engine variant against the
-// two-pass parallel route for a policy set wider than the tolerance
-// ladder: same profile bits, same selection, same sum bits, and the
-// poisoned flag, at several worker counts. The set covers the heuristic
-// ladder, a bound-driven policy whose λ and plan make its bounds differ
-// from ComputeBounds(prof, 0), and every algorithm forced through
-// Static — PR at its TunePR configuration, ST and Neumaier on the
-// speculative fast path.
-func TestSelectAndSumParallelPolicies(t *testing.T) {
-	type variant struct {
-		name string
-		s    *Selector
-	}
-	var variants []variant
-	for _, tol := range []float64{1e-6, 1e-12, 0} {
-		variants = append(variants, variant{fmt.Sprintf("tol=%g", tol), New(tol)})
-	}
-	prob := New(1e-12)
-	prob.Policy = ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan}
-	variants = append(variants, variant{"probabilistic", prob})
-	for _, alg := range sum.Algorithms {
-		s := New(0)
-		s.Policy = Static{Alg: alg}
-		variants = append(variants, variant{"static=" + alg.String(), s})
-	}
-	for name, xs := range fusedCases() {
-		poisoned := ProfileOf(xs).NonFinite
-		for _, workers := range []int{1, 2, 4, 7} {
-			cfg := parallel.Config{Workers: workers, ChunkSize: 1 << 9}
-			for _, v := range variants {
-				where := fmt.Sprintf("%s w=%d %s", name, workers, v.name)
-				got, sel := v.s.SelectAndSumParallel(xs, cfg)
-				if sel.Profile != wantProfile(v.s, xs, ProfileOfParallel(xs, cfg)) {
-					t.Errorf("%s: profile diverges from ProfileOfParallel", where)
-				}
-				if sel.NonFinite != poisoned {
-					t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, poisoned)
-				}
-				want, wantAlg := twoPassParallel(v.s, xs, cfg)
-				if sel.Alg != wantAlg {
-					t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
-					continue
-				}
-				if fbits(got) != fbits(want) {
-					t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
-				}
+				t.Errorf("%s (%v): %x != %x", where, sel.Alg, fbits(got), fbits(want))
 			}
 		}
 	}

@@ -5,14 +5,16 @@
 // that achieves an application-specified reproducibility target
 // (Sections V-C/V-D and Fig 12).
 //
-// Two policies are provided: an analytic HeuristicPolicy derived from
-// error-bound shapes, and a CalibratedPolicy backed by measured
-// variability over a parameter-space sweep (the grid package). Both
-// are deterministic functions of the profile, so every rank of a
-// distributed reduction reaches the same decision without extra
-// coordination beyond sharing the profile.
+// The policies are the analytic HeuristicPolicy derived from
+// error-bound shapes, the bound-driven ProbabilisticPolicy, the
+// CalibratedPolicy table and the fitted CalibratedSurfacePolicy backed
+// by measured variability over a parameter-space sweep (the grid
+// package), and Static. All are deterministic functions of the profile,
+// so every rank of a distributed reduction reaches the same decision
+// without extra coordination beyond sharing the profile.
 //
-// The serving path is speculative: FusedProfileSum computes the profile
+// There is one serving route, Selector.SelectAndSum, and it is serial
+// and speculative: FusedProfileSum computes the profile
 // and the two cheapest candidate sums (ST and Neumaier) in one memory
 // pass, so when the policy settles on either, the answer is already in
 // hand and the data is never read twice (see fused.go); tolerance-0
@@ -27,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/fpu"
-	"repro/internal/parallel"
 	"repro/internal/reduce"
 )
 
@@ -248,25 +249,6 @@ func ProfileOf(xs []float64) Profile {
 	var p Profile
 	for _, x := range xs {
 		p.observe(x)
-	}
-	return p
-}
-
-// ProfileOfParallel profiles xs on the parallel engine: fixed chunks are
-// profiled independently (each with the same streaming pass ProfileOf
-// uses) and combined with Profile.Merge over the engine's fixed balanced
-// tree. The result is bitwise-identical across worker counts. It is not
-// guaranteed bit-identical to the single-pass ProfileOf — the
-// compensated Sum/SumAbs pairs can differ in their final bits under the
-// different combination order — but every derived quantity (Cond,
-// DynRange, SameSign, counts) agrees at the resolution selection
-// depends on.
-func ProfileOfParallel(xs []float64, cfg parallel.Config) Profile {
-	p, ok := parallel.MapReduce(len(xs), cfg,
-		func(lo, hi int) Profile { return ProfileOf(xs[lo:hi]) },
-		Profile.Merge)
-	if !ok {
-		return Profile{}
 	}
 	return p
 }

@@ -7,7 +7,7 @@ import (
 
 // Selector is the user-facing intelligent runtime: profile the data,
 // consult the policy, run the cheapest acceptable reduction
-// (SelectAndSum, or SelectAndSumParallel on the chunked engine).
+// (SelectAndSum).
 type Selector struct {
 	Policy Policy
 	Req    Requirement

@@ -9,7 +9,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpirt"
-	"repro/internal/parallel"
 	"repro/internal/sum"
 	"repro/internal/tree"
 )
@@ -453,42 +452,5 @@ func TestProfileOfDetectsNonFinite(t *testing.T) {
 	}
 	if s := p.String(); s == "" {
 		t.Error("empty poisoned String")
-	}
-}
-
-func TestProfileOfParallelWorkerStability(t *testing.T) {
-	xs := gen.Spec{N: 50000, Cond: 1e6, DynRange: 24, Seed: 9}.Generate()
-	cfg := parallel.Config{ChunkSize: 1 << 10, Workers: 1}
-	ref := ProfileOfParallel(xs, cfg)
-	for w := 2; w <= 8; w++ {
-		cfg.Workers = w
-		p := ProfileOfParallel(xs, cfg)
-		if p != ref {
-			t.Errorf("workers=%d profile %+v != workers=1 profile %+v", w, p, ref)
-		}
-	}
-	// The chunked profile must agree with the single-pass profile on the
-	// exactly-representable fields (the dd sums may differ in the last
-	// few bits of the tail; the headline condition number must agree to
-	// rounding).
-	single := ProfileOf(xs)
-	if ref.N != single.N || ref.Pos != single.Pos || ref.Neg != single.Neg ||
-		ref.MinExp != single.MinExp || ref.MaxExp != single.MaxExp {
-		t.Errorf("chunked profile counts diverge: %+v vs %+v", ref, single)
-	}
-	if k1, k2 := ref.Cond(), single.Cond(); math.Abs(k1-k2) > 1e-9*k2 {
-		t.Errorf("chunked Cond %g vs single-pass %g", k1, k2)
-	}
-}
-
-func TestProfileOfParallelNonFinite(t *testing.T) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = 1
-	}
-	xs[7777] = math.Inf(-1)
-	p := ProfileOfParallel(xs, parallel.Config{ChunkSize: 512, Workers: 4})
-	if !p.NonFinite || !math.IsInf(p.Cond(), 1) {
-		t.Errorf("parallel profile missed non-finite poison: %+v", p)
 	}
 }

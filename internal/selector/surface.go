@@ -43,11 +43,12 @@ import (
 // plane. TestSurfaceBoundary* pin this agreement cell by cell.
 
 // CostSample is one measured execution cost: the wall-clock ns/op of
-// summing an n-element benign slice with one algorithm under one engine
-// configuration (Workers == 0 means the serial streaming path). CostSweep
-// produces them on the
-// local host; FitSurface uses them to order each size bucket's ladder
-// walk by measured cost instead of the static CostRank assumption.
+// summing an n-element benign slice with one algorithm. CostSweep
+// produces them on the local host with the serial alg.Sum, Workers 0;
+// FitSurface uses them to order each size bucket's ladder walk by
+// measured cost instead of the static CostRank assumption. Workers > 0
+// marks a parallel-engine timing from an older artifact: it stays in
+// the encoding but neither the fit nor the drift check reads it.
 type CostSample struct {
 	Alg     sum.Algorithm
 	N       int
@@ -386,7 +387,7 @@ func candidateAlgs(cells []grid.CellResult) []sum.Algorithm {
 
 // walkOrders derives the per-size-bucket walk order from measured cost
 // samples: within a bucket, algorithms sort by their cheapest measured
-// ns/op across engine configurations, unmeasured algorithms keeping
+// serial ns/op (Workers 0 samples only), unmeasured algorithms keeping
 // their CostRank position at the end. Buckets without any sample
 // inherit the nearest measured bucket; with no samples at all every
 // bucket keeps the identity (CostRank) order. Non-finite or
@@ -407,7 +408,7 @@ func walkOrders(algs []sum.Algorithm, costs []CostSample, nqLo, nqHi int) [][]ui
 	best := make([]map[int]float64, nN)
 	covered := make([]bool, nN)
 	for _, cs := range costs {
-		if cs.N < 1 || !(cs.NsPerOp > 0) || math.IsInf(cs.NsPerOp, 0) {
+		if cs.Workers != 0 || cs.N < 1 || !(cs.NsPerOp > 0) || math.IsInf(cs.NsPerOp, 0) {
 			continue
 		}
 		ai, ok := algIdx[cs.Alg]

@@ -2,6 +2,7 @@ package selector
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -267,6 +268,31 @@ func TestSurfaceCostOrderRefit(t *testing.T) {
 	static := FitSurface(cells, nil, 4)
 	if alg, _ := static.Select(p, Requirement{Tolerance: 1e-9}); alg != sum.StandardAlg {
 		t.Errorf("static-order surface selected %v, want ST", alg)
+	}
+}
+
+// TestSurfaceCostOrderIgnoresEngineSamples: a parallel-engine timing
+// (Workers != 0) in an older artifact times a route Runtime.Sum never
+// runs, so a cheaper engine sample must leave the fitted walk order as
+// the serial samples set it, and the drift check must not probe it.
+func TestSurfaceCostOrderIgnoresEngineSamples(t *testing.T) {
+	cells := syntheticTable().Cells()
+	serial := []CostSample{
+		{Alg: sum.StandardAlg, N: 1 << 10, NsPerOp: 100},
+		{Alg: sum.KahanAlg, N: 1 << 10, NsPerOp: 40},
+	}
+	engine := CostSample{Alg: sum.StandardAlg, N: 1 << 10, Workers: 2, NsPerOp: 10}
+	want := FitSurface(cells, serial, 4).WalkOrder(1 << 10)
+	if len(want) < 2 || want[0] != sum.KahanAlg {
+		t.Fatalf("serial walk order %v, want K first for this pin to bite", want)
+	}
+	got := FitSurface(cells, append(serial, engine), 4).WalkOrder(1 << 10)
+	if !slices.Equal(got, want) {
+		t.Errorf("a cheaper workers=2 ST sample changed the walk order: %v, want %v", got, want)
+	}
+	check := CheckCalibration(&Calibration{Seed: 5, Costs: []CostSample{engine}}, 3, 1e9)
+	if check.CostProbes != 0 || check.Drifted() {
+		t.Errorf("drift check probed an engine sample: %+v", check)
 	}
 }
 

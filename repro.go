@@ -18,15 +18,17 @@
 //     application-specified reproducibility tolerance (New, Runtime);
 //   - an exact superaccumulator oracle (ExactSum) for validation;
 //   - a deterministic chunked parallel engine (ParallelSum,
-//     ParallelExactSum, New with WithWorkers) whose results are
-//     bitwise-identical across worker counts.
+//     ParallelExactSum) whose results are bitwise-identical across
+//     worker counts.
 //
 // The Runtime is the paper's proposal made deployable: data-aware,
 // requirement-driven selection of reduction algorithms. A Runtime owns
-// a reproducibility requirement and a selection policy; every reduction
-// it performs is preceded by a cheap profiling pass (local, streaming,
-// mergeable across ranks) whose result picks the cheapest algorithm
-// expected to stay within the requirement.
+// a reproducibility requirement and a selection policy. A reduction is
+// profiled in one cheap pass (local, streaming, mergeable across ranks)
+// whose result picks the cheapest algorithm expected to stay within the
+// requirement; that pass also yields the ST and Neumaier answers. A
+// tolerance-0 request under the analytic policies skips the profile,
+// because only the exact BN answer can meet it.
 //
 // Runtime.HierarchicalSum implements the paper's closing suggestion —
 // "apply cheaper but acceptably accurate reduction algorithms to
@@ -111,10 +113,6 @@ func NewProbabilisticPolicy(lambda float64) Policy {
 func ComputeBounds(p Profile, lambda float64) Bounds {
 	return selector.ComputeBounds(p, lambda)
 }
-
-// CacheConfig sizes a selection decision cache (capacity in entries and
-// shard count for concurrent callers).
-type CacheConfig = selector.CacheConfig
 
 // CacheStats is an observability snapshot of a decision cache: hits,
 // misses, and current occupancy.

@@ -81,28 +81,6 @@ func TestPublicParallelSum(t *testing.T) {
 	}
 }
 
-func TestPublicRuntimeWithWorkers(t *testing.T) {
-	xs := make([]float64, 1<<16)
-	for i := range xs {
-		xs[i] = 1 / float64(i+1)
-	}
-	seq, seqRep := repro.New(1e-8).Sum(xs)
-	for _, w := range []int{1, 2, 4, 8} {
-		rt := repro.New(1e-8, repro.WithWorkers(w), repro.WithChunkSize(1<<12))
-		got, rep := rt.Sum(xs)
-		if rep.Algorithm != seqRep.Algorithm {
-			t.Errorf("workers=%d selected %v, sequential selected %v",
-				w, rep.Algorithm, seqRep.Algorithm)
-		}
-		if w == 1 {
-			seq = got // engine plan differs from the no-engine path; w=1 is the oracle
-		} else if math.Float64bits(got) != math.Float64bits(seq) {
-			t.Errorf("workers=%d sum %x != workers=1 sum %x",
-				w, math.Float64bits(got), math.Float64bits(seq))
-		}
-	}
-}
-
 func TestPublicSelectAndSum(t *testing.T) {
 	xs := []float64{3.5, -3.5, 1.25, 2.75}
 	got, rep := repro.SelectAndSum(1e-9, xs)
@@ -139,7 +117,7 @@ func TestPublicDecisionCache(t *testing.T) {
 	if r := st.HitRate(); r <= 0 || r >= 1 {
 		t.Errorf("hit rate = %g", r)
 	}
-	cfg := repro.New(1e-9, repro.WithDecisionCacheConfig(repro.CacheConfig{Capacity: 32, Shards: 2}))
+	cfg := repro.New(1e-9, repro.WithDecisionCache(32))
 	if v, _ := cfg.Sum(xs); math.Float64bits(v) != math.Float64bits(base) {
 		t.Error("configured cache changed serving bits")
 	}

@@ -4,58 +4,29 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/selector"
 	"repro/internal/sum"
 )
 
 // Runtime is the intelligent reduction runtime (the paper's proposal):
 // it owns a reproducibility requirement and a selection policy, and
-// every reduction it performs is preceded by a profiling pass whose
-// result picks the cheapest algorithm expected to stay within the
-// requirement.
+// answers each reduction with the cheapest algorithm expected to stay
+// within the requirement. A request is profiled first unless its
+// answer is known without a profile: tolerance-0 requests under the
+// analytic policies take the exact BN fold directly (see Sum).
 type Runtime struct {
 	sel *selector.Selector
-	// useEngine enables the deterministic chunked parallel engine for
-	// Sum and HierarchicalSum on inputs spanning at least two chunks.
-	useEngine bool
-	// par configures the engine (zero fields mean auto).
-	par parallel.Config
 }
 
-// Option configures a Runtime (see WithWorkers, WithChunkSize).
+// Option configures a Runtime (see WithPolicy, WithDecisionCache,
+// WithCalibration).
 type Option func(*Runtime)
 
 // WithPolicy substitutes the Runtime's selection policy: the analytic
-// default can be replaced by a measurement-backed
-// selector.CalibratedPolicy or the bound-driven ProbabilisticPolicy.
+// default can be replaced by the bound-driven ProbabilisticPolicy or
+// by a host calibration (WithCalibration installs one).
 func WithPolicy(p Policy) Option {
 	return func(rt *Runtime) { rt.sel.Policy = p }
-}
-
-// WithWorkers routes large reductions through the deterministic chunked
-// parallel engine with the given pool size (0 selects GOMAXPROCS). The
-// engine's results are bitwise-identical across worker counts — the
-// chunk plan, not the scheduling, determines the bits — but for
-// order-sensitive algorithms they differ (deterministically) from the
-// engine-less streaming path, so enabling the engine is a new, equally
-// reproducible, summation plan rather than a transparent accelerator.
-func WithWorkers(n int) Option {
-	return func(rt *Runtime) {
-		rt.useEngine = true
-		rt.par.Workers = n
-	}
-}
-
-// WithChunkSize sets the engine's fixed partition width in elements
-// (0 selects parallel.DefaultChunkSize) and enables the engine. The
-// chunk size is part of the reproducibility contract: two runtimes agree
-// bitwise only if they use the same chunk size.
-func WithChunkSize(c int) Option {
-	return func(rt *Runtime) {
-		rt.useEngine = true
-		rt.par.ChunkSize = c
-	}
 }
 
 // WithDecisionCache attaches a quantized decision cache (capacity in
@@ -67,21 +38,17 @@ func WithChunkSize(c int) Option {
 // of the data's profile — independent of request order, concurrency, and
 // evictions. Inspect hit rates with Runtime.CacheStats.
 func WithDecisionCache(capacity int) Option {
-	return WithDecisionCacheConfig(CacheConfig{Capacity: capacity})
-}
-
-// WithDecisionCacheConfig is WithDecisionCache with explicit cache
-// geometry (capacity and shard count for concurrent callers).
-func WithDecisionCacheConfig(cfg CacheConfig) Option {
-	return func(rt *Runtime) { rt.sel.Cache = selector.NewDecisionCache(cfg) }
+	return func(rt *Runtime) {
+		rt.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: capacity})
+	}
 }
 
 // WithCalibration installs a host calibration as the Runtime's
 // selection policy: the artifact's measured crossover surfaces replace
 // the analytic model, fitted once at startup so every selection is a
 // handful of comparisons, with a decision cache attached (if none was
-// configured) for repeat traffic. Apply after any
-// WithDecisionCacheConfig option you want to keep. The closed loop is:
+// configured) for repeat traffic. Apply after any WithDecisionCache
+// option you want to keep. The closed loop is:
 //
 //	calibrate -out host.reprocal         // once per host
 //	cal, _ := repro.LoadCalibrationFile("host.reprocal")
@@ -90,7 +57,7 @@ func WithCalibration(cal *Calibration) Option {
 	return func(rt *Runtime) {
 		rt.sel.Policy = cal.SurfacePolicy()
 		if rt.sel.Cache == nil {
-			rt.sel.Cache = selector.NewDecisionCache(CacheConfig{})
+			rt.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{})
 		}
 	}
 }
@@ -182,17 +149,7 @@ func (r Report) String() string {
 // operands included. The rest (empty, single, all-zero, non-finite, or
 // sums above 2^1000) take the full route. Bits, Algorithm and NonFinite
 // are those of the full route on every input.
-//
-// With the engine enabled (WithWorkers/WithChunkSize) and
-// an input spanning at least two chunks, both the profiling pass and
-// the sum run on the deterministic chunked worker pool
-// (selector.SelectAndSumParallel); the result is bitwise-stable across
-// worker counts.
 func (rt *Runtime) Sum(xs []float64) (float64, Report) {
-	if rt.engineFor(len(xs)) {
-		v, sel := rt.sel.SelectAndSumParallel(xs, rt.par)
-		return v, reportOf(sel)
-	}
 	v, sel := rt.sel.SelectAndSum(xs)
 	return v, reportOf(sel)
 }
@@ -211,20 +168,6 @@ func reportOf(sel selector.Selection) Report {
 		rep.Predicted = math.Inf(1)
 	}
 	return rep
-}
-
-// engineFor reports whether the parallel engine should run a reduction
-// of n values: it must be enabled and the input must span at least two
-// chunks (below that the plan degenerates to the sequential pass).
-func (rt *Runtime) engineFor(n int) bool {
-	if !rt.useEngine {
-		return false
-	}
-	cs := rt.par.ChunkSize
-	if cs <= 0 {
-		cs = parallel.DefaultChunkSize
-	}
-	return n > cs
 }
 
 // BlockReport records the per-block decision of a hierarchical sum.
@@ -249,12 +192,6 @@ type BlockReport struct {
 // per-block tolerance by the ratio of global to block condition
 // numbers; use Sum (whole-set profiling) when the contract must hold
 // for the global result.
-//
-// With the engine enabled, blocks are profiled and summed concurrently
-// on the worker pool. Each block's result is a pure function of the
-// block's elements and the partials are folded in block order with a
-// reproducible operator, so the global result is bitwise-identical to
-// the sequential run regardless of worker count.
 func (rt *Runtime) HierarchicalSum(xs []float64, blockSize int) (float64, []BlockReport) {
 	if blockSize <= 0 {
 		blockSize = 4096
@@ -263,30 +200,17 @@ func (rt *Runtime) HierarchicalSum(xs []float64, blockSize int) (float64, []Bloc
 	if n == 0 {
 		return 0, nil
 	}
-	nb := (n + blockSize - 1) / blockSize
-	workers := 1
-	if rt.useEngine {
-		workers = rt.par.Workers // 0 selects GOMAXPROCS inside For
-	}
-	vals := make([]float64, nb)
-	reports := make([]BlockReport, nb)
-	parallel.For(nb, workers, func(i int) {
-		lo := i * blockSize
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		v, rep := rt.Sum(xs[lo:hi])
-		vals[i] = v
-		reports[i] = BlockReport{Start: lo, End: hi, Report: rep}
-	})
+	reports := make([]BlockReport, 0, (n+blockSize-1)/blockSize)
 	// Block partials are folded with the cheapest reproducible rung of
 	// the ladder so the final combination is insensitive to block order
 	// (e.g. if blocks completed on different ranks at different times);
 	// the fold runs in block order anyway.
 	acc := sum.CheapestReproducible().NewAccumulator()
-	for _, v := range vals {
+	for lo := 0; lo < n; lo += blockSize {
+		hi := min(lo+blockSize, n)
+		v, rep := rt.Sum(xs[lo:hi])
 		acc.Add(v)
+		reports = append(reports, BlockReport{Start: lo, End: hi, Report: rep})
 	}
 	return acc.Sum(), reports
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/parallel"
 	"repro/internal/selector"
 	"repro/internal/sum"
 )
@@ -21,21 +20,12 @@ func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm, Profile) {
 	if rt.sel.Cache != nil {
 		ref.Cache = selector.NewDecisionCache(selector.CacheConfig{})
 	}
-	engine := rt.engineFor(len(xs))
 	prof := selector.ProfileOf(xs)
-	if engine {
-		prof = selector.ProfileOfParallel(xs, rt.par)
-	}
 	if prof.NonFinite {
 		return sum.Standard(xs), sum.StandardAlg, prof
 	}
 	d := ref.Decide(prof)
-	switch {
-	case engine && d.Alg == sum.PreroundedAlg:
-		return parallel.SumPR(d.PR, xs, rt.par), d.Alg, prof
-	case engine:
-		return parallel.Sum(d.Alg, xs, rt.par), d.Alg, prof
-	case d.Alg == sum.PreroundedAlg:
+	if d.Alg == sum.PreroundedAlg {
 		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
 	}
 	return d.Alg.Sum(xs), d.Alg, prof
@@ -78,9 +68,8 @@ func runtimeCases() map[string][]float64 {
 // TestRuntimeSumFusedEquivalence pins the rewired Runtime.Sum bitwise
 // against the legacy two-pass semantics — result bits, Algorithm and
 // NonFinite — under the heuristic and probabilistic policies, with and
-// without the decision cache, serial and on the engine at several
-// worker counts. A tolerance-0 request answered
-// without a profile must report the exact-bypass contract.
+// without the decision cache. A tolerance-0 request answered without a
+// profile must report the exact-bypass contract.
 func TestRuntimeSumFusedEquivalence(t *testing.T) {
 	policies := map[string]Policy{
 		"heuristic":     selector.NewHeuristicPolicy(),
@@ -94,39 +83,31 @@ func TestRuntimeSumFusedEquivalence(t *testing.T) {
 					if cached {
 						opts = append(opts, WithDecisionCache(0))
 					}
-					engine := func(extra ...Option) *Runtime {
-						return New(tol, append(append([]Option{}, opts...), extra...)...)
+					rt := New(tol, opts...)
+					where := fmt.Sprintf("%s %s cached=%v tol=%g", name, pname, cached, tol)
+					got, rep := rt.Sum(xs)
+					want, wantAlg, prof := legacySum(rt, xs)
+					if rep.Algorithm != wantAlg {
+						t.Errorf("%s: chose %v, legacy %v", where, rep.Algorithm, wantAlg)
+						continue
 					}
-					variants := map[string]*Runtime{"serial": engine()}
-					for _, w := range []int{1, 2, 4, 7} {
-						variants[fmt.Sprintf("w%d", w)] = engine(WithWorkers(w), WithChunkSize(1<<12))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s (%v): fused %x != legacy %x", where,
+							rep.Algorithm, math.Float64bits(got), math.Float64bits(want))
 					}
-					for vname, rt := range variants {
-						where := fmt.Sprintf("%s %s %s cached=%v tol=%g", name, vname, pname, cached, tol)
-						got, rep := rt.Sum(xs)
-						want, wantAlg, prof := legacySum(rt, xs)
-						if rep.Algorithm != wantAlg {
-							t.Errorf("%s: chose %v, legacy %v", where, rep.Algorithm, wantAlg)
-							continue
-						}
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Errorf("%s (%v): fused %x != legacy %x", where,
-								rep.Algorithm, math.Float64bits(got), math.Float64bits(want))
-						}
-						if rep.NonFinite != prof.NonFinite {
-							t.Errorf("%s: NonFinite=%v, legacy %v", where, rep.NonFinite, prof.NonFinite)
-						}
-						if prof.NonFinite && !math.IsInf(rep.Predicted, 1) {
-							t.Errorf("%s: poisoned report %+v", where, rep)
-						}
-						skipped := rep.Bounds == (Bounds{})
-						if skipped && (tol != 0 || rep.Algorithm != Binned || rep.Predicted != 0 ||
-							rep.Profile != (Profile{N: int64(len(xs))})) {
-							t.Errorf("%s: profile skipped outside the exact bypass: %+v", where, rep)
-						}
-						if tol == 0 && (name == "benign" || name == "illcond" || name == "tiny") && !skipped {
-							t.Errorf("%s: tolerance 0 did not take the exact bypass", where)
-						}
+					if rep.NonFinite != prof.NonFinite {
+						t.Errorf("%s: NonFinite=%v, legacy %v", where, rep.NonFinite, prof.NonFinite)
+					}
+					if prof.NonFinite && !math.IsInf(rep.Predicted, 1) {
+						t.Errorf("%s: poisoned report %+v", where, rep)
+					}
+					skipped := rep.Bounds == (Bounds{})
+					if skipped && (tol != 0 || rep.Algorithm != Binned || rep.Predicted != 0 ||
+						rep.Profile != (Profile{N: int64(len(xs))})) {
+						t.Errorf("%s: profile skipped outside the exact bypass: %+v", where, rep)
+					}
+					if tol == 0 && (name == "benign" || name == "illcond" || name == "tiny") && !skipped {
+						t.Errorf("%s: tolerance 0 did not take the exact bypass", where)
 					}
 				}
 			}
@@ -161,18 +142,18 @@ func TestRuntimeDecisionCache(t *testing.T) {
 		t.Errorf("cache changed ST fast-path bits: %x vs %x",
 			math.Float64bits(vPlain), math.Float64bits(vCached))
 	}
-	// Sharded geometry via the config option, on the engine path (at a
-	// nonzero tolerance: tolerance 0 takes the exact bypass, which never
-	// consults the cache).
-	shard := New(1e-9, WithWorkers(4), WithChunkSize(1<<12),
-		WithDecisionCacheConfig(selector.CacheConfig{Capacity: 64, Shards: 4}))
+	// Sharded geometry set on the selector (at a nonzero tolerance:
+	// tolerance 0 takes the exact bypass, which never consults the
+	// cache).
+	shard := New(1e-9)
+	shard.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: 64, Shards: 4})
 	r1, _ := shard.Sum(xs)
 	r2, _ := shard.Sum(xs)
-	if math.Float64bits(r1) != math.Float64bits(r2) {
-		t.Error("cached engine serving not self-consistent")
+	if math.Float64bits(r1) != math.Float64bits(r2) || math.Float64bits(r1) != math.Float64bits(vPlain) {
+		t.Error("sharded cached serving not self-consistent")
 	}
 	if st, _ := shard.CacheStats(); st.Hits == 0 {
-		t.Errorf("engine serving never hit the cache: %+v", st)
+		t.Errorf("sharded serving never hit the cache: %+v", st)
 	}
 }
 
