@@ -253,6 +253,55 @@ func TestSelectorSumStaticAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSelectAndSumParallelPolicies pins SelectAndSum against the serial
+// two-pass route for a policy set wider than the tolerance ladder: same
+// profile bits, same selection, same sum bits, and the poisoned flag.
+// The set covers the heuristic ladder, a bound-driven policy whose λ and
+// plan make its bounds differ from ComputeBounds(prof, 0), and every
+// algorithm forced through Static — PR at its TunePR configuration, ST
+// and Neumaier on the speculative fast path. The name is kept from the
+// engine variant of the serving call that this test covered before that
+// variant was deleted.
+func TestSelectAndSumParallelPolicies(t *testing.T) {
+	type variant struct {
+		name string
+		s    *Selector
+	}
+	var variants []variant
+	for _, tol := range []float64{1e-6, 1e-12, 0} {
+		variants = append(variants, variant{fmt.Sprintf("tol=%g", tol), New(tol)})
+	}
+	prob := New(1e-12)
+	prob.Policy = ProbabilisticPolicy{Lambda: 3, Plan: BalancedPlan}
+	variants = append(variants, variant{"probabilistic", prob})
+	for _, alg := range sum.Algorithms {
+		s := New(0)
+		s.Policy = Static{Alg: alg}
+		variants = append(variants, variant{"static=" + alg.String(), s})
+	}
+	for name, xs := range fusedCases() {
+		prof := ProfileOf(xs)
+		for _, v := range variants {
+			where := fmt.Sprintf("%s %s", name, v.name)
+			got, sel := v.s.SelectAndSum(xs)
+			if sel.Profile != wantProfile(v.s, xs, prof) {
+				t.Errorf("%s: profile diverges from ProfileOf", where)
+			}
+			if sel.NonFinite != prof.NonFinite {
+				t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, prof.NonFinite)
+			}
+			want, wantAlg := twoPassSum(v.s, xs)
+			if sel.Alg != wantAlg {
+				t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
+				continue
+			}
+			if fbits(got) != fbits(want) {
+				t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
+			}
+		}
+	}
+}
+
 // TestSelectAndSumEquivalence pins the serving call against the legacy
 // core-style route: poisoned inputs fall back to sum.Standard, PR
 // selections run the TunePR configuration, everything else alg.Sum.
