@@ -31,7 +31,10 @@ test:
 # exchanges skipped, the messages those schedules send,
 # back-to-back collectives free of credit deadlock, states recycled
 # across 50 Runs alternating BN and ST (and never within one Run), a
-# warm World's allocation bounds, and a panicking rank that releases
+# warm World's allocation bounds, a cold World's one allocation per
+# rank to fold, the rank worker pool (a warm Run starts no goroutine,
+# at most 256 workers stay parked, a dropped World is collected, a
+# Goexit rank lets Run return), and a panicking rank that releases
 # the peers waiting on it (a negative user tag cannot pose as its
 # abort notice). The BN pass also
 # pins the reduce.Op.Merge ownership rule, the Leaves contract (each
@@ -57,7 +60,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag' ./internal/mpirt
+	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag|Pool|ColdWorld' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .

@@ -12,7 +12,9 @@ import (
 // and reports the closed-form model cost alongside (modelcost, in
 // machine cost units) so BENCH_mpirt.json carries the wall-clock and
 // the modeled cost side by side — the artifact the selection-table
-// agreement gate is reviewed against.
+// agreement gate is reviewed against. Each iteration builds a cold
+// World; spawns/op counts the goroutines it starts beyond the pool's
+// parked workers.
 func BenchmarkCollective(b *testing.B) {
 	op := sum.BinnedAlg.Op()
 	m := DefaultMachine()
@@ -21,6 +23,8 @@ func BenchmarkCollective(b *testing.B) {
 		for _, topo := range Topologies {
 			b.Run(fmt.Sprintf("topo=%s/ranks=%d", topo, ranks), func(b *testing.B) {
 				b.ReportMetric(m.CollectiveTime(topo, ranks, 1, DefaultSegSize, nil), "modelcost")
+				b.ReportAllocs()
+				s0 := spawns.Load()
 				for i := 0; i < b.N; i++ {
 					w := NewWorld(ranks, Config{})
 					if err := w.Run(func(r *Rank) {
@@ -29,6 +33,7 @@ func BenchmarkCollective(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				reportSpawns(b, s0)
 			})
 		}
 	}
@@ -62,7 +67,8 @@ func BenchmarkCollectiveVector(b *testing.B) {
 // perfbench collective-sim's 128x32 ReduceSum and 16x64 VectorReduce
 // per topology and operator, each on a World warmed by one Run, so the
 // reported allocations are what a Run costs once its ranks recycle the
-// states they lifted and folded before.
+// states they lifted and folded before, and spawns/op (goroutines
+// started per Run) stays 0 once the pool holds the World's workers.
 func BenchmarkCollectiveWarm(b *testing.B) {
 	for _, alg := range []sum.Algorithm{sum.BinnedAlg, sum.StandardAlg} {
 		op := alg.Op()
@@ -83,13 +89,21 @@ func BenchmarkCollectiveWarm(b *testing.B) {
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
+					s0 := spawns.Load()
 					for i := 0; i < b.N; i++ {
 						if err := w.Run(body); err != nil {
 							b.Fatal(err)
 						}
 					}
+					reportSpawns(b, s0)
 				})
 			}
 		}
 	}
+}
+
+// reportSpawns reports the worker goroutines started since s0 per
+// iteration as spawns/op.
+func reportSpawns(b *testing.B, s0 uint64) {
+	b.ReportMetric(float64(spawns.Load()-s0)/float64(b.N), "spawns/op")
 }

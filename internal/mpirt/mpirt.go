@@ -141,9 +141,11 @@ type World struct {
 	inboxes []chan envelope
 	sent    int // messages sent by the ranks of every finished Run
 
-	ranks []Rank // kept from Run to Run with their spare states
-	runs  uint64 // Runs started
+	ranks []Rank     // kept from Run to Run with their spare states
+	hands []chan job // the parked workers this Run took
+	runs  uint64     // Runs started
 
+	wg            sync.WaitGroup // this Run's ranks still running
 	aborted, over atomic.Bool    // a rank of this Run panicked; all returned
 	poster        sync.WaitGroup // the abort notice's helper goroutine
 
@@ -185,27 +187,42 @@ func NewWorld(size int, cfg Config) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Run launches one goroutine per rank executing body and waits for all
-// of them. A panicking rank aborts the run and is reported as an error:
-// every rank still waiting on a message unwinds, and the next Run
-// starts with drained inboxes and no spare states. The ranks live in
-// one slab kept from Run to Run, so a run allocates O(1) blocks besides
-// its goroutines. Run is not reentrant.
+// Run runs body once as each rank, concurrently, and waits for all of
+// them. Each rank runs on a worker goroutine from a pool that every
+// World shares (see parkedMax): a worker that finished a rank in an
+// earlier Run keeps the stack that rank grew, so a warm World starts no
+// goroutine and grows no stack. A panicking rank aborts the run and is
+// reported as an error: every rank still waiting on a message unwinds,
+// and the next Run starts with drained inboxes and no spare states. The
+// ranks live in one slab kept from Run to Run, so a warm Run allocates
+// nothing of its own. Run is not reentrant.
 func (w *World) Run(body func(r *Rank)) error {
 	if w.ranks == nil {
 		w.ranks = make([]Rank, w.size)
 	}
 	w.runs++
-	var wg sync.WaitGroup
-	wg.Add(w.size)
+	// Take the parked workers before any rank starts: a worker this Run
+	// frees is not handed another of its ranks, which under a 10^4-rank
+	// Run would cost more in contended handoffs than a fresh goroutine.
+	pool.Lock()
+	k := max(0, len(pool.idle)-w.size)
+	w.hands = append(w.hands[:0], pool.idle[k:]...)
+	pool.idle = pool.idle[:k]
+	pool.Unlock()
+	w.wg.Add(w.size)
 	for id := range w.ranks {
 		r := &w.ranks[id]
 		r.ID, r.Size, r.w = id, w.size, w
 		r.pending, r.coll, r.sent, r.err = r.pending[:0], 0, 0, nil
 		r.rng.Reseed(w.cfg.Seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)
-		go r.run(body, &wg)
+		if id < len(w.hands) {
+			w.hands[id] <- job{r, body}
+		} else {
+			spawns.Add(1)
+			go work(job{r, body})
+		}
 	}
-	wg.Wait()
+	w.wg.Wait()
 	var err error
 	for i := range w.ranks {
 		w.sent += w.ranks[i].sent
@@ -228,17 +245,84 @@ func (w *World) Run(body func(r *Rank)) error {
 	return err
 }
 
-// run is one rank's goroutine: it executes body and turns a panic into
-// r.err and an abort, unless the abort itself unwound the rank.
-func (r *Rank) run(body func(r *Rank), wg *sync.WaitGroup) {
-	defer wg.Done()
+// parkedMax bounds the idle workers kept for later Runs, above the 128
+// + 16 ranks of a collective-sim step. A Run with more ranks starts the
+// rest afresh, and a worker that finds the pool full exits.
+const parkedMax = 256
+
+var (
+	// pool holds the idle workers' job channels. It is a set, not a
+	// queue of ranks: Run hands a rank only to a worker it took from
+	// here, so no rank ever waits behind another that may be blocked on
+	// it.
+	pool struct {
+		sync.Mutex
+		idle []chan job // at most parkedMax
+	}
+	spawns atomic.Uint64 // worker goroutines started
+)
+
+// job is one rank of a Run, handed to a worker.
+type job struct {
+	r    *Rank
+	body func(*Rank)
+}
+
+// work is a pool worker: it runs j, then parks for the next rank until
+// the pool is full. It parks before its rank counts as done, so a
+// back-to-back Run finds every worker of the one before. A parked
+// worker holds no Rank, body or World, which stay collectable. A body
+// that calls runtime.Goexit ends the worker; its rank still counts as
+// done.
+func work(j job) {
+	var jobs chan job // made on the worker's first park
+	for {
+		wg := &j.r.w.wg
+		j.r.run(j.body)
+		j = job{}
+		parked := park(&jobs)
+		wg.Done()
+		if !parked {
+			return
+		}
+		j = <-jobs
+	}
+}
+
+// park puts the worker's job channel in the pool and reports whether
+// it had room. A worker beyond the bound, as most of a 10^4-rank Run's
+// are, never makes its channel.
+func park(jobs *chan job) bool {
+	pool.Lock()
+	defer pool.Unlock()
+	if len(pool.idle) == parkedMax {
+		return false
+	}
+	if *jobs == nil {
+		*jobs = make(chan job, 1)
+	}
+	pool.idle = append(pool.idle, *jobs)
+	return true
+}
+
+// run executes body as rank r and turns a panic into r.err and an
+// abort, unless the abort itself unwound the rank. It marks the rank
+// done itself only when body calls runtime.Goexit, which no recover
+// stops.
+func (r *Rank) run(body func(r *Rank)) {
+	returned := false
 	defer func() {
-		if p := recover(); p != nil && p != any(aborted{}) {
-			r.err = fmt.Errorf("mpirt: rank %d panicked: %v", r.ID, p)
-			r.w.abort()
+		if p := recover(); p != nil {
+			if p != any(aborted{}) {
+				r.err = fmt.Errorf("mpirt: rank %d panicked: %v", r.ID, p)
+				r.w.abort()
+			}
+		} else if !returned {
+			r.w.wg.Done()
 		}
 	}()
 	body(r)
+	returned = true
 }
 
 // abortTag tags the notice posted to every inbox when a rank panics. No
@@ -285,9 +369,11 @@ type Rank struct {
 	coll     int // per-rank collective sequence number
 	sent     int // messages this rank has sent
 	rng      fpu.RNG
-	err      error   // this Run's panic
-	spares   []spare // one per operator name, kept across Runs
-	kids     []int   // family's children, refilled by each collective
+	err      error      // this Run's panic
+	spare0   spare      // the first operator's spare, kept across Runs
+	spares   []spare    // one per further operator name
+	kids     []int      // family's children, refilled by each collective
+	got      []envelope // fromChildren's FixedOrder arrivals
 }
 
 // spare is the rank's own storage for one operator's states, which a
@@ -295,7 +381,9 @@ type Rank struct {
 // their working slice at other ranks' states (RSAG copies a partner's
 // in, Rabenseifner merges into a received one), so they get work, a
 // copy of own. Within one Run another rank may still read a spare, so
-// a second call with the same operator allocates afresh.
+// a second call with the same operator allocates afresh. The first
+// operator's spare lives in the Rank itself, so a rank's first
+// collective allocates no spare list.
 type spare struct {
 	name                string
 	localRun, leavesRun uint64 // the Runs that last handed them out
@@ -305,6 +393,10 @@ type spare struct {
 
 func (r *Rank) spare(op reduce.Op) *spare {
 	name := op.Name()
+	if r.spare0.name == name || r.spare0.name == "" {
+		r.spare0.name = name
+		return &r.spare0
+	}
 	i := slices.IndexFunc(r.spares, func(s spare) bool { return s.name == name })
 	if i < 0 {
 		i, r.spares = len(r.spares), append(r.spares, spare{name: name})
@@ -369,10 +461,11 @@ func (r *Rank) send(dst, tag int, payload any) {
 // send still progresses its receives: otherwise two ranks sending to
 // each other's full inbox wait forever, which back-to-back collectives
 // reach when ranks with no part left in one run ahead into the next.
-// It stays out of line because rank goroutines run close to their
-// initial stack size: inlined, its select enlarges send's frame enough
-// that every rank of a 10^4-rank binomial reduce grows and copies its
-// stack, about 1.5x the run's wall-clock.
+// It stays out of line because a rank that Run starts on a fresh
+// goroutine, as it does for every rank beyond the parked workers, runs
+// close to the initial stack size: inlined, its select enlarges send's
+// frame enough that every such rank of a 10^4-rank binomial reduce
+// grows and copies its stack, about 1.5x the run's wall-clock.
 //
 //go:noinline
 func (r *Rank) sendWaiting(dst int, e envelope) {
@@ -625,11 +718,12 @@ func (r *Rank) Reduce(root int, local reduce.State, op reduce.Op, topo Topology,
 
 // fromChildren receives one payload from each child under tag and
 // hands each to absorb: as they arrive (ArrivalOrder), or once all have
-// arrived in ascending rank order (FixedOrder).
+// arrived in ascending rank order (FixedOrder), collected in a buffer
+// the rank keeps.
 func (r *Rank) fromChildren(children []int, mode Mode, tag int, absorb func(payload any)) {
 	switch mode {
 	case FixedOrder:
-		got := make([]envelope, len(children))
+		got := slices.Grow(r.got[:0], len(children))[:len(children)]
 		for i := range got {
 			got[i].src, got[i].payload = r.RecvAny(tag)
 		}
@@ -637,6 +731,8 @@ func (r *Rank) fromChildren(children []int, mode Mode, tag int, absorb func(payl
 		for _, e := range got {
 			absorb(e.payload)
 		}
+		clear(got)
+		r.got = got
 	case ArrivalOrder:
 		for range children {
 			_, p := r.RecvAny(tag)

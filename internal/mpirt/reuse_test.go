@@ -118,20 +118,30 @@ func TestReuseTwiceInOneRun(t *testing.T) {
 	}
 }
 
-// TestWarmWorldAllocs pins the recycled states on a warm World: BN's
-// 16x64 binomial VectorReduce and 128x32 ReduceSum allocate no 584-byte
-// binned state. A BN state lands in the 640-byte size class, which
-// neither Run otherwise uses, and one rank's 64 leaves take 37 KB: the
-// byte bounds sit far below that slab and below 128 states (80 KB).
-// Before the states were recycled the vector Run took 96 allocations
-// and 696 KB, the scalar one 375 and 102 KB. Each rank's children list
-// lives in a buffer the rank keeps (Rank.family); allocating it afresh
-// per collective took the counts from 33 to 47 and from 129 to 245.
+// TestWarmWorldAllocs pins a warm World's allocations: BN's 16x64
+// binomial VectorReduce and 128x32 ReduceSum, the latter in both modes,
+// allocate no 584-byte binned state. A BN state lands in the 640-byte
+// size class, which neither Run otherwise uses, and one rank's 64
+// leaves take 37 KB: the byte bounds sit far below that slab and below
+// one state per rank. Before the states were recycled the vector Run
+// took 96 allocations and 696 KB, the scalar one 375 and 102 KB. Each
+// rank's children list lives in a buffer the rank keeps (Rank.family);
+// allocating it afresh per collective took the counts from 33 to 47 and
+// from 129 to 245. So do FixedOrder's arrivals (Rank.fromChildren),
+// which took the scalar count from 129 to 193. The ranks run on parked
+// workers, so the scalar Run allocates nothing; starting a goroutine
+// per rank cost 128 allocations. The vector Run's 16 are the segments
+// it sends and the finalized vector.
 func TestWarmWorldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	op := sum.BinnedAlg.Op()
+	reduceSum := func(mode Mode) func(xs [][]float64) func(*Rank) {
+		return func(xs [][]float64) func(*Rank) {
+			return func(r *Rank) { r.ReduceSum(0, xs[r.ID], op, Binomial, mode) }
+		}
+	}
 	cases := []struct {
 		name   string
 		ranks  int
@@ -141,10 +151,9 @@ func TestWarmWorldAllocs(t *testing.T) {
 	}{
 		{"VectorReduce 16x64", 16, func(xs [][]float64) func(*Rank) {
 			return func(r *Rank) { r.VectorReduce(0, xs[r.ID], op, Binomial, ArrivalOrder, 0) }
-		}, 40, 8 << 10},
-		{"ReduceSum 128x32", 128, func(xs [][]float64) func(*Rank) {
-			return func(r *Rank) { r.ReduceSum(0, xs[r.ID], op, Binomial, ArrivalOrder) }
-		}, 140, 16 << 10},
+		}, 16, 2 << 10},
+		{"ReduceSum 128x32 arrival-order", 128, reduceSum(ArrivalOrder), 0, 2 << 10},
+		{"ReduceSum 128x32 fixed-order", 128, reduceSum(FixedOrder), 0, 2 << 10},
 	}
 	for _, c := range cases {
 		nElem := 64
