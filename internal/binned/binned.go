@@ -150,13 +150,37 @@ type State struct {
 	// posInf/negInf tally ±Inf operands; nan records any NaN operand.
 	posInf, negInf int64
 	nan            bool
+	// lo and top bound the live window: every slot outside [lo, top)
+	// is exactly zero, and top == 0 means no slot was ever written
+	// (lo is then 0 too). Merge, renorm, Reset and Finalize touch only
+	// the window, typically 2–6 of the 68 slots. The two bytes sit in
+	// the padding after nan.
+	lo, top uint8
 }
 
 // Count returns the number of operands absorbed.
 func (st *State) Count() int64 { return st.count }
 
-// Reset restores st to the empty state.
-func (st *State) Reset() { *st = State{} }
+// Reset restores st to the empty state, clearing only the live window.
+func (st *State) Reset() {
+	clear(st.bins[st.lo:st.top])
+	st.count, st.pend, st.posInf, st.negInf = 0, 0, 0, 0
+	st.nan, st.lo, st.top = false, 0, 0
+}
+
+// widen extends the live window over slots [lo, top); an empty range
+// (lo >= top) leaves it as it is.
+func (st *State) widen(lo, top uint) {
+	if lo >= top {
+		return
+	}
+	if st.top == 0 || lo < uint(st.lo) {
+		st.lo = uint8(lo)
+	}
+	if top > uint(st.top) {
+		st.top = uint8(top)
+	}
+}
 
 // Add folds one operand into the state.
 func (st *State) Add(x float64) {
@@ -177,6 +201,7 @@ func (st *State) Add(x float64) {
 	b2 := bigTab[s+pad-2]
 	c2 := (b2 + r) - b2
 	st.bins[s+pad-2] += c2
+	st.widen(s, s+Folds)
 	st.count++
 	st.pend++
 	if st.pend >= renormEvery {
@@ -185,42 +210,15 @@ func (st *State) Add(x float64) {
 }
 
 // addSlow handles the rare top-of-range and non-finite operands
-// (ef >= hiEF). Huge operands are chunked in the 2^-scaleSH domain;
-// chunks landing below hiBin are scaled back up (exactly) before
-// depositing.
+// (ef >= hiEF) through slowNoCount, with Add's bookkeeping: every
+// operand counts, but only a deposit brings the carry schedule closer.
 func (st *State) addSlow(x float64, ef int) {
 	st.count++
-	if ef == 0x7ff {
-		switch {
-		case math.IsNaN(x):
-			st.nan = true
-		case x > 0:
-			st.posInf++
-		default:
-			st.negInf++
-		}
+	lo, top := st.slowNoCount(x, ef)
+	if lo >= top {
 		return
 	}
-	j := (ef + 51) >> binShift // 64 or 65
-	r := x * (0x1p-512)        // exact: |x| >= 2^974
-	for f := 0; f < Folds; f++ {
-		jj := j - f
-		var big float64
-		if jj >= hiBin {
-			big = bigTab[jj+pad]
-		} else {
-			// Scaled constant for an unscaled bin: quantum exponent
-			// (jj*BinWidth - 1074) - scaleSH.
-			big = math.Ldexp(1.5, jj*BinWidth-1074-scaleSH+52)
-		}
-		c := (big + r) - big
-		r -= c
-		if jj >= hiBin {
-			st.bins[jj+pad] += c
-		} else {
-			st.bins[jj+pad] += c * (0x1p512) // exact rescale
-		}
-	}
+	st.widen(lo, top)
 	st.pend++
 	if st.pend >= renormEvery {
 		st.renorm()
@@ -232,11 +230,18 @@ func (st *State) addSlow(x float64, ef int) {
 // carries up, and the exact residual (at most 2^31 quanta) stays. Every
 // operation is exact, so the represented value never changes — which is
 // why the carry schedule is not part of the reproducibility contract.
+//
+// Only the live window carries: the slots outside it are zero. A carry
+// reaches at most one slot above the window, which then grows by it.
 func (st *State) renorm() {
+	st.pend = 0
+	if st.top == 0 {
+		return
+	}
 	// Unscaled bins 0..hiBin-2 carry within the unscaled domain. The
 	// deposit constant of bin j+1 is exactly the rounding constant for
 	// "multiple of q_{j+1}".
-	for s := pad; s < hiBin+pad-1; s++ {
+	for s := int(st.lo); s < min(int(st.top), hiBin+pad-1); s++ {
 		v := st.bins[s]
 		if v == 0 {
 			continue
@@ -270,16 +275,22 @@ func (st *State) renorm() {
 	}
 	// The top bin has no carry target; its headroom bounds are
 	// documented in the package comment.
-	st.pend = 0
+	if t := st.top; t < numSlots && st.bins[t] != 0 {
+		st.top = t + 1
+	}
 }
 
-// Merge folds o into st, exactly. o is left unchanged. The result
-// represents exactly the sum of the two represented values, so merging
-// in any order or tree shape yields the same Finalize bits.
+// Merge folds o into st, exactly, adding only o's live window. o is
+// left unchanged. The result represents exactly the sum of the two
+// represented values, so merging in any order or tree shape yields the
+// same Finalize bits.
 func (st *State) Merge(o *State) {
-	for s := range st.bins {
-		st.bins[s] += o.bins[s]
+	lo, top := o.lo, o.top
+	b := st.bins[lo:top]
+	for i, v := range o.bins[lo:top] {
+		b[i] += v
 	}
+	st.widen(uint(lo), uint(top))
 	st.count += o.count
 	st.posInf += o.posInf
 	st.negInf += o.negInf
@@ -304,7 +315,8 @@ func (st *State) Merge(o *State) {
 // 2^-1074, with m_j as its (unnormalized) limb j. Finalize carries the
 // limbs of the live window lo..hi into digits, negates a negative
 // total, and rounds the leading 64 bits with a sticky bit below them:
-// its cost is that of the window, not of the 66-bin range.
+// its cost is that of the window, not of the 66-bin range. The trim
+// scan for the window's nonzero ends starts from the kept window.
 func (st *State) Finalize() float64 {
 	if st.nan || (st.posInf > 0 && st.negInf > 0) {
 		return math.NaN()
@@ -315,7 +327,7 @@ func (st *State) Finalize() float64 {
 	if st.negInf > 0 {
 		return math.Inf(-1)
 	}
-	lo, hi := pad, numSlots-1
+	lo, hi := int(st.lo), int(st.top)-1
 	for lo <= hi && st.bins[lo] == 0 {
 		lo++
 	}
@@ -453,38 +465,43 @@ func (st *State) addBatches(xs []float64, ref bool) {
 	}
 }
 
-// batch1 deposits directly into the state's bins, serially.
+// batch1 deposits xs directly into the state's bins, serially, with
+// the per-element three-fold reference deposit (top-of-range and
+// non-finite operands take the slow path), and widens the live window
+// once for the whole batch. It leaves count and pend to its caller.
 func (st *State) batch1(xs []float64) {
+	lo, top := uint(numSlots), uint(0)
+	b := &st.bins
 	for _, x := range xs {
-		depositOne(&st.bins, st, x)
+		ef := int(math.Float64bits(x) >> 52 & 0x7ff)
+		if ef >= hiEF {
+			st.widen(st.slowNoCount(x, ef))
+			continue
+		}
+		s := uint(ef+51) >> binShift
+		lo, top = min(lo, s), max(top, s+Folds)
+		b0 := bigTab[s+pad]
+		c0 := (b0 + x) - b0
+		r := x - c0
+		b[s+pad] += c0
+		b1 := bigTab[s+pad-1]
+		c1 := (b1 + r) - b1
+		r -= c1
+		b[s+pad-1] += c1
+		b2 := bigTab[s+pad-2]
+		c2 := (b2 + r) - b2
+		b[s+pad-2] += c2
 	}
+	st.widen(lo, top)
 }
 
-// depositOne deposits x into local bin array b, diverting top-of-range
-// and non-finite operands to the state's slow path.
-func depositOne(b *[numSlots]float64, st *State, x float64) {
-	ef := int(math.Float64bits(x) >> 52 & 0x7ff)
-	if ef >= hiEF {
-		st.slowNoCount(x, ef)
-		return
-	}
-	s := uint(ef+51) >> binShift
-	b0 := bigTab[s+pad]
-	c0 := (b0 + x) - b0
-	r := x - c0
-	b[s+pad] += c0
-	b1 := bigTab[s+pad-1]
-	c1 := (b1 + r) - b1
-	r -= c1
-	b[s+pad-1] += c1
-	b2 := bigTab[s+pad-2]
-	c2 := (b2 + r) - b2
-	b[s+pad-2] += c2
-}
-
-// slowNoCount is addSlow without the count/pend bookkeeping (the batch
-// loop accounts for the whole slice at once).
-func (st *State) slowNoCount(x float64, ef int) {
+// slowNoCount deposits a top-of-range operand (|x| >= 2^974) or tallies
+// a non-finite one, without the count/pend bookkeeping or widening the
+// live window. Huge operands are chunked in the 2^-scaleSH domain;
+// chunks landing below hiBin are scaled back up (exactly) before
+// depositing. It returns the slots [lo, top) it deposited into, an
+// empty range for a non-finite x.
+func (st *State) slowNoCount(x float64, ef int) (lo, top uint) {
 	if ef == 0x7ff {
 		switch {
 		case math.IsNaN(x):
@@ -494,16 +511,18 @@ func (st *State) slowNoCount(x float64, ef int) {
 		default:
 			st.negInf++
 		}
-		return
+		return 0, 0
 	}
-	j := (ef + 51) >> binShift
-	r := x * (0x1p-512)
+	j := (ef + 51) >> binShift // 64 or 65
+	r := x * (0x1p-512)        // exact: |x| >= 2^974
 	for f := 0; f < Folds; f++ {
 		jj := j - f
 		var big float64
 		if jj >= hiBin {
 			big = bigTab[jj+pad]
 		} else {
+			// Scaled constant for an unscaled bin: quantum exponent
+			// (jj*BinWidth - 1074) - scaleSH.
 			big = math.Ldexp(1.5, jj*BinWidth-1074-scaleSH+52)
 		}
 		c := (big + r) - big
@@ -511,7 +530,8 @@ func (st *State) slowNoCount(x float64, ef int) {
 		if jj >= hiBin {
 			st.bins[jj+pad] += c
 		} else {
-			st.bins[jj+pad] += c * (0x1p512)
+			st.bins[jj+pad] += c * (0x1p512) // exact rescale
 		}
 	}
+	return uint(j), uint(j) + Folds
 }

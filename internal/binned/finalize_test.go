@@ -32,13 +32,15 @@ func finalizeOracle(st *State) float64 {
 	return sa.Float64()
 }
 
-// setQuanta stores m quanta in bin j, at the bin's stored scale.
+// setQuanta stores m quanta in bin j, at the bin's stored scale, and
+// widens the live window over the bin.
 func (st *State) setQuanta(j int, m int64) {
 	q := j*BinWidth - 1074
 	if j >= hiBin {
 		q -= scaleSH
 	}
 	st.bins[j+pad] = math.Ldexp(float64(m), q)
+	st.widen(uint(j+pad), uint(j+pad+1))
 }
 
 // randomWindowState fills a random window of bins with random quantum
@@ -163,7 +165,8 @@ func finalizeSeeds() [][]byte {
 // checkFinalize is the fuzz property: the two-level fold, the
 // reference fold split at an arbitrary cut and merged, and the negated
 // operands all finalize to the correctly rounded sum that superacc.Sum
-// computes from the finite operands, with IEEE results for NaN and ±Inf.
+// computes from the finite operands, with IEEE results for NaN and ±Inf,
+// and every state they build keeps its bins inside its live window.
 func checkFinalize(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -201,6 +204,7 @@ func checkFinalize(t *testing.T, data []byte) {
 
 	var st State
 	st.AddSlice(xs)
+	checkWindow(t, "AddSlice", &st)
 	if got := st.Finalize(); !same(got, want) {
 		t.Fatalf("Finalize %x (%v), superacc %x (%v)", math.Float64bits(got), got, math.Float64bits(want), want)
 	}
@@ -210,7 +214,10 @@ func checkFinalize(t *testing.T, data []byte) {
 	for _, x := range xs[cut:] {
 		b.Add(x)
 	}
+	checkWindow(t, "AddSliceRef", &a)
+	checkWindow(t, "Add", &b)
 	a.Merge(&b)
+	checkWindow(t, "Merge", &a)
 	if got := a.Finalize(); !same(got, want) {
 		t.Fatalf("merged at %d: Finalize %x, superacc %x", cut, math.Float64bits(got), math.Float64bits(want))
 	}
@@ -220,6 +227,7 @@ func checkFinalize(t *testing.T, data []byte) {
 	}
 	var n State
 	n.AddSlice(negs)
+	checkWindow(t, "negated AddSlice", &n)
 	if want != 0 && !math.IsNaN(want) {
 		want = -want
 	}

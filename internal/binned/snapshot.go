@@ -78,21 +78,28 @@ func (st *State) Snapshot() Snapshot {
 // bin, which has no carry target and only needs |m_j| < 2^53. The pad
 // slots below bin 0 are always zero.
 func (s *Snapshot) Validate() error {
+	_, _, err := s.validate()
+	return err
+}
+
+// validate is Validate, also returning the tight live window [lo, top)
+// of the bins it scans (0, 0 when every bin is zero).
+func (s *Snapshot) validate() (lo, top uint8, err error) {
 	if s.Count < 0 {
-		return fmt.Errorf("binned: negative operand count %d", s.Count)
+		return 0, 0, fmt.Errorf("binned: negative operand count %d", s.Count)
 	}
 	if s.Pend < 0 || s.Pend >= MaxPend {
-		return fmt.Errorf("binned: pending-deposit count %d outside [0, %d)", s.Pend, int64(MaxPend))
+		return 0, 0, fmt.Errorf("binned: pending-deposit count %d outside [0, %d)", s.Pend, int64(MaxPend))
 	}
 	if s.PosInf < 0 || s.NegInf < 0 {
-		return fmt.Errorf("binned: negative infinity tally %d/%d", s.PosInf, s.NegInf)
+		return 0, 0, fmt.Errorf("binned: negative infinity tally %d/%d", s.PosInf, s.NegInf)
 	}
 	if s.PosInf+s.NegInf > s.Count {
-		return fmt.Errorf("binned: infinity tallies %d exceed operand count %d", s.PosInf+s.NegInf, s.Count)
+		return 0, 0, fmt.Errorf("binned: infinity tallies %d exceed operand count %d", s.PosInf+s.NegInf, s.Count)
 	}
 	for i := 0; i < pad; i++ {
 		if s.Bins[i] != 0 {
-			return fmt.Errorf("binned: pad slot %d holds %v", i, s.Bins[i])
+			return 0, 0, fmt.Errorf("binned: pad slot %d holds %v", i, s.Bins[i])
 		}
 	}
 	limit := float64(1<<31 + s.Pend<<32)
@@ -101,8 +108,12 @@ func (s *Snapshot) Validate() error {
 		if v == 0 {
 			continue
 		}
+		if top == 0 {
+			lo = uint8(j + pad)
+		}
+		top = uint8(j + pad + 1)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("binned: bin %d holds %v", j, v)
+			return 0, 0, fmt.Errorf("binned: bin %d holds %v", j, v)
 		}
 		// Scaling by the reciprocal quantum is exact whenever |v| is at
 		// least one quantum, so m is then the exact quantum count; a
@@ -110,25 +121,28 @@ func (s *Snapshot) Validate() error {
 		f := &quantumScale[j]
 		m := v * f[0] * f[1]
 		if math.Abs(m) < 1 || m != math.Trunc(m) {
-			return fmt.Errorf("binned: bin %d value %v is not a multiple of its quantum", j, v)
+			return 0, 0, fmt.Errorf("binned: bin %d value %v is not a multiple of its quantum", j, v)
 		}
 		if j == numBins-1 {
 			if math.Abs(m) >= 1<<53 {
-				return fmt.Errorf("binned: top bin holds %v quanta, want < 2^53", m)
+				return 0, 0, fmt.Errorf("binned: top bin holds %v quanta, want < 2^53", m)
 			}
 		} else if math.Abs(m) > limit {
-			return fmt.Errorf("binned: bin %d holds %v quanta, above the bound %v for Pend %d", j, m, limit, s.Pend)
+			return 0, 0, fmt.Errorf("binned: bin %d holds %v quanta, above the bound %v for Pend %d", j, m, limit, s.Pend)
 		}
 	}
-	return nil
+	return lo, top, nil
 }
 
 // Restore reconstructs the snapshotted State. The result is
-// field-for-field the snapshotted state, so its subsequent deposits,
-// merges, and Finalize are bitwise-identical to the original's. Invalid
-// snapshots (see Validate) are rejected.
+// field-for-field the snapshotted state, except for the live bin
+// window, which Restore derives tight from the bins. The window only
+// bounds where the nonzero bins lie, so the restored state's
+// subsequent deposits, merges, and Finalize are bitwise-identical to
+// the original's. Invalid snapshots (see Validate) are rejected.
 func Restore(s Snapshot) (State, error) {
-	if err := s.Validate(); err != nil {
+	lo, top, err := s.validate()
+	if err != nil {
 		return State{}, err
 	}
 	return State{
@@ -138,5 +152,7 @@ func Restore(s Snapshot) (State, error) {
 		posInf: s.PosInf,
 		negInf: s.NegInf,
 		nan:    s.NaN,
+		lo:     lo,
+		top:    top,
 	}, nil
 }

@@ -210,15 +210,10 @@ func (st *State) batchTwoLevel(xs []float64) {
 				continue
 			}
 		}
-		depositOne(&st.bins, st, xs[i])
-		depositOne(&st.bins, st, xs[i+1])
-		depositOne(&st.bins, st, xs[i+2])
-		depositOne(&st.bins, st, xs[i+3])
+		st.batch1(xs[i : i+groupW])
 		i += groupW
 	}
-	for ; i < n; i++ {
-		depositOne(&st.bins, st, xs[i])
-	}
+	st.batch1(xs[i:])
 	st.flushQuad(&q, anchor)
 }
 
@@ -232,6 +227,7 @@ func (st *State) flushQuad(q *[16]float64, anchor int) {
 		return
 	}
 	s := uint(anchor)
+	st.widen(s, s+Folds)
 	if v := (q[0] + q[1]) + (q[2] + q[3]); v != 0 {
 		st.bins[s+pad] += v
 	}
@@ -244,7 +240,8 @@ func (st *State) flushQuad(q *[16]float64, anchor int) {
 	if v := (q[12] + q[13]) + (q[14] + q[15]); v != 0 {
 		// The residual sum is far below q_{A-2}; one generic deposit
 		// bins it exactly.
-		depositOne(&st.bins, st, v)
+		u := [1]float64{v}
+		st.batch1(u[:])
 	}
 	*q = [16]float64{}
 }

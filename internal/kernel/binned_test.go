@@ -77,40 +77,73 @@ func BenchmarkBinnedFinalize(b *testing.B) {
 	}
 }
 
+// windowSnapshot is a state whose live window is w bins wide: 2, 4
+// and 6 bins are what real data leaves (2–6 nonzero bins for n from 16
+// to 65536 at dynamic range up to 256), 66 is every bin of the float64
+// range, the scaled top bins included. It holds mixed-sign counts of up
+// to 2^31 quanta per bin, the most a renormalized bin carries; sign
+// flips every count.
+func windowSnapshot(w int, sign float64) binned.Snapshot {
+	lo := 32 - w/2
+	if w == 66 {
+		lo = 0
+	}
+	var snap binned.Snapshot
+	m := int64(0x5bd1e995)
+	for j := lo; j < lo+w; j++ {
+		m = (m*0x41c64e6d + 12345) % (1 << 31)
+		q := 32*j - 1074
+		if j >= 64 {
+			q -= 512
+		}
+		v := sign * math.Ldexp(float64(m+1), q)
+		if j%3 == 1 {
+			v = -v
+		}
+		snap.Bins[j+2] = v
+	}
+	return snap
+}
+
+// restoreWindow restores windowSnapshot(w, sign).
+func restoreWindow(b *testing.B, w int, sign float64) binned.State {
+	st, err := binned.Restore(windowSnapshot(w, sign))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkBinnedFinalizeWindow times Finalize against the width of
-// the live bin window: 2, 4 and 6 bins are what real data leaves
-// (2–6 nonzero bins for n from 16 to 65536 at dynamic range up to 256),
-// 66 is every bin of the float64 range, the scaled top bins included.
-// Each state holds mixed-sign counts of up to 2^31 quanta per bin, the
-// most a renormalized bin carries.
+// the live bin window (see windowSnapshot).
 func BenchmarkBinnedFinalizeWindow(b *testing.B) {
 	for _, w := range []int{2, 4, 6, 66} {
-		lo := 32 - w/2
-		if w == 66 {
-			lo = 0
-		}
-		var snap binned.Snapshot
-		m := int64(0x5bd1e995)
-		for j := lo; j < lo+w; j++ {
-			m = (m*0x41c64e6d + 12345) % (1 << 31)
-			q := 32*j - 1074
-			if j >= 64 {
-				q -= 512
-			}
-			v := math.Ldexp(float64(m+1), q)
-			if j%3 == 1 {
-				v = -v
-			}
-			snap.Bins[j+2] = v
-		}
-		st, err := binned.Restore(snap)
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := restoreWindow(b, w, 1)
 		b.Run(fmt.Sprintf("bins=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkF = st.Finalize()
 			}
+		})
+	}
+}
+
+// BenchmarkBinnedMerge times one Merge, the collectives' per-message
+// combine, against the width of the merged state's live window (see
+// windowSnapshot). The accumulator takes the state and its negation in
+// turn, so its bins stay bounded over any b.N.
+func BenchmarkBinnedMerge(b *testing.B) {
+	for _, w := range []int{2, 6, 66} {
+		pos, neg := restoreWindow(b, w, 1), restoreWindow(b, w, -1)
+		b.Run(fmt.Sprintf("bins=%d", w), func(b *testing.B) {
+			var acc binned.State
+			for i := 0; i < b.N; i++ {
+				if i&1 == 0 {
+					acc.Merge(&pos)
+				} else {
+					acc.Merge(&neg)
+				}
+			}
+			sinkBN = acc
 		})
 	}
 }

@@ -83,13 +83,6 @@ func coreRange(newrank, nElem, pof2, rounds int) (lo, hi int) {
 	return lo, hi
 }
 
-// chunkMsg carries a contiguous range of reduced element states with
-// its vector offset, for the gather phase.
-type chunkMsg struct {
-	lo     int
-	states []reduce.State
-}
-
 // rabenseifner runs the reduce-scatter core and then either a binomial
 // gather of the chunks to root (allgather=false: Rabenseifner reduce)
 // or a recursive-doubling allgather plus post-fold (allgather=true:
@@ -102,11 +95,18 @@ type chunkMsg struct {
 // core group moves only the messages that carry a state; the merges,
 // their operands and their order are the same as with every exchange.
 //
-// The states slice is consumed: ranges sent away must not be reused by
-// the caller. A rank whose partner holds the lower group merges into
-// the received state (the lower-group operand is Merge's left), so a
-// range sent away may also be rewritten in place by its receiver.
-func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allgather bool) ([]reduce.State, bool) {
+// Every message carries the sender's whole working vector, as the
+// pointer to its header that the rank keeps unchanged for the Run (see
+// spare): boxing a pointer allocates nothing. The receiver reads only
+// the range the schedule has the sender give it, which every rank
+// derives alike. The sender writes into that range again only on a
+// message that the receiver's read of it precedes.
+//
+// The vector is consumed: ranges sent away must not be reused by the
+// caller. A rank whose partner holds the lower group merges into the
+// received state (the lower-group operand is Merge's left), so a range
+// sent away may also be rewritten in place by its receiver.
+func (r *Rank) rabenseifner(root int, vec *[]reduce.State, op reduce.Op, allgather bool) ([]reduce.State, bool) {
 	// Fixed per-collective tag budget so every rank's tag sequence
 	// stays aligned regardless of its role in this schedule.
 	tFold := r.nextCollTag()
@@ -115,6 +115,7 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 	tPost := r.nextCollTag()
 
 	n := r.Size
+	states := *vec
 	nElem := len(states)
 	f := foldInfo(r.ID, n)
 	L := bits.Len(uint(f.pof2)) - 1 // log2(pof2) rounds
@@ -122,21 +123,20 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 	// Pre-fold: fold the excess ranks into their odd neighbors.
 	if r.ID < 2*f.rem {
 		if f.newrank < 0 {
-			r.send(r.ID+1, tFold, states)
+			r.send(r.ID+1, tFold, vec)
 			if !allgather {
 				// Dropped ranks take no further part in a rooted
 				// reduce unless they are the root, which receives the
 				// finished vector from its surrogate below.
 				if r.ID == root {
-					return r.Recv(root+1, tPost).([]reduce.State), true
+					return vecOf(r.Recv(root+1, tPost), nElem), true
 				}
 				return nil, false
 			}
 			// Allreduce: wait for the finished vector from the partner.
-			full := r.Recv(r.ID+1, tPost).([]reduce.State)
-			return full, allgather || r.ID == root
+			return vecOf(r.Recv(r.ID+1, tPost), nElem), true
 		}
-		partner := r.Recv(r.ID-1, tFold).([]reduce.State)
+		partner := vecOf(r.Recv(r.ID-1, tFold), nElem)
 		for i := range states {
 			// Lower-rank operand first: canonical ascending-group order.
 			states[i] = op.Merge(partner[i], states[i])
@@ -156,10 +156,10 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 			keepLo, keepHi, giveLo, giveHi = mid, hi, lo, mid
 		}
 		if giveHi > giveLo {
-			r.send(partnerOld, tRS, states[giveLo:giveHi])
+			r.send(partnerOld, tRS, vec)
 		}
 		if keepHi > keepLo {
-			theirs := r.Recv(partnerOld, tRS).([]reduce.State)
+			theirs := vecOf(r.Recv(partnerOld, tRS), nElem)[keepLo:keepHi]
 			for i := range theirs {
 				// The group with the lower newranks is the earlier operand.
 				if f.newrank&halfBit == 0 {
@@ -173,7 +173,7 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 	}
 
 	if !allgather {
-		return r.rabenseifnerGather(root, states, lo, hi, nElem, f, L, tGath, tPost)
+		return r.rabenseifnerGather(root, vec, lo, hi, f, L, tGath, tPost)
 	}
 
 	// Allgather by recursive doubling: undo the halving, exchanging
@@ -183,16 +183,16 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 		partnerNew := f.newrank ^ (f.pof2 >> (k + 1))
 		partnerOld := f.oldRank(partnerNew)
 		if hi > lo {
-			r.send(partnerOld, tGath, states[lo:hi])
+			r.send(partnerOld, tGath, vec)
 		}
 		if sLo, sHi := coreRange(partnerNew, nElem, f.pof2, k+1); sHi > sLo {
-			copy(states[sLo:sHi], r.Recv(partnerOld, tGath).([]reduce.State))
+			copy(states[sLo:sHi], vecOf(r.Recv(partnerOld, tGath), nElem)[sLo:sHi])
 		}
 		lo, hi = coreRange(f.newrank, nElem, f.pof2, k)
 	}
 	// Post-fold: hand the finished vector back to the dropped ranks.
 	if r.ID < 2*f.rem && f.newrank >= 0 {
-		r.send(r.ID-1, tPost, states)
+		r.send(r.ID-1, tPost, vec)
 	}
 	return states, true
 }
@@ -201,8 +201,10 @@ func (r *Rank) rabenseifner(root int, states []reduce.State, op reduce.Op, allga
 // to the root (or its surrogate when the root was folded out), then
 // ships the assembled vector to the root if needed. A subtree that owns
 // no element sends nothing, and its parent does not wait for it.
-func (r *Rank) rabenseifnerGather(root int, states []reduce.State,
-	lo, hi, nElem int, f foldRoles, L, tGath, tPost int) ([]reduce.State, bool) {
+func (r *Rank) rabenseifnerGather(root int, vec *[]reduce.State,
+	lo, hi int, f foldRoles, L, tGath, tPost int) ([]reduce.State, bool) {
+	states := *vec
+	nElem := len(states)
 	// The gather target inside the core group: the root itself, or —
 	// when the root is a folded-out even rank — the odd neighbor that
 	// absorbed it.
@@ -211,10 +213,14 @@ func (r *Rank) rabenseifnerGather(root int, states []reduce.State,
 		surrogate = root + 1
 	}
 	rootNew := foldInfo(surrogate, r.Size).newrank
+	// chunk is the element range vertex u keeps.
+	chunk := func(u int) (int, int) {
+		return coreRange((u+rootNew)%f.pof2, nElem, f.pof2, L)
+	}
 	// owns reports whether any vertex in [v, v+size) keeps an element.
 	owns := func(v, size int) bool {
 		for u := v; u < v+size; u++ {
-			if eLo, eHi := coreRange((u+rootNew)%f.pof2, nElem, f.pof2, L); eHi > eLo {
+			if eLo, eHi := chunk(u); eHi > eLo {
 				return true
 			}
 		}
@@ -223,35 +229,38 @@ func (r *Rank) rabenseifnerGather(root int, states []reduce.State,
 
 	// Binomial gather over core-group vertices: vertex v's children are
 	// v+b for every b below its lowest set bit (every b at the root),
-	// and child v+b roots a subtree of b vertices. Chunks are disjoint
-	// element ranges, so no merging happens here — only placement.
+	// and child v+b roots a subtree of b vertices. A child's vector
+	// holds its subtree's chunks, which its parent copies into its own,
+	// so the root's vector ends complete. Chunks are disjoint element
+	// ranges, so no merging happens here — only placement.
 	v := (f.newrank - rootNew + f.pof2) % f.pof2
 	lsb := v & -v
 	if v == 0 {
 		lsb = f.pof2
 	}
-	var owned []chunkMsg
-	if hi > lo {
-		owned = append(owned, chunkMsg{lo: lo, states: states[lo:hi]})
-	}
+	owned := hi > lo
 	for b := 1; b < lsb; b <<= 1 {
 		if owns(v+b, b) {
-			_, p := r.RecvAny(tGath)
-			owned = append(owned, p.([]chunkMsg)...)
+			src, p := r.RecvAny(tGath)
+			theirs := vecOf(p, nElem)
+			// The child's vertex c roots a subtree of c&-c vertices.
+			c := (foldInfo(src, r.Size).newrank - rootNew + f.pof2) % f.pof2
+			for u, end := c, c+(c&-c); u < end; u++ {
+				eLo, eHi := chunk(u)
+				copy(states[eLo:eHi], theirs[eLo:eHi])
+			}
+			owned = true
 		}
 	}
 	if v != 0 {
-		if len(owned) > 0 {
-			r.send(f.oldRank((v-lsb+rootNew)%f.pof2), tGath, owned)
+		if owned {
+			r.send(f.oldRank((v-lsb+rootNew)%f.pof2), tGath, vec)
 		}
 		return nil, false
 	}
-	// v == 0: this rank is the gather target; assemble the full vector.
-	for _, c := range owned {
-		copy(states[c.lo:c.lo+len(c.states)], c.states)
-	}
+	// v == 0: this rank is the gather target and holds the full vector.
 	if surrogate != root {
-		r.send(root, tPost, states)
+		r.send(root, tPost, vec)
 		return nil, false
 	}
 	return states, true

@@ -133,7 +133,8 @@ func TestRabenseifnerMergeExpression(t *testing.T) {
 				// be shared by every collective of the run.
 				leaves := exprOp{}.Leaves(nil, local)
 				for _, root := range roots {
-					states, ok := r.reduceStates(root, slices.Clone(leaves), exprOp{}, topo, modes[root%2], 0)
+					vec := slices.Clone(leaves)
+					states, ok := r.reduceStates(root, &vec, exprOp{}, topo, modes[root%2], 0)
 					if ok != (r.ID == root) {
 						panic(fmt.Sprintf("rank %d: ok=%v for root %d", r.ID, ok, root))
 					}

@@ -378,17 +378,19 @@ type Rank struct {
 
 // spare is the rank's own storage for one operator's states, which a
 // later Run overwrites instead of allocating. The schedules repoint
-// their working slice at other ranks' states (RSAG copies a partner's
-// in, Rabenseifner merges into a received one), so they get work, a
-// copy of own. Within one Run another rank may still read a spare, so
-// a second call with the same operator allocates afresh. The first
-// operator's spare lives in the Rank itself, so a rank's first
-// collective allocates no spare list.
+// their working vector at other ranks' states (RSAG copies a partner's
+// in, Rabenseifner merges into a received one), so they get work: a
+// copy of own, the leaves, or Reduce's one-state vector. They send it
+// as &work, and its header stays unchanged for the rest of the Run.
+// Within one Run another rank may still read a spare, so a second call
+// with the same operator allocates afresh. The first operator's spare
+// lives in the Rank itself, so a rank's first collective allocates no
+// spare list.
 type spare struct {
-	name                string
-	localRun, leavesRun uint64 // the Runs that last handed them out
-	local               reduce.State
-	own, work           []reduce.State
+	name              string
+	localRun, workRun uint64 // the Runs that last handed them out
+	local             reduce.State
+	own, work         []reduce.State
 }
 
 func (r *Rank) spare(op reduce.Op) *spare {
@@ -413,14 +415,37 @@ func (r *Rank) localState(op reduce.Op, xs []float64) reduce.State {
 	return op.FoldSlice(nil, xs)
 }
 
-// leaves is op.Leaves into the rank's spare leaves for op.
-func (r *Rank) leaves(op reduce.Op, xs []float64) []reduce.State {
-	if sp := r.spare(op); sp.leavesRun != r.w.runs {
-		sp.leavesRun, sp.own = r.w.runs, op.Leaves(sp.own, xs)
+// leaves is op.Leaves into the rank's spare leaves for op, returned as
+// a working vector (see spare).
+func (r *Rank) leaves(op reduce.Op, xs []float64) *[]reduce.State {
+	if sp := r.spare(op); sp.workRun != r.w.runs {
+		sp.workRun, sp.own = r.w.runs, op.Leaves(sp.own, xs)
 		sp.work = append(sp.work[:0], sp.own...)
-		return sp.work
+		return &sp.work
 	}
-	return op.Leaves(nil, xs)
+	v := op.Leaves(nil, xs)
+	return &v
+}
+
+// one returns the working vector (see spare) holding only local, for
+// a schedule topology's Reduce.
+func (r *Rank) one(op reduce.Op, local reduce.State) *[]reduce.State {
+	if sp := r.spare(op); sp.workRun != r.w.runs {
+		sp.workRun, sp.work = r.w.runs, append(sp.work[:0], local)
+		return &sp.work
+	}
+	v := []reduce.State{local}
+	return &v
+}
+
+// vecOf unboxes a working vector another rank sent and checks that it
+// has this rank's length n.
+func vecOf(p any, n int) []reduce.State {
+	v := *p.(*[]reduce.State)
+	if len(v) != n {
+		panic(fmt.Sprintf("mpirt: state vector length mismatch: %d vs %d", len(v), n))
+	}
+	return v
 }
 
 // collective tags live above user tags; user tags must be >= 0.
@@ -699,7 +724,7 @@ func (r *Rank) Scatter(root int, items []any) any {
 // reuse local afterwards.
 func (r *Rank) Reduce(root int, local reduce.State, op reduce.Op, topo Topology, mode Mode) reduce.State {
 	if !topo.isTree() {
-		states, ok := r.reduceStates(root, []reduce.State{local}, op, topo, mode, 1)
+		states, ok := r.reduceStates(root, r.one(op, local), op, topo, mode, 1)
 		if !ok {
 			return nil
 		}

@@ -119,8 +119,9 @@ func TestReuseTwiceInOneRun(t *testing.T) {
 }
 
 // TestWarmWorldAllocs pins a warm World's allocations: BN's 16x64
-// binomial VectorReduce and 128x32 ReduceSum, the latter in both modes,
-// allocate no 584-byte binned state. A BN state lands in the 640-byte
+// VectorReduce and 128x32 ReduceSum, on the binomial tree (ReduceSum in
+// both modes) and on the three schedule topologies, allocate no
+// 584-byte binned state. A BN state lands in the 640-byte
 // size class, which neither Run otherwise uses, and one rank's 64
 // leaves take 37 KB: the byte bounds sit far below that slab and below
 // one state per rank. Before the states were recycled the vector Run
@@ -130,30 +131,43 @@ func TestReuseTwiceInOneRun(t *testing.T) {
 // from 129 to 245. So do FixedOrder's arrivals (Rank.fromChildren),
 // which took the scalar count from 129 to 193. The ranks run on parked
 // workers, so the scalar Run allocates nothing; starting a goroutine
-// per rank cost 128 allocations. The vector Run's 16 are the segments
-// it sends and the finalized vector.
+// per rank cost 128 allocations. The vector Run's one allocation is the
+// finalized vector. A message is a pointer to the sender's working
+// vector, whose header the rank keeps for the Run (spare): boxing each
+// sent slice header cost the binomial vector Run 15 allocations, and
+// with Reduce's fresh one-state vectors the scalar Runs took 270
+// (Rabenseifner), 382 (RSAllgather) and 256 (DoubleTree).
 func TestWarmWorldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	op := sum.BinnedAlg.Op()
-	reduceSum := func(mode Mode) func(xs [][]float64) func(*Rank) {
+	reduceSum := func(topo Topology, mode Mode) func(xs [][]float64) func(*Rank) {
 		return func(xs [][]float64) func(*Rank) {
-			return func(r *Rank) { r.ReduceSum(0, xs[r.ID], op, Binomial, mode) }
+			return func(r *Rank) { r.ReduceSum(0, xs[r.ID], op, topo, mode) }
 		}
 	}
-	cases := []struct {
+	vectorReduce := func(topo Topology) func(xs [][]float64) func(*Rank) {
+		return func(xs [][]float64) func(*Rank) {
+			return func(r *Rank) { r.VectorReduce(0, xs[r.ID], op, topo, ArrivalOrder, 0) }
+		}
+	}
+	type allocCase struct {
 		name   string
 		ranks  int
 		body   func(xs [][]float64) func(*Rank)
 		allocs float64 // per Run
 		bytes  uint64  // per Run
-	}{
-		{"VectorReduce 16x64", 16, func(xs [][]float64) func(*Rank) {
-			return func(r *Rank) { r.VectorReduce(0, xs[r.ID], op, Binomial, ArrivalOrder, 0) }
-		}, 16, 2 << 10},
-		{"ReduceSum 128x32 arrival-order", 128, reduceSum(ArrivalOrder), 0, 2 << 10},
-		{"ReduceSum 128x32 fixed-order", 128, reduceSum(FixedOrder), 0, 2 << 10},
+	}
+	cases := []allocCase{
+		{"VectorReduce 16x64 binomial", 16, vectorReduce(Binomial), 1, 1 << 10},
+		{"ReduceSum 128x32 binomial arrival-order", 128, reduceSum(Binomial, ArrivalOrder), 0, 1 << 10},
+		{"ReduceSum 128x32 binomial fixed-order", 128, reduceSum(Binomial, FixedOrder), 0, 1 << 10},
+	}
+	for _, topo := range []Topology{Rabenseifner, RSAllgather, DoubleTree} {
+		cases = append(cases,
+			allocCase{"VectorReduce 16x64 " + topo.String(), 16, vectorReduce(topo), 1, 1 << 10},
+			allocCase{"ReduceSum 128x32 " + topo.String(), 128, reduceSum(topo, ArrivalOrder), 0, 1 << 10})
 	}
 	for _, c := range cases {
 		nElem := 64

@@ -1,7 +1,6 @@
 package mpirt
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/reduce"
@@ -37,27 +36,28 @@ func (r *Rank) VectorReduce(root int, local []float64, op reduce.Op,
 	return finalizeStates(op, out), true
 }
 
-// reduceStates reduces a vector of per-element partial states to root,
-// dispatching to the schedule the topology selects. The states slice
-// is consumed. Returns the reduced states and true at root only.
-func (r *Rank) reduceStates(root int, states []reduce.State, op reduce.Op,
+// reduceStates reduces a working vector (see spare) of per-element
+// partial states to root, dispatching to the schedule the topology
+// selects. The vector is consumed. Returns the reduced states and true
+// at root only.
+func (r *Rank) reduceStates(root int, vec *[]reduce.State, op reduce.Op,
 	topo Topology, mode Mode, segSize int) ([]reduce.State, bool) {
 	switch topo {
 	case Rabenseifner:
-		return r.rabenseifner(root, states, op, false)
+		return r.rabenseifner(root, vec, op, false)
 	case RSAllgather:
-		out, ok := r.rabenseifner(root, states, op, true)
+		out, ok := r.rabenseifner(root, vec, op, true)
 		if !ok || r.ID != root {
 			return nil, false
 		}
 		return out, true
 	case DoubleTree:
 		dt, id := r.w.doubleTree(), r.ID
-		return r.segTreeReduce(root, states, op, mode, segSize, [2]int{dt.parents[0][id], dt.parents[1][id]},
+		return r.segTreeReduce(root, vec, op, mode, segSize, [2]int{dt.parents[0][id], dt.parents[1][id]},
 			[2][]int{dt.children[0][id], dt.children[1][id]}, dt.roots)
 	default:
 		parent, children := r.family(topo, root)
-		return r.segTreeReduce(root, states, op, mode, segSize, [2]int{parent, parent},
+		return r.segTreeReduce(root, vec, op, mode, segSize, [2]int{parent, parent},
 			[2][]int{children, children}, [2]int{root, root})
 	}
 }
@@ -70,24 +70,27 @@ func (r *Rank) reduceStates(root int, states []reduce.State, op reduce.Op,
 // tag, so an arrival-order child receive never takes one for a child's
 // contribution. All ranks must agree on the segment count, which
 // derives from the (assumed uniform) local length: a mismatch deadlocks
-// loudly in tests rather than corrupting silently.
-func (r *Rank) segTreeReduce(root int, states []reduce.State, op reduce.Op, mode Mode, segSize int,
+// or panics loudly in tests rather than corrupting silently. Each
+// message carries the sender's whole working vector, of which the
+// receiver reads the segment's range (see rabenseifner).
+func (r *Rank) segTreeReduce(root int, vec *[]reduce.State, op reduce.Op, mode Mode, segSize int,
 	parents [2]int, children [2][]int, roots [2]int) ([]reduce.State, bool) {
+	states := *vec
 	n := len(states)
 	numSegs, segSize := segmentPlan(n, segSize)
 	for s := 0; s < numSegs; s++ {
 		lo, hi, t := s*segSize, min((s+1)*segSize, n), s%2
 		tag, tagFinal := r.nextCollTag(), r.nextCollTag()
-		r.fromChildren(children[t], mode, tag, func(p any) { mergeSeg(op, states[lo:hi], p.([]reduce.State)) })
+		r.fromChildren(children[t], mode, tag, func(p any) { mergeSeg(op, states[lo:hi], vecOf(p, n)[lo:hi]) })
 		// No copy: this rank never writes a sent segment again.
 		switch {
 		case parents[t] >= 0:
-			r.send(parents[t], tag, states[lo:hi])
+			r.send(parents[t], tag, vec)
 		case r.ID != root:
-			r.send(root, tagFinal, states[lo:hi])
+			r.send(root, tagFinal, vec)
 		}
 		if r.ID == root && roots[t] != root {
-			copy(states[lo:hi], r.Recv(roots[t], tagFinal).([]reduce.State))
+			copy(states[lo:hi], vecOf(r.Recv(roots[t], tagFinal), n)[lo:hi])
 		}
 	}
 	if r.ID != root {
@@ -107,9 +110,6 @@ func finalizeStates(op reduce.Op, states []reduce.State) []float64 {
 // mergeSeg merges src into dst elementwise: dst's states are the left
 // operands and may be reused in place; src is only read.
 func mergeSeg(op reduce.Op, dst, src []reduce.State) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mpirt: vector segment length mismatch: %d vs %d", len(dst), len(src)))
-	}
 	for i := range dst {
 		dst[i] = op.Merge(dst[i], src[i])
 	}

@@ -108,7 +108,9 @@ func Boxed[S any](name string, m Monoid[S]) Op {
 // ReuseStates resizes dst to n elements, each a distinct *S holding a
 // zero S for an Op's Leaves to fill: an element that already is a *S
 // keeps its storage, reset, and any other is replaced from one fresh
-// slab. With a nil dst that is two allocations for any n.
+// slab. With a nil dst that is two allocations for any n. A *S with a
+// Reset method resets through it, so a state that knows which of its
+// words are live (binned.State) clears only those.
 func ReuseStates[S any](dst []State, n int) []State {
 	if n > cap(dst) {
 		dst = append(make([]State, 0, n), dst...)
@@ -119,7 +121,11 @@ func ReuseStates[S any](dst []State, n int) []State {
 	var slab []S
 	for i, s := range dst {
 		if p, ok := s.(*S); ok {
-			*p = *new(S)
+			if r, ok := any(p).(interface{ Reset() }); ok {
+				r.Reset()
+			} else {
+				*p = *new(S)
+			}
 			continue
 		}
 		if len(slab) == 0 {

@@ -111,3 +111,31 @@ func TestPairwiseScratchTooSmallFallsBack(t *testing.T) {
 		t.Errorf("pairwise with small scratch = %g", got)
 	}
 }
+
+// resetState counts the Reset calls that reached it; Reset leaves
+// kept alone, as a state that clears only its live words would.
+type resetState struct {
+	n, resets int
+	kept      int
+}
+
+func (s *resetState) Reset() { s.n, s.resets = 0, s.resets+1 }
+
+// TestReuseStatesCallsReset pins that ReuseStates resets a reused *S
+// through its Reset method, once, instead of zeroing the whole value,
+// and hands out fresh zero states for the rest.
+func TestReuseStatesCallsReset(t *testing.T) {
+	old := &resetState{n: 5, kept: 7}
+	dst := reduce.ReuseStates[resetState]([]reduce.State{old, 3}, 3)
+	if dst[0] != reduce.State(old) {
+		t.Fatalf("reused element replaced")
+	}
+	if *old != (resetState{resets: 1, kept: 7}) {
+		t.Fatalf("reused element %+v, want one Reset call", *old)
+	}
+	for i, s := range dst[1:] {
+		if p, ok := s.(*resetState); !ok || *p != (resetState{}) {
+			t.Fatalf("element %d: %#v, want a fresh zero state", i+1, s)
+		}
+	}
+}
