@@ -62,7 +62,7 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag|Pool|ColdWorld' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
-	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector
+	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector ./internal/superacc
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
 	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum
@@ -107,7 +107,9 @@ bench:
 # cost rank) and the collective schedules (BENCH_mpirt: wall-clock per
 # topology at 16..10^4 simulated ranks with the closed-form model cost
 # reported alongside as the modelcost metric; -benchtime 1x because one
-# iteration is a full world run), and the calibration serve path
+# iteration is a full world run; the warm-World rows run 300 Runs each,
+# so their ns/op and allocs/op are per-Run averages rather than one
+# Run's), and the calibration serve path
 # (BENCH_calibrate: Decide latency for the analytic heuristic, the
 # calibrated table scan, the fitted surface on a cold miss, and a warm
 # cache hit, plus the one-time surface fit cost), and the aggregation
@@ -124,7 +126,8 @@ bench-json:
 	$(GO) test ./internal/selector -run '^$$' -bench 'SelectSum|Decide' -benchmem | $(GO) run ./cmd/benchjson > BENCH_selector.json
 	$(GO) test ./internal/kernel -run '^$$' -bench Binned -benchmem | $(GO) run ./cmd/benchjson > BENCH_binned.json
 	$(GO) test ./internal/selector -run '^$$' -bench Bounds -benchmem | $(GO) run ./cmd/benchjson > BENCH_bounds.json
-	$(GO) test ./internal/mpirt -run '^$$' -bench Collective -benchtime 1x | $(GO) run ./cmd/benchjson > BENCH_mpirt.json
+	{ $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollective(Vector)?$$' -benchtime 1x; \
+	  $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollectiveWarm$$' -benchtime 300x; } | $(GO) run ./cmd/benchjson > BENCH_mpirt.json
 	$(GO) test ./internal/selector -run '^$$' -bench CalibrationSurface -benchmem | $(GO) run ./cmd/benchjson > BENCH_calibrate.json
 	$(GO) test ./internal/aggsrv -run '^$$' -bench 'DepositPath|Serve' -benchmem -benchtime 0.3s | $(GO) run ./cmd/benchjson > BENCH_serve.json
 	@cat BENCH_sweep.json BENCH_kernels.json BENCH_selector.json BENCH_binned.json BENCH_bounds.json BENCH_mpirt.json BENCH_calibrate.json BENCH_serve.json

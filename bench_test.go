@@ -334,10 +334,6 @@ func BenchmarkDot_K(b *testing.B)  { benchmarkDot(b, sum.DotKahan) }
 func BenchmarkDot_CP(b *testing.B) { benchmarkDot(b, sum.DotComposite) }
 func BenchmarkDot_PR(b *testing.B) { benchmarkDot(b, sum.DotPrerounded) }
 
-// ---- Extension: expansion (exact) summation vs PR ----
-
-func BenchmarkRawSum_Expansion(b *testing.B) { benchmarkRawSum(b, sum.Expansion) }
-
 // ---- Parallel engine: deterministic chunked reduction ----
 // The _seq benchmarks run the identical plan single-threaded; compare
 // ns/op against the _wN variants for the speedup (bounded by core
@@ -381,19 +377,6 @@ func BenchmarkParallelSum_PR_w4(b *testing.B)  { benchmarkParallelSum(b, sum.Pre
 func BenchmarkParallelSum_BN_seq(b *testing.B) { benchmarkParallelSumSeq(b, sum.BinnedAlg) }
 func BenchmarkParallelSum_BN_w1(b *testing.B)  { benchmarkParallelSum(b, sum.BinnedAlg, 1) }
 func BenchmarkParallelSum_BN_w4(b *testing.B)  { benchmarkParallelSum(b, sum.BinnedAlg, 4) }
-
-func benchmarkParallelExact(b *testing.B, workers int) {
-	xs := gen.SumZeroSeries(1<<20, 32, 7)
-	cfg := parallel.Config{Workers: workers}
-	b.SetBytes(int64(len(xs) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = parallel.ExactSum(xs, cfg)
-	}
-}
-
-func BenchmarkParallelExactSum_w1(b *testing.B) { benchmarkParallelExact(b, 1) }
-func BenchmarkParallelExactSum_w4(b *testing.B) { benchmarkParallelExact(b, 4) }
 
 func BenchmarkExtParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -21,7 +21,7 @@ type ParallelExtResult struct {
 	N       int
 	Workers []int
 	Rows    []ParallelExtRow
-	// ExactStable reports that the sharded exact sum matched the
+	// ExactStable reports that the engine's BN sum matched the
 	// superaccumulator oracle at every worker count.
 	ExactStable bool
 }
@@ -42,7 +42,7 @@ type ParallelExtRow struct {
 // ID implements Result.
 func (r ParallelExtResult) ID() string { return "ext-parallel" }
 
-// AllBitwiseStable reports whether every algorithm (and the exact sum)
+// AllBitwiseStable reports whether every algorithm (and the exact BN sum)
 // was bitwise-identical across all tested worker counts.
 func (r ParallelExtResult) AllBitwiseStable() bool {
 	for _, row := range r.Rows {
@@ -62,7 +62,7 @@ func (r ParallelExtResult) String() string {
 		fmt.Fprintf(&b, "%-4s %12.0f %12.0f %7.2fx %v\n",
 			row.Alg, row.SeqNS, row.ParNS, row.Speedup, row.BitwiseStable)
 	}
-	fmt.Fprintf(&b, "exact (sharded superacc) stable: %v\n", r.ExactStable)
+	fmt.Fprintf(&b, "exact (BN vs superacc) stable: %v\n", r.ExactStable)
 	b.WriteString("determinism contract: fixed chunks + fixed merge tree => identical bits at any worker count\n")
 	return b.String()
 }
@@ -95,7 +95,7 @@ func ParallelExt(cfg Config) ParallelExtResult {
 
 	exactRef := superacc.Sum(xs)
 	for _, w := range workers {
-		got := parallel.ExactSum(xs, parallel.Config{Workers: w})
+		got := parallel.Sum(sum.BinnedAlg, xs, parallel.Config{Workers: w})
 		if math.Float64bits(got) != math.Float64bits(exactRef) {
 			res.ExactStable = false
 		}

@@ -72,8 +72,8 @@ func TestRumpPolynomialTerms(t *testing.T) {
 	if got := sum.Composite(xs); got != exact {
 		t.Errorf("CP lost the survivor: %g", got)
 	}
-	if got := sum.Expansion(xs); got != exact {
-		t.Errorf("expansion lost the survivor: %g", got)
+	if got := sum.Binned(xs); got != exact {
+		t.Errorf("BN lost the survivor: %g", got)
 	}
 }
 

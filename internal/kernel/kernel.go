@@ -8,7 +8,7 @@
 // inline nor software-pipeline. The kernels in this package collapse
 // that step into straight-line float64 code over a []float64.
 //
-// The reference-order kernels (ST, Kahan, Neumaier, CP, Exact) fold the
+// The reference-order kernels (ST, Kahan, Neumaier, CP) fold the
 // slice in exactly the left-to-right order reduce.Fold defines —
 // Leaf(xs[0]) merged with Leaf of every later element — and are proven
 // bit-identical to that reference by exhaustive equivalence tests. They
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/dd"
 	"repro/internal/fpu"
-	"repro/internal/superacc"
 )
 
 // ST folds xs left-to-right with plain float64 addition — bit-identical
@@ -108,9 +107,3 @@ func CP(xs []float64) dd.DD {
 	}
 	return dd.DD{Hi: hi, Lo: lo}
 }
-
-// Exact deposits xs into the superaccumulator with its batch loop
-// (superacc.Acc.AddSlice): per-element carry bookkeeping is hoisted out
-// of the deposit loop. The accumulated value is exact, so the result is
-// identical to element-wise Add in any order.
-func Exact(acc *superacc.Acc, xs []float64) { acc.AddSlice(xs) }

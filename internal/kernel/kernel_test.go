@@ -12,7 +12,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/reduce"
 	"repro/internal/sum"
-	"repro/internal/superacc"
 )
 
 func bits(v float64) uint64 { return math.Float64bits(v) }
@@ -252,31 +251,6 @@ func TestKernelNonFinite(t *testing.T) {
 		if math.IsNaN(got) != math.IsNaN(want) || (!math.IsNaN(got) && bits(got) != bits(want)) {
 			t.Errorf("%s: ST kernel %v, reference fold %v", name, got, want)
 		}
-	}
-}
-
-// TestExactBatchDeposit pins the superaccumulator batch loop (used via
-// kernel.Exact) bitwise against element-wise deposits, including the
-// NaN poison path.
-func TestExactBatchDeposit(t *testing.T) {
-	for _, n := range sizes {
-		for name, xs := range inputs(n) {
-			batch := superacc.New()
-			kernel.Exact(batch, xs)
-			single := superacc.New()
-			for _, x := range xs {
-				single.Add(x)
-			}
-			if bits(batch.Float64()) != bits(single.Float64()) {
-				t.Errorf("n=%d/%s: batch deposit %x, element-wise %x",
-					n, name, bits(batch.Float64()), bits(single.Float64()))
-			}
-		}
-	}
-	poisoned := superacc.New()
-	kernel.Exact(poisoned, []float64{1, math.NaN(), 2})
-	if !math.IsNaN(poisoned.Float64()) {
-		t.Error("batch deposit dropped the NaN poison flag")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/reduce"
 	"repro/internal/sum"
-	"repro/internal/superacc"
 )
 
 // Sum computes the sum of xs with the named algorithm on the parallel
@@ -51,25 +50,4 @@ func plusZeroST(alg sum.Algorithm) bool {
 
 func stChunk(xs []float64) func(lo, hi int) float64 {
 	return func(lo, hi int) float64 { return kernel.ST(xs[lo:hi]) }
-}
-
-// ExactSum computes the exact, correctly rounded sum of xs with sharded
-// superaccumulators: one exact accumulator per chunk, merged exactly at
-// the root. Because every operation is exact, the result is identical to
-// superacc.Sum for any worker count and any chunk plan.
-func ExactSum(xs []float64, cfg Config) float64 {
-	st, ok := MapReduce(len(xs), cfg,
-		func(lo, hi int) *superacc.Acc {
-			a := superacc.New()
-			kernel.Exact(a, xs[lo:hi])
-			return a
-		},
-		func(a, b *superacc.Acc) *superacc.Acc {
-			a.Merge(b)
-			return a
-		})
-	if !ok {
-		return 0
-	}
-	return st.Float64()
 }

@@ -117,18 +117,20 @@ func TestPRInvariantToChunkPlan(t *testing.T) {
 }
 
 func TestExactSumShardedOracle(t *testing.T) {
-	// Sharded superaccumulators merged exactly must reproduce the
-	// one-shot exact sum bit-for-bit under every plan and worker count.
+	// The BN engine is the one exact engine: chunk states merged exactly
+	// must reproduce the superaccumulator oracle bit for bit under every
+	// plan and worker count.
 	sets := adversarialSets()
 	sets["subnormals"] = []float64{0x1p-1074, 0x1p-1070, -0x1p-1074, 0x1p-1022}
 	sets["hugecancel"] = []float64{0x1p900, -0x1p900, 0x1p-900, 1, -1, 0x1.5p-901}
+	sets["zeroleaves"] = []float64{0, 3, math.Copysign(0, -1)} // empty states merged
 	for name, xs := range sets {
 		ref := superacc.Sum(xs)
 		for _, cs := range []int{1, 7, 1000} {
-			for w := 1; w <= 8; w += 2 {
-				got := ExactSum(xs, Config{ChunkSize: cs, Workers: w})
+			for w := 1; w <= 8; w++ {
+				got := Sum(sum.BinnedAlg, xs, Config{ChunkSize: cs, Workers: w})
 				if bits(got) != bits(ref) {
-					t.Errorf("%s: sharded exact (chunk %d, %d workers) %x, oracle %x",
+					t.Errorf("%s: BN (chunk %d, %d workers) %x, oracle %x",
 						name, cs, w, bits(got), bits(ref))
 				}
 			}
@@ -145,7 +147,7 @@ func TestReduceEmptyAndEdgeInputs(t *testing.T) {
 			t.Errorf("%v: singleton sum = %g", alg, got)
 		}
 	}
-	if got := ExactSum(nil, Config{}); got != 0 {
+	if got := Sum(sum.BinnedAlg, nil, Config{ChunkSize: 1, Workers: 8}); bits(got) != 0 {
 		t.Errorf("empty exact sum = %g", got)
 	}
 	if got := Reduce(sum.STMonoid{}, nil, Config{}); got != 0 {

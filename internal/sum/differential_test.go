@@ -137,9 +137,9 @@ func TestDifferentialAllAlgorithmsAllFamilies(t *testing.T) {
 							fam.name, n, seed, alg, err, bud+floor)
 					}
 				}
-				// Expansion summation must be exactly the rounded sum.
-				if got := Expansion(xs); got != exact {
-					t.Errorf("%s n=%d seed=%d: expansion %g != exact %g",
+				// BN, the exact engine, must be exactly the rounded sum.
+				if got := Binned(xs); math.Float64bits(got) != math.Float64bits(exact) {
+					t.Errorf("%s n=%d seed=%d: BN %g != exact %g",
 						fam.name, n, seed, got, exact)
 				}
 			}
@@ -152,15 +152,15 @@ func TestDifferentialReproducibleUnderPermutation(t *testing.T) {
 	for _, fam := range families {
 		xs := fam.gen(513, 9)
 		wantPR := Prerounded(xs)
-		wantExp := Expansion(xs)
+		wantBN := Binned(xs)
 		wantTP := PreroundedTwoPass(xs, 3)
 		for trial := 0; trial < 5; trial++ {
 			r.Shuffle(xs)
 			if got := Prerounded(xs); got != wantPR {
 				t.Errorf("%s: PR order-dependent", fam.name)
 			}
-			if got := Expansion(xs); got != wantExp {
-				t.Errorf("%s: expansion order-dependent", fam.name)
+			if got := Binned(xs); math.Float64bits(got) != math.Float64bits(wantBN) {
+				t.Errorf("%s: BN order-dependent", fam.name)
 			}
 			if got := PreroundedTwoPass(xs, 3); got != wantTP {
 				t.Errorf("%s: two-pass order-dependent", fam.name)

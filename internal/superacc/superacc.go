@@ -4,10 +4,15 @@
 // The accumulator is a base-2^32 digit array spanning the entire binary64
 // range (bit weights 2^-1074 through 2^1087, leaving 64 bits of headroom),
 // so every float64 deposits exactly and the accumulated value is the
-// mathematically exact sum regardless of the order of deposits. It is
-// used as the order-independent reference oracle for all reproducibility
-// experiments (the paper used GNU MPFR quad-double; this is strictly
-// stronger for sums of float64).
+// mathematically exact sum regardless of the order of deposits.
+//
+// It is the test and reference oracle, not a serving engine: every exact
+// sum the library serves (repro.ExactSum, the Binned algorithm) runs the
+// binned engine, which shares no code with this package, and the tests,
+// experiments and benchmarks check those sums against it. It is also the
+// order-independent reference for the reproducibility experiments (the
+// paper used GNU MPFR quad-double; this is strictly stronger for sums of
+// float64).
 package superacc
 
 import (
@@ -37,9 +42,6 @@ type Acc struct {
 	pending int  // deposits since the last carry pass
 	nan     bool // a NaN or Inf was deposited; the sum is poisoned
 }
-
-// New returns an empty accumulator.
-func New() *Acc { return &Acc{} }
 
 // Reset restores a to zero.
 func (a *Acc) Reset() { *a = Acc{} }

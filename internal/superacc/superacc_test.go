@@ -206,6 +206,90 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// batchSets generates inputs-style sets at length n: benign same-sign
+// data, an ill-conditioned mix, an exactly cancelling set and values
+// spread over the whole double range (subnormals included).
+func batchSets(n int) map[string][]float64 {
+	if n < 2 {
+		return map[string][]float64{"short": []float64{3.25}[:n]}
+	}
+	r := fpu.NewRNG(uint64(n))
+	gen := func(f func() float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f()
+		}
+		return xs
+	}
+	sumZero := make([]float64, n)
+	for i := 0; i+1 < n; i += 2 {
+		v := math.Ldexp(r.Float64()+0.5, r.Intn(32)-16)
+		sumZero[i], sumZero[i+1] = v, -v
+	}
+	r.Shuffle(sumZero)
+	illCond := gen(func() float64 { return math.Ldexp(r.Float64()*2-1, r.Intn(24)) })
+	illCond[0], illCond[n-1] = 1e8, -1e8
+	return map[string][]float64{
+		"benign":    gen(func() float64 { return math.Ldexp(r.Float64()+0.5, r.Intn(8)) }),
+		"illcond":   illCond,
+		"sumzero":   sumZero,
+		"widerange": gen(func() float64 { return math.Ldexp(r.Float64()*2-1, r.Intn(2097)-1074) }),
+	}
+}
+
+// TestAddSliceBatchDeposit pins the batch loop every oracle runs
+// (Sum is AddSlice then Float64) against element-wise Add: bit for bit
+// on the final sum at lengths 0 to 4097, through a carry pass at the
+// normalizeEvery budget, and under NaN and Inf poisoning.
+func TestAddSliceBatchDeposit(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 4096, 4097}
+	for _, n := range sizes {
+		for name, xs := range batchSets(n) {
+			var batch, single Acc
+			batch.AddSlice(xs)
+			for _, x := range xs {
+				single.Add(x)
+			}
+			if got, want := math.Float64bits(batch.Float64()), math.Float64bits(single.Float64()); got != want {
+				t.Errorf("n=%d/%s: batch deposit %x, element-wise %x", n, name, got, want)
+			}
+		}
+	}
+	// Start both accumulators a few deposits short of the carry budget,
+	// so AddSlice must split its batch at the budget and run the carry
+	// pass where Add does: the whole state must agree afterwards.
+	xs := batchSets(1000)["widerange"]
+	xs[3], xs[10] = 0, math.Copysign(0, -1) // zeros consume no budget
+	for _, left := range []int{1, 3, 100} {
+		var batch, single Acc
+		for _, a := range []*Acc{&batch, &single} {
+			a.Add(math.MaxFloat64)
+			a.Add(-0x1p-1074)
+			a.pending = normalizeEvery - left
+		}
+		batch.AddSlice(xs)
+		for _, x := range xs {
+			single.Add(x)
+		}
+		if batch != single {
+			t.Errorf("%d deposits from the budget: batch state differs from element-wise", left)
+		}
+		if batch.pending >= len(xs) {
+			t.Errorf("%d deposits from the budget: no carry pass ran (pending %d)", left, batch.pending)
+		}
+		if math.Float64bits(batch.Float64()) != math.Float64bits(single.Float64()) {
+			t.Errorf("%d deposits from the budget: batch %g, element-wise %g", left, batch.Float64(), single.Float64())
+		}
+	}
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var a Acc
+		a.AddSlice([]float64{1, poison, 2})
+		if !math.IsNaN(a.Float64()) {
+			t.Errorf("batch deposit dropped the %g poison flag", poison)
+		}
+	}
+}
+
 func TestSignAndIsZero(t *testing.T) {
 	var a Acc
 	if a.Sign() != 0 || !a.IsZero() {

@@ -16,10 +16,11 @@
 //   - data profiling (n, condition number, dynamic range) and the
 //     intelligent runtime that picks the cheapest algorithm meeting an
 //     application-specified reproducibility tolerance (New, Runtime);
-//   - an exact superaccumulator oracle (ExactSum) for validation;
-//   - a deterministic chunked parallel engine (ParallelSum,
-//     ParallelExactSum) whose results are bitwise-identical across
-//     worker counts.
+//   - the exact, correctly rounded sum (ExactSum), served by the BN
+//     engine;
+//   - a deterministic chunked parallel engine (ParallelSum) whose
+//     results are bitwise-identical across worker counts;
+//     ParallelSum(Binned, xs, w) is the exact sum at any w.
 //
 // The Runtime is the paper's proposal made deployable: data-aware,
 // requirement-driven selection of reduction algorithms. A Runtime owns
@@ -48,11 +49,11 @@ import (
 	"os"
 
 	"repro/internal/aggsrv"
+	"repro/internal/binned"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/selector"
 	"repro/internal/sum"
-	"repro/internal/superacc"
 )
 
 // Algorithm identifies a summation algorithm. The zero value is ST.
@@ -151,9 +152,15 @@ func Sum(alg Algorithm, xs []float64) float64 { return alg.Sum(xs) }
 // Prerounded variant is bitwise reproducible under any reduction order.
 func Dot(alg Algorithm, a, b []float64) float64 { return sum.Dot(alg, a, b) }
 
-// ExactSum returns the exact, correctly rounded sum of xs (an
-// order-independent oracle backed by a Kulisch-style superaccumulator).
-func ExactSum(xs []float64) float64 { return superacc.Sum(xs) }
+// ExactSum returns the exact, correctly rounded (nearest, ties to even)
+// sum of xs, independent of order; it is the BN engine's one-shot sum,
+// the same bits as ParallelSum(Binned, xs, w) for any w. Non-finite
+// inputs follow IEEE rules: any NaN, or both signs of Inf, gives NaN;
+// otherwise the sign of the Inf wins. An exact sum beyond the float64
+// range rounds to ±Inf. Exactness holds for up to about 2^34 operands
+// of magnitude >= 2^974 (see the binned package doc); smaller operands
+// have no count limit.
+func ExactSum(xs []float64) float64 { return binned.Sum(xs) }
 
 // ParallelSum computes the sum of xs with the given algorithm on the
 // deterministic chunked parallel engine (workers <= 0 selects
@@ -164,13 +171,6 @@ func ExactSum(xs []float64) float64 { return superacc.Sum(xs) }
 // same plan.
 func ParallelSum(alg Algorithm, xs []float64, workers int) float64 {
 	return parallel.Sum(alg, xs, parallel.Config{Workers: workers})
-}
-
-// ParallelExactSum computes the exact, correctly rounded sum of xs with
-// sharded superaccumulators merged exactly (workers <= 0 selects
-// GOMAXPROCS). The result is identical to ExactSum for any worker count.
-func ParallelExactSum(xs []float64, workers int) float64 {
-	return parallel.ExactSum(xs, parallel.Config{Workers: workers})
 }
 
 // ProfileOf profiles xs in one streaming pass.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/fpu"
+	"repro/internal/superacc"
 )
 
 func TestPublicSumAndExactSum(t *testing.T) {
@@ -12,11 +14,64 @@ func TestPublicSumAndExactSum(t *testing.T) {
 	if got := repro.ExactSum(xs); got != 1 {
 		t.Errorf("ExactSum = %g, want 1", got)
 	}
+	// Non-finite operands follow IEEE rules: any NaN, or both Inf signs,
+	// gives NaN; otherwise the Inf's sign wins.
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{inf, 1}, inf},
+		{[]float64{1, -inf, 2}, -inf},
+		{[]float64{inf, inf}, inf},
+		{[]float64{inf, -inf}, math.NaN()},
+		{[]float64{1, math.NaN()}, math.NaN()},
+		{[]float64{inf, math.NaN()}, math.NaN()},
+	} {
+		got := repro.ExactSum(c.xs)
+		if math.IsNaN(got) != math.IsNaN(c.want) || (!math.IsNaN(got) && got != c.want) {
+			t.Errorf("ExactSum(%v) = %g, want %g", c.xs, got, c.want)
+		}
+	}
 	if got := repro.Sum(repro.Composite, xs); got != 1 {
 		t.Errorf("Composite sum = %g, want 1", got)
 	}
 	if got := repro.Sum(repro.Standard, xs); got != 0 {
 		t.Errorf("Standard sum = %g (expected absorption to 0)", got)
+	}
+}
+
+// TestExactSumMatchesOracle pins the public exact sum, served by BN,
+// against the superaccumulator oracle, which shares no code with it:
+// bit for bit on random sets spanning the whole double range and on
+// the overflow, subnormal and signed-zero edges.
+func TestExactSumMatchesOracle(t *testing.T) {
+	maxF, negZero := math.MaxFloat64, math.Copysign(0, -1)
+	sets := [][]float64{
+		nil,
+		{maxF, maxF, -maxF},
+		{1e308, 1e308, -1e308, -1e308, 1},
+		{maxF, maxF},
+		{0x1p-1074, 0x1p-1074},
+		{0x1p-1074, -0x1p-1073},
+		{0x1.fffffffffffffp-1023, 0x1p-1074},
+		{negZero},
+		{negZero, negZero, negZero},
+		{0, negZero, negZero},
+		{negZero, 1, -1},
+	}
+	r := fpu.NewRNG(28)
+	for i := 0; i < 2000; i++ {
+		xs := make([]float64, 1+r.Intn(64))
+		for j := range xs {
+			xs[j] = math.Ldexp(r.Float64()*2-1, r.Intn(2098)-1074)
+		}
+		sets = append(sets, xs)
+	}
+	for _, xs := range sets {
+		if got, want := repro.ExactSum(xs), superacc.Sum(xs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("ExactSum(%v) = %g, oracle %g", xs, got, want)
+		}
 	}
 }
 
@@ -76,8 +131,11 @@ func TestPublicParallelSum(t *testing.T) {
 			}
 		}
 	}
-	if got := repro.ParallelExactSum(xs, 4); got != repro.ExactSum(xs) {
-		t.Errorf("ParallelExactSum = %g, ExactSum = %g", got, repro.ExactSum(xs))
+	exact := repro.ExactSum(xs)
+	for w := 1; w <= 8; w++ {
+		if got := repro.ParallelSum(repro.Binned, xs, w); math.Float64bits(got) != math.Float64bits(exact) {
+			t.Errorf("ParallelSum(Binned, %d workers) = %g, ExactSum = %g", w, got, exact)
+		}
 	}
 }
 
