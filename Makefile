@@ -53,7 +53,7 @@ test:
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
 # envelope around the <=2x target, see BENCH_binned.json).
-# calibrate-quick is the closed-loop smoke pass at the end: a
+# calibrate-quick is the calibration smoke pass at the end: a
 # seconds-scale host calibration written, drift-checked against fresh
 # probes (bitwise for accuracy), and removed.
 verify:
@@ -83,12 +83,12 @@ verify:
 serve-check:
 	$(GO) test -v -run TestServeCheck ./internal/aggsrv -servecheck
 
-# calibrate-quick runs the self-calibration loop end to end in seconds:
+# calibrate-quick measures and checks a host calibration in seconds:
 # a small-envelope host sweep (cmd/calibrate -quick), an immediate
 # drift check of the written artifact (accuracy probes re-derive their
 # cell seeds and must match bitwise; cost probes get the default 4x
-# noise allowance), then cleanup. A full calibration for production use
-# is `go run ./cmd/calibrate -out host.reprocal`.
+# noise allowance), then cleanup. A full calibration is
+# `go run ./cmd/calibrate -out host.reprocal`.
 calibrate-quick:
 	$(GO) run ./cmd/calibrate -quick -out .calibrate-quick.reprocal
 	$(GO) run ./cmd/calibrate -check .calibrate-quick.reprocal
@@ -100,7 +100,8 @@ bench:
 # bench-json records the grid sweep benchmarks, the batch
 # kernel benchmarks, the speculative selector benchmarks (two-pass
 # select-then-sum vs fused single pass vs fused + decision cache, plus
-# the isolated Decide step with cache hit rates), and the binned
+# the isolated Decide step with cache hit rates; the anchored pattern
+# keeps BenchmarkBoundsPolicyDecide in BENCH_bounds only), and the binned
 # reproducible engine's headline ratios (vs superacc, two-pass PR, and
 # the ST kernel floor), plus the bound-estimator costs (BENCH_bounds:
 # ComputeBounds per plan and per-policy decide cost with each pick's
@@ -109,10 +110,7 @@ bench:
 # reported alongside as the modelcost metric; -benchtime 1x because one
 # iteration is a full world run; the warm-World rows run 300 Runs each,
 # so their ns/op and allocs/op are per-Run averages rather than one
-# Run's), and the calibration serve path
-# (BENCH_calibrate: Decide latency for the analytic heuristic, the
-# calibrated table scan, the fitted surface on a cold miss, and a warm
-# cache hit, plus the one-time surface fit cost), and the aggregation
+# Run's), and the aggregation
 # service (BENCH_serve: the server-side steady-state deposit path with
 # its 0 allocs/op pin, plus end-to-end TCP throughput across the
 # clients {1,16,256} × batch {1,64,4096} grid with deposits/s and
@@ -123,14 +121,13 @@ bench:
 bench-json:
 	$(GO) test ./internal/grid -run '^$$' -bench Sweep -benchmem | $(GO) run ./cmd/benchjson > BENCH_sweep.json
 	$(GO) test ./internal/kernel -run '^$$' -bench Fold -benchmem | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	$(GO) test ./internal/selector -run '^$$' -bench 'SelectSum|Decide' -benchmem | $(GO) run ./cmd/benchjson > BENCH_selector.json
+	$(GO) test ./internal/selector -run '^$$' -bench '^Benchmark(SelectSum|Decide)$$' -benchmem | $(GO) run ./cmd/benchjson > BENCH_selector.json
 	$(GO) test ./internal/kernel -run '^$$' -bench Binned -benchmem | $(GO) run ./cmd/benchjson > BENCH_binned.json
 	$(GO) test ./internal/selector -run '^$$' -bench Bounds -benchmem | $(GO) run ./cmd/benchjson > BENCH_bounds.json
 	{ $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollective(Vector)?$$' -benchtime 1x; \
 	  $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollectiveWarm$$' -benchtime 300x; } | $(GO) run ./cmd/benchjson > BENCH_mpirt.json
-	$(GO) test ./internal/selector -run '^$$' -bench CalibrationSurface -benchmem | $(GO) run ./cmd/benchjson > BENCH_calibrate.json
 	$(GO) test ./internal/aggsrv -run '^$$' -bench 'DepositPath|Serve' -benchmem -benchtime 0.3s | $(GO) run ./cmd/benchjson > BENCH_serve.json
-	@cat BENCH_sweep.json BENCH_kernels.json BENCH_selector.json BENCH_binned.json BENCH_bounds.json BENCH_mpirt.json BENCH_calibrate.json BENCH_serve.json
+	@cat BENCH_sweep.json BENCH_kernels.json BENCH_selector.json BENCH_binned.json BENCH_bounds.json BENCH_mpirt.json BENCH_serve.json
 
 artifacts:
 	$(GO) run ./cmd/redbench -out results-quick

@@ -20,16 +20,6 @@
 //	benchjson -compare old.json new.json
 //	benchjson -compare -threshold 10 old.json new.json  # CI gate
 //
-// -compare also accepts calibration artifacts written by cmd/calibrate
-// (sniffed by their "reprocal" header, both files must be the same
-// kind): the diff is then per calibration cell — each algorithm's
-// measured variability and each engine cost sample — with envelope
-// changes (cells present on one side) listed but not gated, and
-// -threshold gating on drift in either direction, which is what
-// `calibrate -check -against` builds on.
-//
-//	benchjson -compare -threshold 25 old.reprocal new.reprocal
-//
 // With -ratio num,den, benchjson reports the ns/op ratio between two
 // benchmarks of one document (a recorded JSON file argument, or `go
 // test -bench` text on stdin) and -max turns it into an absolute
@@ -46,13 +36,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/selector"
 )
 
 // Result is one parsed benchmark line.
@@ -92,29 +79,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
 			os.Exit(2)
 		}
-		oldCal, newCal := isCalibrationArtifact(flag.Arg(0)), isCalibrationArtifact(flag.Arg(1))
-		if oldCal != newCal {
-			fmt.Fprintln(os.Stderr, "benchjson: cannot compare a calibration artifact against a benchmark document")
-			os.Exit(2)
-		}
-		var regressed []string
-		var err error
-		if oldCal {
-			regressed, err = compareCalibrationFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		} else {
-			regressed, err = compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		}
+		regressed, err := compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
 		if len(regressed) > 0 {
-			what := "benchmark(s) regressed"
-			if oldCal {
-				what = "calibration cell(s) drifted"
-			}
-			fmt.Fprintf(os.Stderr, "benchjson: %d %s beyond %.1f%%: %s\n",
-				len(regressed), what, *threshold, strings.Join(regressed, ", "))
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond %.1f%%: %s\n",
+				len(regressed), *threshold, strings.Join(regressed, ", "))
 			os.Exit(1)
 		}
 		return
@@ -198,72 +170,6 @@ func gateRatio(spec string, max float64) error {
 		return fmt.Errorf("ratio %.3fx exceeds the %.2fx gate", r, max)
 	}
 	return nil
-}
-
-// isCalibrationArtifact sniffs whether the file is a cmd/calibrate
-// artifact (leading "reprocal" token) rather than a benchmark JSON
-// document. Unreadable files report false and fail later with the
-// regular open error.
-func isCalibrationArtifact(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	head := make([]byte, len("reprocal "))
-	n, _ := io.ReadFull(f, head)
-	return strings.HasPrefix(string(head[:n]), "reprocal")
-}
-
-// loadCalibration reads one calibration artifact.
-func loadCalibration(path string) (*selector.Calibration, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cal, err := selector.LoadCalibration(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return cal, nil
-}
-
-// compareCalibrationFiles prints the per-cell surface delta between two
-// calibration artifacts. When threshold is positive, the returned slice
-// names every matched quantity that drifted beyond threshold percent in
-// either direction (accuracy surfaces and engine costs both gate —
-// selection depends on both).
-func compareCalibrationFiles(w *os.File, oldPath, newPath string, threshold float64) ([]string, error) {
-	oldCal, err := loadCalibration(oldPath)
-	if err != nil {
-		return nil, err
-	}
-	newCal, err := loadCalibration(newPath)
-	if err != nil {
-		return nil, err
-	}
-	cmp := selector.CompareCalibrations(oldCal, newCal)
-	fmt.Fprintf(w, "calibration %s (host %q) vs %s (host %q): %d cells, %d cost samples\n",
-		oldPath, oldCal.Host, newPath, newCal.Host, len(newCal.Cells), len(newCal.Costs))
-	if len(cmp.Deltas) == 0 {
-		fmt.Fprintln(w, "surfaces identical")
-	}
-	var drifted []string
-	for _, d := range cmp.Deltas {
-		fmt.Fprintf(w, "%s\n", d.Line)
-		if threshold > 0 && d.Pct > threshold {
-			drifted = append(drifted, d.Line)
-		}
-	}
-	for _, line := range cmp.Added {
-		fmt.Fprintf(w, "%s (added: only in %s)\n", line, newPath)
-	}
-	for _, line := range cmp.Removed {
-		fmt.Fprintf(w, "%s (removed: only in %s)\n", line, oldPath)
-	}
-	fmt.Fprintf(w, "max drift: accuracy %.1f%%, cost %.1f%%\n", cmp.MaxAccuracyPct, cmp.MaxCostPct)
-	return drifted, nil
 }
 
 // loadReport reads one previously recorded document.

@@ -1,9 +1,9 @@
-// Command calibrate closes the selection loop on the local host: it
-// benchmarks the summation engines (accuracy sweep across the
-// (n, k, dynamic-range) envelope plus a cost sweep of the serial
-// sums across sizes), fits the results into selection
-// surfaces, and writes a versioned calibration artifact the runtime
-// loads at startup (repro.LoadCalibrationFile / repro.WithCalibration).
+// Command calibrate measures the summation engines on the local host —
+// an accuracy sweep across the (n, k, dynamic-range) envelope plus a
+// cost sweep of the serial sums across sizes — and writes the results
+// as a versioned calibration artifact (the reprocal v2 format of
+// selector.SaveCalibration). The artifact records what this host
+// measured; -check later tells whether the host still agrees with it.
 //
 //	calibrate -out host.reprocal             # full sweep, minutes
 //	calibrate -quick -out host.reprocal      # smoke sweep, seconds
@@ -15,9 +15,6 @@
 //
 //	calibrate -check host.reprocal
 //	calibrate -check host.reprocal -probes 5 -drift 4
-//
-// To diff two artifacts cell by cell, use the shared comparison tool:
-// `benchjson -compare -threshold 25 old.reprocal new.reprocal`.
 //
 // With -mpirt, calibrate refits the collective-topology selection table
 // from a recorded BENCH_mpirt.json (the measured analogue of the
@@ -44,7 +41,7 @@ func main() {
 	probes := flag.Int("probes", 3, "with -check: probe cells and cost samples to re-measure")
 	drift := flag.Float64("drift", 4, "with -check: tolerated cost drift factor in either direction")
 	seed := flag.Uint64("seed", 1, "sweep seed (part of the artifact: probes re-derive cell seeds from it)")
-	safety := flag.Float64("safety", 4, "safety factor on measured variability at selection time")
+	safety := flag.Float64("safety", 4, "safety factor stored in the artifact (a CalibratedPolicy built from its cells multiplies measured variability by it)")
 	host := flag.String("host", "", "host label stored in the artifact (default os.Hostname)")
 	mpirtIn := flag.String("mpirt", "", "refit the collective selection table from a BENCH_mpirt.json and print it, instead of calibrating")
 	flag.Parse()
@@ -96,12 +93,8 @@ func runCalibrate(out string, quick bool, seed uint64, safety float64, host stri
 	start := time.Now()
 	cal := selector.RunCalibration(cfg)
 	sweep := time.Since(start)
-
-	start = time.Now()
-	surface := cal.SurfacePolicy()
-	fit := time.Since(start)
-	if surface.Empty() {
-		return fmt.Errorf("calibration produced no usable cells")
+	if len(cal.Cells) == 0 {
+		return fmt.Errorf("calibration produced no cells")
 	}
 
 	f, err := os.Create(out)
@@ -115,9 +108,9 @@ func runCalibrate(out string, quick bool, seed uint64, safety float64, host stri
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("calibrated %s: %d cells, %d cost samples (sweep %v, fit %v)\n",
-		cal.Host, len(cal.Cells), len(cal.Costs), sweep.Round(time.Millisecond), fit.Round(time.Microsecond))
-	fmt.Printf("wrote %s; load with repro.LoadCalibrationFile\n", out)
+	fmt.Printf("calibrated %s: %d cells, %d cost samples (sweep %v)\n",
+		cal.Host, len(cal.Cells), len(cal.Costs), sweep.Round(time.Millisecond))
+	fmt.Printf("wrote %s; check it later with calibrate -check %s\n", out, out)
 	return nil
 }
 

@@ -86,13 +86,12 @@ func sameProfile(a, b Profile) bool {
 // request reports Profile{N: n}, BN, Predicted 0, zero Bounds and Fast
 // false. Every other request reports the full profile, and every other
 // policy profiles every request: Static (PR must still be tuned) and
-// the calibrated table and surface.
+// the calibrated table.
 func TestSelectAndSumExactBypass(t *testing.T) {
 	type policy struct {
 		name string
 		pol  Policy
 	}
-	table := syntheticTable()
 	analytic := []policy{
 		{"heuristic", NewHeuristicPolicy()},
 		{"probabilistic", NewProbabilisticPolicy(0)},
@@ -102,8 +101,7 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 	policies := append(analytic, []policy{
 		{"static-PR", Static{Alg: sum.PreroundedAlg}},
 		{"static-BN", Static{Alg: sum.BinnedAlg}},
-		{"calibrated", table},
-		{"surface", FitSurface(table.Cells(), nil, 4)},
+		{"calibrated", syntheticTable()},
 	}...)
 	served := map[string]int{}
 	for name, xs := range bypassCases() {

@@ -10,8 +10,9 @@ import (
 // DecisionCache memoizes selection decisions keyed by a quantized
 // profile, so steady-state traffic whose data keeps the same rough
 // shape (n, condition number, dynamic range) skips policy evaluation —
-// the table scan of a CalibratedPolicy, or HeuristicPolicy's log/sqrt
-// chain — entirely.
+// HeuristicPolicy's log/sqrt chain, the bound arithmetic of a
+// ProbabilisticPolicy, or the table scan of a CalibratedPolicy —
+// entirely.
 //
 // Soundness rests on one rule: a cached decision is NEVER the answer
 // the policy gave "some earlier profile that happened to land in this
@@ -41,26 +42,30 @@ import (
 // bypasses it) — they would alias the ill-conditioned bucket while
 // requiring different handling.
 //
-// The cache is safe for concurrent use. With CacheConfig.Shards > 1 the
-// key space is split across independently locked shards so concurrent
-// callers rarely contend. Hits cost one map probe and two list-pointer
-// swaps under the shard lock, with zero heap allocations.
+// The cache is safe for concurrent use: one LRU under one mutex. Hits
+// cost one map probe and two list-pointer swaps under the lock, with
+// zero heap allocations. The counters are atomics so Stats reads them
+// without touching mu — observability never contends with decision
+// traffic.
 type DecisionCache struct {
-	shards []cacheShard
-	mask   uint64
+	mu  sync.Mutex
+	idx map[cacheKey]int32
+	// ents is the slab, allocated once at full capacity: cap(ents) is
+	// the capacity.
+	ents       []cacheEntry
+	head, tail int32
+
+	hits    atomic.Int64
+	misses  atomic.Int64
+	entries atomic.Int64
 }
 
 // CacheConfig sizes a DecisionCache.
 type CacheConfig struct {
-	// Capacity is the total number of memoized decisions across all
-	// shards; least-recently-used entries are evicted beyond it.
-	// Defaults to 4096 (a few hundred KB; far more buckets than a
-	// single workload's profiles usually span).
+	// Capacity is the number of memoized decisions; least-recently-used
+	// entries are evicted beyond it. Defaults to 4096 (a few hundred KB;
+	// far more buckets than a single workload's profiles usually span).
 	Capacity int
-	// Shards is the number of independently locked segments, rounded up
-	// to a power of two. Defaults to 1; raise it when many goroutines
-	// serve decisions concurrently.
-	Shards int
 }
 
 // CacheStats is an observability snapshot of a DecisionCache.
@@ -181,21 +186,8 @@ func representative(key cacheKey) (Profile, Requirement) {
 	return p, req
 }
 
-// hash mixes the key with a splitmix64 finalizer; the shard index takes
-// the low bits.
-func (k cacheKey) hash() uint64 {
-	h := k.tol
-	h ^= uint64(uint16(k.kq)) | uint64(uint16(k.nq))<<16 | uint64(uint16(k.drq))<<32
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// cacheEntry is one memoized decision in a shard's slab, linked into
-// the shard's recency list by slab index (no per-entry allocations).
+// cacheEntry is one memoized decision in the cache's slab, linked into
+// the recency list by slab index (no per-entry allocations).
 type cacheEntry struct {
 	key        cacheKey
 	d          Decision
@@ -204,119 +196,82 @@ type cacheEntry struct {
 
 const nilIdx int32 = -1
 
-// cacheShard is one independently locked segment: a map from key to
-// slab index plus an intrusive LRU list over the slab. The counters
-// are atomics so Stats reads them without touching mu — observability
-// never contends with decision traffic.
-type cacheShard struct {
-	mu         sync.Mutex
-	idx        map[cacheKey]int32
-	ents       []cacheEntry
-	cap        int
-	head, tail int32
-
-	hits    atomic.Int64
-	misses  atomic.Int64
-	entries atomic.Int64
-}
-
 // NewDecisionCache returns an empty cache; zero-value config fields take
 // their defaults.
 func NewDecisionCache(cfg CacheConfig) *DecisionCache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 4096
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	return &DecisionCache{
+		idx:  make(map[cacheKey]int32, cfg.Capacity),
+		ents: make([]cacheEntry, 0, cfg.Capacity),
+		head: nilIdx,
+		tail: nilIdx,
 	}
-	nShards := 1
-	for nShards < cfg.Shards {
-		nShards <<= 1
-	}
-	perShard := (cfg.Capacity + nShards - 1) / nShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	dc := &DecisionCache{
-		shards: make([]cacheShard, nShards),
-		mask:   uint64(nShards - 1),
-	}
-	for i := range dc.shards {
-		sh := &dc.shards[i]
-		sh.idx = make(map[cacheKey]int32, perShard)
-		sh.ents = make([]cacheEntry, 0, perShard)
-		sh.cap = perShard
-		sh.head, sh.tail = nilIdx, nilIdx
-	}
-	return dc
 }
 
 // decide returns the bucket's memoized decision, computing and
-// inserting it on a miss. The policy runs outside the shard lock;
+// inserting it on a miss. The policy runs outside the lock;
 // concurrent misses on one bucket may both evaluate it, but they
 // evaluate the same pure function of the same representative, so the
 // race is benign and the stored decision identical either way.
 func (dc *DecisionCache) decide(pol Policy, p Profile, req Requirement) Decision {
 	key := quantize(p, req)
-	sh := &dc.shards[key.hash()&dc.mask]
-	sh.mu.Lock()
-	if i, ok := sh.idx[key]; ok {
-		sh.touch(i)
-		d := sh.ents[i].d
-		sh.mu.Unlock()
-		sh.hits.Add(1)
+	dc.mu.Lock()
+	if i, ok := dc.idx[key]; ok {
+		dc.touch(i)
+		d := dc.ents[i].d
+		dc.mu.Unlock()
+		dc.hits.Add(1)
 		return d
 	}
-	sh.mu.Unlock()
-	sh.misses.Add(1)
+	dc.mu.Unlock()
+	dc.misses.Add(1)
 
 	rp, rreq := representative(key)
 	d := decide(pol, rp, rreq)
 
-	sh.mu.Lock()
-	sh.insert(key, d)
-	sh.mu.Unlock()
+	dc.mu.Lock()
+	dc.insert(key, d)
+	dc.mu.Unlock()
 	return d
 }
 
-// Stats sums the shard counters. The counters are atomics, so Stats
-// never blocks (or is blocked by) concurrent decide traffic; the
-// snapshot is per-counter consistent, not globally atomic, but
-// Hits+Misses never undercounts completed decide calls.
+// Stats snapshots the counters. They are atomics, so Stats never
+// blocks (or is blocked by) concurrent decide traffic; the snapshot is
+// per-counter consistent, not globally atomic, but Hits+Misses never
+// undercounts completed decide calls.
 func (dc *DecisionCache) Stats() CacheStats {
-	var cs CacheStats
-	for i := range dc.shards {
-		sh := &dc.shards[i]
-		cs.Hits += sh.hits.Load()
-		cs.Misses += sh.misses.Load()
-		cs.Entries += sh.entries.Load()
+	return CacheStats{
+		Hits:    dc.hits.Load(),
+		Misses:  dc.misses.Load(),
+		Entries: dc.entries.Load(),
 	}
-	return cs
 }
 
 // touch moves entry i to the recency head. Caller holds mu.
-func (sh *cacheShard) touch(i int32) {
-	if sh.head == i {
+func (dc *DecisionCache) touch(i int32) {
+	if dc.head == i {
 		return
 	}
-	e := &sh.ents[i]
+	e := &dc.ents[i]
 	if e.prev != nilIdx {
-		sh.ents[e.prev].next = e.next
+		dc.ents[e.prev].next = e.next
 	}
 	if e.next != nilIdx {
-		sh.ents[e.next].prev = e.prev
+		dc.ents[e.next].prev = e.prev
 	}
-	if sh.tail == i {
-		sh.tail = e.prev
+	if dc.tail == i {
+		dc.tail = e.prev
 	}
 	e.prev = nilIdx
-	e.next = sh.head
-	if sh.head != nilIdx {
-		sh.ents[sh.head].prev = i
+	e.next = dc.head
+	if dc.head != nilIdx {
+		dc.ents[dc.head].prev = i
 	}
-	sh.head = i
-	if sh.tail == nilIdx {
-		sh.tail = i
+	dc.head = i
+	if dc.tail == nilIdx {
+		dc.tail = i
 	}
 }
 
@@ -324,35 +279,35 @@ func (sh *cacheShard) touch(i int32) {
 // capacity. A concurrent miss may have inserted the key already; the
 // stored decision is identical, so the entry is just refreshed. Caller
 // holds mu.
-func (sh *cacheShard) insert(key cacheKey, d Decision) {
-	if i, ok := sh.idx[key]; ok {
-		sh.ents[i].d = d
-		sh.touch(i)
+func (dc *DecisionCache) insert(key cacheKey, d Decision) {
+	if i, ok := dc.idx[key]; ok {
+		dc.ents[i].d = d
+		dc.touch(i)
 		return
 	}
 	var i int32
-	if len(sh.ents) < sh.cap {
-		i = int32(len(sh.ents))
-		sh.ents = append(sh.ents, cacheEntry{prev: nilIdx, next: nilIdx})
-		sh.entries.Add(1)
+	if len(dc.ents) < cap(dc.ents) {
+		i = int32(len(dc.ents))
+		dc.ents = append(dc.ents, cacheEntry{prev: nilIdx, next: nilIdx})
+		dc.entries.Add(1)
 	} else {
 		// Reuse the LRU slot.
-		i = sh.tail
-		delete(sh.idx, sh.ents[i].key)
-		sh.touch(i) // unlink from tail, relink at head
+		i = dc.tail
+		delete(dc.idx, dc.ents[i].key)
+		dc.touch(i) // unlink from tail, relink at head
 	}
-	e := &sh.ents[i]
+	e := &dc.ents[i]
 	e.key, e.d = key, d
-	sh.idx[key] = i
-	if sh.head != i {
+	dc.idx[key] = i
+	if dc.head != i {
 		// Fresh slab slot: link at head.
-		e.prev, e.next = nilIdx, sh.head
-		if sh.head != nilIdx {
-			sh.ents[sh.head].prev = i
+		e.prev, e.next = nilIdx, dc.head
+		if dc.head != nilIdx {
+			dc.ents[dc.head].prev = i
 		}
-		sh.head = i
-		if sh.tail == nilIdx {
-			sh.tail = i
+		dc.head = i
+		if dc.tail == nilIdx {
+			dc.tail = i
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // TestCacheConcurrentDecideStats hammers Decide and Stats from many
 // goroutines at once. Under -race this proves the stats counters are
 // safely readable while decisions are being served (they are atomics;
-// Stats never takes a shard lock); in every mode it pins the exact
+// Stats never takes the cache lock); in every mode it pins the exact
 // accounting contract: Hits+Misses equals the number of Decide calls,
 // every goroutine sees the identical Decision per profile, and Entries
 // equals the number of distinct buckets touched.
@@ -37,7 +37,7 @@ func TestCacheConcurrentDecideStats(t *testing.T) {
 	}
 
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{Capacity: 256, Shards: 4})
+	s.Cache = NewDecisionCache(CacheConfig{Capacity: 256})
 	want := make([]Decision, len(profiles))
 	for i, p := range profiles {
 		want[i] = s.Decide(p) // serial warmup: one miss per bucket

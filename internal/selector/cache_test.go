@@ -211,7 +211,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	xs := gen.Spec{N: 4096, Cond: 1e5, DynRange: 16, Seed: 44}.Generate()
 	p := ProfileOf(xs)
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{Shards: 4})
+	s.Cache = NewDecisionCache(CacheConfig{})
 	s.Decide(p) // warm
 	var sink Decision
 	if n := testing.AllocsPerRun(100, func() {
@@ -234,7 +234,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	_ = v
 }
 
-// TestCacheConcurrent hammers one sharded cache from many goroutines
+// TestCacheConcurrent hammers one cache from many goroutines
 // (the race detector pass covers the locking) and checks decisions stay
 // identical to the single-threaded answers.
 func TestCacheConcurrent(t *testing.T) {
@@ -248,7 +248,7 @@ func TestCacheConcurrent(t *testing.T) {
 		want[i] = ref.Decide(profiles[i])
 	}
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{Capacity: 64, Shards: 4})
+	s.Cache = NewDecisionCache(CacheConfig{Capacity: 64})
 	var wg sync.WaitGroup
 	errc := make(chan string, 64)
 	for g := 0; g < 8; g++ {

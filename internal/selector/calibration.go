@@ -18,7 +18,10 @@ import (
 // Versioned calibration artifact: everything cmd/calibrate measures on
 // a host — the accuracy sweep cells, the engine cost samples, and the
 // sweep parameters needed to re-derive any cell deterministically — in
-// one canonically encoded file the runtime loads at startup.
+// one canonically encoded file. The artifact is a record of the host,
+// not a serving input: no Runtime selects from it, and `calibrate
+// -check` (CheckCalibration) re-probes it to tell whether the host
+// still agrees with what was measured.
 //
 // The encoding is line-oriented text with every float64 written as the
 // 16-digit lowercase hex of its IEEE-754 bit pattern, so encode →
@@ -41,12 +44,14 @@ const calibrationVersion = "reprocal v2"
 const defaultTrialBlock = 32
 
 // Calibration is a host calibration artifact: the measured accuracy
-// surface and engine costs plus the sweep parameters that reproduce
+// cells and engine costs plus the sweep parameters that reproduce
 // them.
 type Calibration struct {
 	// Host labels the machine the calibration was measured on.
 	Host string
-	// Safety multiplies measured variability at selection time.
+	// Safety is the sweep's CalibrationConfig.Safety, the factor a
+	// CalibratedPolicy built from these cells multiplies measured
+	// variability by.
 	Safety float64
 	// Seed, Trials, Shape, TrialBlock reproduce the accuracy sweep:
 	// cell i re-evaluates with fpu.MixSeed(Seed, i). Seed also derives
@@ -59,11 +64,6 @@ type Calibration struct {
 	Cells []grid.CellResult
 	// Costs are the engine cost samples.
 	Costs []CostSample
-}
-
-// SurfacePolicy fits the artifact into a serve-time selection surface.
-func (cal *Calibration) SurfacePolicy() *CalibratedSurfacePolicy {
-	return FitSurface(cal.Cells, cal.Costs, cal.Safety)
 }
 
 // cellAlgs lists the algorithms measured in a cell, in sum.Algorithms
@@ -471,121 +471,4 @@ func probeIndices(n, count int) []int {
 		}
 	}
 	return out
-}
-
-// CalDelta is one matched quantity that differs between two artifacts.
-type CalDelta struct {
-	Line string  // human-readable description
-	Pct  float64 // relative change in percent (|new-old| / |old| · 100)
-}
-
-// CalComparison is the result of CompareCalibrations: matched deltas,
-// envelope changes, and the largest drift seen on each axis.
-type CalComparison struct {
-	Deltas []CalDelta
-	// Added and Removed list cells or cost samples present in only one
-	// artifact (an envelope change, reported but not gated).
-	Added, Removed []string
-	// MaxAccuracyPct and MaxCostPct are the largest matched deltas.
-	MaxAccuracyPct, MaxCostPct float64
-}
-
-// Exceeds reports whether any matched delta passes the threshold (in
-// percent).
-func (c CalComparison) Exceeds(thresholdPct float64) bool {
-	return c.MaxAccuracyPct > thresholdPct || c.MaxCostPct > thresholdPct
-}
-
-// pctDelta is the relative change from old to new in percent. Equal
-// values (including bitwise-equal NaNs and infinities) are 0; a change
-// from or to zero, NaN, or infinity is +Inf — always beyond threshold.
-func pctDelta(old, new float64) float64 {
-	if math.Float64bits(old) == math.Float64bits(new) {
-		return 0
-	}
-	if old == 0 || math.IsNaN(old) || math.IsInf(old, 0) ||
-		math.IsNaN(new) || math.IsInf(new, 0) {
-		return math.Inf(1)
-	}
-	return math.Abs(new-old) / math.Abs(old) * 100
-}
-
-// CompareCalibrations diffs two artifacts cell by cell: accuracy cells
-// match on their spec, cost samples on (algorithm, n, workers).
-// Matched quantities report their relative change; entries present in
-// only one artifact are listed as envelope changes.
-func CompareCalibrations(old, new *Calibration) CalComparison {
-	var cmp CalComparison
-	oldCells := map[grid.CellSpec]grid.CellResult{}
-	for _, c := range old.Cells {
-		oldCells[c.Spec] = c
-	}
-	newSpecs := map[grid.CellSpec]bool{}
-	for _, nc := range new.Cells {
-		newSpecs[nc.Spec] = true
-		oc, ok := oldCells[nc.Spec]
-		if !ok {
-			cmp.Added = append(cmp.Added, fmt.Sprintf("cell n=%d k=%.3g dr=%d", nc.Spec.N, nc.Spec.Cond, nc.Spec.DynRange))
-			continue
-		}
-		for _, alg := range cellAlgs(nc) {
-			orel, ok := oc.RelStdDev[alg]
-			if !ok {
-				cmp.Added = append(cmp.Added, fmt.Sprintf("cell n=%d k=%.3g dr=%d alg %s", nc.Spec.N, nc.Spec.Cond, nc.Spec.DynRange, alg))
-				continue
-			}
-			nrel := nc.RelStdDev[alg]
-			if pct := pctDelta(orel, nrel); pct > 0 {
-				cmp.Deltas = append(cmp.Deltas, CalDelta{
-					Line: fmt.Sprintf("cell n=%d k=%.3g dr=%d %s: rel %.6g -> %.6g (%+.1f%%)",
-						nc.Spec.N, nc.Spec.Cond, nc.Spec.DynRange, alg, orel, nrel, pct),
-					Pct: pct,
-				})
-				cmp.MaxAccuracyPct = math.Max(cmp.MaxAccuracyPct, pct)
-			}
-		}
-		for _, alg := range cellAlgs(oc) {
-			if _, ok := nc.RelStdDev[alg]; !ok {
-				cmp.Removed = append(cmp.Removed, fmt.Sprintf("cell n=%d k=%.3g dr=%d alg %s", oc.Spec.N, oc.Spec.Cond, oc.Spec.DynRange, alg))
-			}
-		}
-	}
-	for _, oc := range old.Cells {
-		if !newSpecs[oc.Spec] {
-			cmp.Removed = append(cmp.Removed, fmt.Sprintf("cell n=%d k=%.3g dr=%d", oc.Spec.N, oc.Spec.Cond, oc.Spec.DynRange))
-		}
-	}
-
-	type costKey struct {
-		alg        sum.Algorithm
-		n, workers int
-	}
-	oldCosts := map[costKey]float64{}
-	for _, cs := range old.Costs {
-		oldCosts[costKey{cs.Alg, cs.N, cs.Workers}] = cs.NsPerOp
-	}
-	newCosts := map[costKey]bool{}
-	for _, cs := range new.Costs {
-		k := costKey{cs.Alg, cs.N, cs.Workers}
-		newCosts[k] = true
-		ons, ok := oldCosts[k]
-		if !ok {
-			cmp.Added = append(cmp.Added, fmt.Sprintf("cost %s n=%d workers=%d", cs.Alg, cs.N, cs.Workers))
-			continue
-		}
-		if pct := pctDelta(ons, cs.NsPerOp); pct > 0 {
-			cmp.Deltas = append(cmp.Deltas, CalDelta{
-				Line: fmt.Sprintf("cost %s n=%d workers=%d: %.4g -> %.4g ns/op (%+.1f%%)",
-					cs.Alg, cs.N, cs.Workers, ons, cs.NsPerOp, pct),
-				Pct: pct,
-			})
-			cmp.MaxCostPct = math.Max(cmp.MaxCostPct, pct)
-		}
-	}
-	for _, cs := range old.Costs {
-		if !newCosts[costKey{cs.Alg, cs.N, cs.Workers}] {
-			cmp.Removed = append(cmp.Removed, fmt.Sprintf("cost %s n=%d workers=%d", cs.Alg, cs.N, cs.Workers))
-		}
-	}
-	return cmp
 }

@@ -9,12 +9,24 @@ import (
 )
 
 // Host cost sweep: measure what each ladder rung actually costs on this
-// machine on the serial route Runtime.Sum serves, so the fitted surface
-// can walk the ladder in measured-cost order instead of trusting the
-// static CostRank. The sweep is a miniature of the benchmark harness — an
-// iteration-scaled timing window per configuration, best-of-reps — but
-// runs in-process so cmd/calibrate can fold the samples straight into
-// the persisted artifact.
+// machine on the serial route Runtime.Sum serves, recorded beside the
+// accuracy sweep in the calibration artifact and re-timed by
+// CheckCalibration. The sweep is a miniature of the benchmark harness —
+// an iteration-scaled timing window per configuration, best-of-reps —
+// but runs in-process so cmd/calibrate can fold the samples straight
+// into the persisted artifact.
+
+// CostSample is one measured execution cost: the wall-clock ns/op of
+// summing an n-element benign slice with one algorithm. CostSweep
+// produces them on the local host with the serial alg.Sum, Workers 0.
+// Workers > 0 marks a parallel-engine timing from an older artifact: it
+// stays in the encoding but the drift check does not read it.
+type CostSample struct {
+	Alg     sum.Algorithm
+	N       int
+	Workers int
+	NsPerOp float64
+}
 
 // CostSweepConfig tunes the host cost sweep.
 type CostSweepConfig struct {

@@ -224,8 +224,8 @@ const bypassMax = 0x1p1000
 
 // exactBypass reports whether a request of n values may take the exact
 // bypass: tolerance 0, n >= 2 and an analytic policy. Every other
-// policy — Static, the calibrated table and surface — takes the full
-// path unchanged.
+// policy — Static and the calibrated table — takes the full path
+// unchanged.
 func (s *Selector) exactBypass(n int) bool {
 	if s.Req.Tolerance != 0 || n < 2 {
 		return false

@@ -244,7 +244,7 @@ func (cp *CalibratedPolicy) Select(p Profile, req Requirement) (sum.Algorithm, f
 		// Tolerance 0 demands bitwise reproducibility, which only an
 		// algorithm's construction can certify: a measured spread of
 		// exactly 0 (common for CP on benign cells) is not that
-		// guarantee (see CalibratedSurfacePolicy.Select).
+		// guarantee.
 		if req.Tolerance == 0 && !c.alg.Reproducible() {
 			continue
 		}

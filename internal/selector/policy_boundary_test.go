@@ -15,7 +15,7 @@ import (
 // outside the calibrated envelope resolves to the nearest edge cell,
 // never to a phantom extrapolated value and never to "no neighbor" as
 // long as one cell has finite coordinates. These tests pin that
-// contract (the surface fit mirrors it, see TestSurfaceBoundaryExtremes).
+// contract.
 
 // edgeProfile generates a live profile roughly at (n, k, dr).
 func edgeProfile(n int, k float64, dr int, seed uint64) Profile {

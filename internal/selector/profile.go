@@ -7,9 +7,8 @@
 //
 // The policies are the analytic HeuristicPolicy derived from
 // error-bound shapes, the bound-driven ProbabilisticPolicy, the
-// CalibratedPolicy table and the fitted CalibratedSurfacePolicy backed
-// by measured variability over a parameter-space sweep (the grid
-// package), and Static. All are deterministic functions of the profile,
+// CalibratedPolicy nearest-cell table backed by measured variability
+// over a parameter-space sweep (the grid package), and Static. All are deterministic functions of the profile,
 // so every rank of a distributed reduction reaches the same decision
 // without extra coordination beyond sharing the profile.
 //

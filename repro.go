@@ -46,8 +46,6 @@
 package repro
 
 import (
-	"os"
-
 	"repro/internal/aggsrv"
 	"repro/internal/binned"
 	"repro/internal/metrics"
@@ -118,23 +116,6 @@ func ComputeBounds(p Profile, lambda float64) Bounds {
 // CacheStats is an observability snapshot of a decision cache: hits,
 // misses, and current occupancy.
 type CacheStats = selector.CacheStats
-
-// Calibration is a host calibration artifact measured by cmd/calibrate:
-// the accuracy sweep, engine cost samples, and the parameters that
-// reproduce them (see selector.Calibration).
-type Calibration = selector.Calibration
-
-// LoadCalibrationFile reads a calibration artifact written by
-// cmd/calibrate (or selector.SaveCalibration). Unknown versions and
-// truncated files are rejected.
-func LoadCalibrationFile(path string) (*Calibration, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return selector.LoadCalibration(f)
-}
 
 // SelectAndSum is the one-shot fused serving call: a single pass over xs
 // profiles the data and speculatively computes the cheap candidate sums,

@@ -18,13 +18,12 @@ type Runtime struct {
 	sel *selector.Selector
 }
 
-// Option configures a Runtime (see WithPolicy, WithDecisionCache,
-// WithCalibration).
+// Option configures a Runtime (see WithPolicy, WithDecisionCache).
 type Option func(*Runtime)
 
 // WithPolicy substitutes the Runtime's selection policy: the analytic
-// default can be replaced by the bound-driven ProbabilisticPolicy or
-// by a host calibration (WithCalibration installs one).
+// default can be replaced by the bound-driven ProbabilisticPolicy (see
+// NewProbabilisticPolicy) or by any other Policy implementation.
 func WithPolicy(p Policy) Option {
 	return func(rt *Runtime) { rt.sel.Policy = p }
 }
@@ -40,25 +39,6 @@ func WithPolicy(p Policy) Option {
 func WithDecisionCache(capacity int) Option {
 	return func(rt *Runtime) {
 		rt.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: capacity})
-	}
-}
-
-// WithCalibration installs a host calibration as the Runtime's
-// selection policy: the artifact's measured crossover surfaces replace
-// the analytic model, fitted once at startup so every selection is a
-// handful of comparisons, with a decision cache attached (if none was
-// configured) for repeat traffic. Apply after any WithDecisionCache
-// option you want to keep. The closed loop is:
-//
-//	calibrate -out host.reprocal         // once per host
-//	cal, _ := repro.LoadCalibrationFile("host.reprocal")
-//	rt := repro.New(1e-12, repro.WithCalibration(cal))
-func WithCalibration(cal *Calibration) Option {
-	return func(rt *Runtime) {
-		rt.sel.Policy = cal.SurfacePolicy()
-		if rt.sel.Cache == nil {
-			rt.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{})
-		}
 	}
 }
 

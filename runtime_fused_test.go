@@ -142,18 +142,18 @@ func TestRuntimeDecisionCache(t *testing.T) {
 		t.Errorf("cache changed ST fast-path bits: %x vs %x",
 			math.Float64bits(vPlain), math.Float64bits(vCached))
 	}
-	// Sharded geometry set on the selector (at a nonzero tolerance:
-	// tolerance 0 takes the exact bypass, which never consults the
-	// cache).
-	shard := New(1e-9)
-	shard.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: 64, Shards: 4})
-	r1, _ := shard.Sum(xs)
-	r2, _ := shard.Sum(xs)
+	// A small cache set directly on the selector (at a nonzero
+	// tolerance: tolerance 0 takes the exact bypass, which never
+	// consults the cache).
+	small := New(1e-9)
+	small.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: 64})
+	r1, _ := small.Sum(xs)
+	r2, _ := small.Sum(xs)
 	if math.Float64bits(r1) != math.Float64bits(r2) || math.Float64bits(r1) != math.Float64bits(vPlain) {
-		t.Error("sharded cached serving not self-consistent")
+		t.Error("small-cache serving not self-consistent")
 	}
-	if st, _ := shard.CacheStats(); st.Hits == 0 {
-		t.Errorf("sharded serving never hit the cache: %+v", st)
+	if st, _ := small.CacheStats(); st.Hits == 0 {
+		t.Errorf("small-cache serving never hit the cache: %+v", st)
 	}
 }
 
