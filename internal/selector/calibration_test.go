@@ -180,9 +180,7 @@ func TestCalibrationRejectsBadArtifacts(t *testing.T) {
 // fresh artifact re-probes clean (the sweep is deterministic given the
 // stored seeds), and an artificially perturbed accuracy cell is
 // flagged. Cost probes use a huge factor so scheduler noise cannot make
-// the fresh-pass half flaky. A parallel-engine cost sample (Workers !=
-// 0) from an older artifact times a route Runtime.Sum never runs, so
-// the drift check must not probe it.
+// the fresh-pass half flaky.
 func TestCheckCalibration(t *testing.T) {
 	cal := RunCalibration(quickHarness())
 
@@ -216,9 +214,14 @@ func TestCheckCalibration(t *testing.T) {
 	if !check.Drifted() {
 		t.Error("Drifted() false on perturbed artifact")
 	}
+}
 
+// TestCheckCalibrationIgnoresEngineSamples: a parallel-engine cost
+// sample (Workers != 0) from an older artifact times a route
+// Runtime.Sum never runs, so the drift check must not probe it.
+func TestCheckCalibrationIgnoresEngineSamples(t *testing.T) {
 	engine := CostSample{Alg: sum.StandardAlg, N: 1 << 10, Workers: 2, NsPerOp: 10}
-	check = CheckCalibration(&Calibration{Seed: 5, Costs: []CostSample{engine}}, 3, 1e9)
+	check := CheckCalibration(&Calibration{Seed: 5, Costs: []CostSample{engine}}, 3, 1e9)
 	if check.CostProbes != 0 || check.Drifted() {
 		t.Errorf("drift check probed an engine sample: %+v", check)
 	}
