@@ -41,7 +41,6 @@ func main() {
 	probes := flag.Int("probes", 3, "with -check: probe cells and cost samples to re-measure")
 	drift := flag.Float64("drift", 4, "with -check: tolerated cost drift factor in either direction")
 	seed := flag.Uint64("seed", 1, "sweep seed (part of the artifact: probes re-derive cell seeds from it)")
-	safety := flag.Float64("safety", 4, "safety factor stored in the artifact (a CalibratedPolicy built from its cells multiplies measured variability by it)")
 	host := flag.String("host", "", "host label stored in the artifact (default os.Hostname)")
 	mpirtIn := flag.String("mpirt", "", "refit the collective selection table from a BENCH_mpirt.json and print it, instead of calibrating")
 	flag.Parse()
@@ -58,7 +57,7 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		if err := runCalibrate(*out, *quick, *seed, *safety, *host); err != nil {
+		if err := runCalibrate(*out, *quick, *seed, *host); err != nil {
 			fmt.Fprintln(os.Stderr, "calibrate:", err)
 			os.Exit(1)
 		}
@@ -68,12 +67,12 @@ func main() {
 // harness assembles the sweep envelope: the full envelope spans the
 // selector's default operating range; -quick shrinks every axis to a
 // seconds-scale smoke sweep with the same structure.
-func harness(quick bool, seed uint64, safety float64, host string) selector.HarnessConfig {
+func harness(quick bool, seed uint64, host string) selector.HarnessConfig {
 	if host == "" {
 		host, _ = os.Hostname()
 	}
 	cfg := selector.HarnessConfig{Host: host}
-	cfg.Accuracy = selector.CalibrationConfig{Seed: seed, Safety: safety}
+	cfg.Accuracy = selector.CalibrationConfig{Seed: seed}
 	if quick {
 		cfg.Accuracy.Ns = []int{256, 4096}
 		cfg.Accuracy.Ks = []float64{1, 1e4, 1e8}
@@ -88,8 +87,8 @@ func harness(quick bool, seed uint64, safety float64, host string) selector.Harn
 	return cfg
 }
 
-func runCalibrate(out string, quick bool, seed uint64, safety float64, host string) error {
-	cfg := harness(quick, seed, safety, host)
+func runCalibrate(out string, quick bool, seed uint64, host string) error {
+	cfg := harness(quick, seed, host)
 	start := time.Now()
 	cal := selector.RunCalibration(cfg)
 	sweep := time.Since(start)

@@ -49,9 +49,9 @@ const defaultTrialBlock = 32
 type Calibration struct {
 	// Host labels the machine the calibration was measured on.
 	Host string
-	// Safety is the sweep's CalibrationConfig.Safety, the factor a
-	// CalibratedPolicy built from these cells multiplies measured
-	// variability by.
+	// Safety is the sweep's CalibrationConfig.Safety (default 4). No
+	// decision reads it; the reprocal v2 format keeps its line so
+	// artifacts stay byte-compatible.
 	Safety float64
 	// Seed, Trials, Shape, TrialBlock reproduce the accuracy sweep:
 	// cell i re-evaluates with fpu.MixSeed(Seed, i). Seed also derives
