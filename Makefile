@@ -118,11 +118,14 @@ bench:
 # machine-readable artifacts (compared across
 # PRs, e.g. `go run ./cmd/benchjson -compare old.json BENCH_kernels.json`,
 # or gated: `go run ./cmd/benchjson -compare -threshold 10 old new`).
+# The kernel, selector and binned lines run each benchmark five times
+# (-count 5), and benchjson records the median of the five, so one
+# noisy run on a shared host does not move the recorded numbers.
 bench-json:
 	$(GO) test ./internal/grid -run '^$$' -bench Sweep -benchmem | $(GO) run ./cmd/benchjson > BENCH_sweep.json
-	$(GO) test ./internal/kernel -run '^$$' -bench Fold -benchmem | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	$(GO) test ./internal/selector -run '^$$' -bench '^Benchmark(SelectSum|Decide)$$' -benchmem | $(GO) run ./cmd/benchjson > BENCH_selector.json
-	$(GO) test ./internal/kernel -run '^$$' -bench Binned -benchmem | $(GO) run ./cmd/benchjson > BENCH_binned.json
+	$(GO) test ./internal/kernel -run '^$$' -bench Fold -benchmem -count 5 | $(GO) run ./cmd/benchjson > BENCH_kernels.json
+	$(GO) test ./internal/selector -run '^$$' -bench '^Benchmark(SelectSum|Decide)$$' -benchmem -count 5 | $(GO) run ./cmd/benchjson > BENCH_selector.json
+	$(GO) test ./internal/kernel -run '^$$' -bench Binned -benchmem -count 5 | $(GO) run ./cmd/benchjson > BENCH_binned.json
 	$(GO) test ./internal/selector -run '^$$' -bench Bounds -benchmem | $(GO) run ./cmd/benchjson > BENCH_bounds.json
 	{ $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollective(Vector)?$$' -benchtime 1x; \
 	  $(GO) test ./internal/mpirt -run '^$$' -bench '^BenchmarkCollectiveWarm$$' -benchtime 300x; } | $(GO) run ./cmd/benchjson > BENCH_mpirt.json

@@ -6,8 +6,10 @@
 //	go test ./internal/grid -run '^$' -bench Sweep -benchmem | benchjson
 //
 // Context lines (goos, goarch, cpu, pkg) are captured as metadata;
-// every benchmark result line becomes one entry with its run count,
-// ns/op, and — when -benchmem was given — B/op and allocs/op.
+// every benchmark becomes one entry with its run count, ns/op, and —
+// when -benchmem was given — B/op and allocs/op. Repeated result lines
+// of one benchmark (`go test -count N`) fold into one entry holding the
+// median ns/op, B/op, allocs/op and extra metrics, and the runs summed.
 //
 // With -compare, benchjson instead diffs two previously recorded
 // documents and prints per-benchmark ns/op and B/op deltas, so the perf
@@ -36,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -322,7 +325,73 @@ func parse(sc *bufio.Scanner) (Report, error) {
 			}
 		}
 	}
+	rep.Results = foldRepeats(rep.Results)
 	return rep, sc.Err()
+}
+
+// foldRepeats merges the result lines of one benchmark (same name and
+// procs) into one entry at the place of its first line: the median of
+// every measured value across the lines, and the runs summed.
+func foldRepeats(rs []Result) []Result {
+	type key struct {
+		name  string
+		procs int
+	}
+	idx := map[key]int{}
+	var groups [][]Result
+	for _, r := range rs {
+		k := key{r.Name, r.Procs}
+		i, ok := idx[k]
+		if !ok {
+			i = len(groups)
+			idx[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	out := make([]Result, len(groups))
+	for i, g := range groups {
+		out[i] = medianResult(g)
+	}
+	return out
+}
+
+// medianResult is the median of one benchmark's result lines; an extra
+// metric's median is over the lines that report it.
+func medianResult(g []Result) Result {
+	r := Result{Name: g[0].Name, Procs: g[0].Procs}
+	var ns, bytes, allocs []float64
+	extra := map[string][]float64{}
+	for _, x := range g {
+		r.Runs += x.Runs
+		ns = append(ns, x.NsPerOp)
+		bytes = append(bytes, float64(x.BytesPerOp))
+		allocs = append(allocs, float64(x.AllocsPerOp))
+		for unit, v := range x.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
+	}
+	r.NsPerOp = median(ns)
+	r.BytesPerOp = int64(math.Round(median(bytes)))
+	r.AllocsPerOp = int64(math.Round(median(allocs)))
+	for unit, vs := range extra {
+		if r.Extra == nil {
+			r.Extra = make(map[string]float64, len(extra))
+		}
+		r.Extra[unit] = median(vs)
+	}
+	return r
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when len(vs) is even.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // parseResult decodes one "BenchmarkX-8  100  12345 ns/op  67 B/op  8

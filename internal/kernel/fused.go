@@ -30,9 +30,10 @@ import (
 // the answer and the data is never read again; only escalations to
 // BN/CP/PR pay a second pass. The selector layer
 // (selector.FusedProfileSum / SelectAndSum) owns that protocol and pins
-// both equalities with exhaustive tests. Tolerance-0 requests under the
-// analytic policies, which can only escalate to BN, skip this pass and
-// run the BN fold alone (the selector's exact bypass).
+// both equalities with exhaustive tests. Requests the analytic
+// policies can only escalate to BN (tolerance 0, and tight tolerances
+// under the heuristic at large enough n) skip this pass and run the BN
+// fold alone (the selector's exact bypass).
 
 // FusedAcc is the state of one fused profile+sum pass. The profile
 // fields mirror selector.Profile's (same accumulation order, same

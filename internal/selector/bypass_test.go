@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fpu"
+	"repro/internal/gen"
 	"repro/internal/sum"
 )
 
@@ -50,25 +52,6 @@ func bypassCases() map[string][]float64 {
 	return cases
 }
 
-// bypassOracle is the independent two-pass route for s on xs: the full
-// profile, the policy through a fresh decision cache when s has one,
-// then the chosen operator — or the ST fallback for a poisoned profile.
-func bypassOracle(s *Selector, xs []float64) (float64, sum.Algorithm, Profile) {
-	ref := &Selector{Policy: s.Policy, Req: s.Req}
-	if s.Cache != nil {
-		ref.Cache = NewDecisionCache(CacheConfig{})
-	}
-	prof := ProfileOf(xs)
-	if prof.NonFinite {
-		return sum.Standard(xs), sum.StandardAlg, prof
-	}
-	d := ref.Decide(prof)
-	if d.Alg == sum.PreroundedAlg {
-		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
-	}
-	return d.Alg.Sum(xs), d.Alg, prof
-}
-
 // sameProfile is profile equality with the compensated pairs compared
 // bit for bit, so NaN estimates from an overflowed Σx still match.
 func sameProfile(a, b Profile) bool {
@@ -80,13 +63,66 @@ func sameProfile(a, b Profile) bool {
 	return a == b
 }
 
-// TestSelectAndSumExactBypass pins the tolerance-0 bypass against the
-// two-pass oracle: the same bits, Algorithm and NonFinite on every
-// input, with and without the decision cache. Under the analytic policies a served
-// request reports Profile{N: n}, BN, Predicted 0, zero Bounds and Fast
-// false. Every other request reports the full profile, and every other
-// policy profiles every request: Static (PR must still be tuned) and
-// the calibrated table.
+// checkServed runs one request through s and pins it against the
+// two-pass oracle: the same bits (any NaN where nanPayloadOpen), the
+// same Algorithm and NonFinite, and PR only with its tuned
+// configuration. A request servedExact names must report
+// Profile{N: n}, BN, Predicted 0, zero Bounds and Fast false; every
+// other one the full profile. It returns the answer, its selection and
+// whether the request was bypassed.
+func checkServed(t *testing.T, where string, s *Selector, xs []float64) (float64, Selection, bool) {
+	t.Helper()
+	got, sel := s.SelectAndSum(xs)
+	want, wantAlg, prof := twoPassSum(s, xs)
+	sameSum := fbits(got) == fbits(want) || math.IsNaN(got) && math.IsNaN(want) && nanPayloadOpen(xs)
+	if sel.Alg != wantAlg || !sameSum || sel.NonFinite != prof.NonFinite {
+		t.Errorf("%s: got %v %x NonFinite=%v, oracle %v %x NonFinite=%v",
+			where, sel.Alg, fbits(got), sel.NonFinite, wantAlg, fbits(want), prof.NonFinite)
+	}
+	if wantAlg == sum.PreroundedAlg && sel.PR == nil {
+		t.Errorf("%s: PR served without its tuned configuration", where)
+	}
+	if !servedExact(s, xs) {
+		if !sameProfile(sel.Profile, prof) {
+			t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, prof)
+		}
+		return got, sel, false
+	}
+	if exact := (Selection{Profile: Profile{N: int64(len(xs))}, Alg: sum.BinnedAlg}); sel != exact {
+		t.Errorf("%s: bypassed selection %+v, want %+v", where, sel, exact)
+	}
+	return got, sel, true
+}
+
+// nanPayloadOpen reports whether the payload of a NaN sum of xs is
+// left open: two NaNs meet in one add — NaN operands of different
+// bits, or a NaN operand and the NaN of +Inf + -Inf — and the add keeps
+// the payload of whichever operand the compiled instruction takes
+// first, an order Go does not fix (the fused pass's ST shadow and
+// sum.Standard differ there).
+func nanPayloadOpen(xs []float64) bool {
+	nans := map[uint64]bool{}
+	var pos, neg bool
+	for _, x := range xs {
+		switch {
+		case math.IsNaN(x):
+			nans[fbits(x)] = true
+		case math.IsInf(x, 1):
+			pos = true
+		case math.IsInf(x, -1):
+			neg = true
+		}
+	}
+	return len(nans) > 1 || len(nans) == 1 && pos && neg
+}
+
+// TestSelectAndSumExactBypass pins the exact bypass against the
+// two-pass oracle (checkServed) with and without the decision cache:
+// at tolerance 0 on bypassCases under every policy, where only the
+// analytic ones bypass and Static (PR must still be tuned) and the
+// calibrated table profile every request; and at tolerances above 0 on
+// tightSets of the sizes around each threshold of the heuristic's rule
+// (onlyBN), where the bound-driven policy profiles every request.
 func TestSelectAndSumExactBypass(t *testing.T) {
 	type policy struct {
 		name string
@@ -111,23 +147,8 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 				if cached {
 					s.Cache = NewDecisionCache(CacheConfig{})
 				}
-				where := fmt.Sprintf("%s %s cached=%v", name, p.name, cached)
-				got, sel := s.SelectAndSum(xs)
-				want, wantAlg, prof := bypassOracle(s, xs)
-				if sel.Alg != wantAlg || fbits(got) != fbits(want) || sel.NonFinite != prof.NonFinite {
-					t.Errorf("%s: got %v %x NonFinite=%v, oracle %v %x NonFinite=%v",
-						where, sel.Alg, fbits(got), sel.NonFinite, wantAlg, fbits(want), prof.NonFinite)
-				}
-				if wantAlg == sum.PreroundedAlg && sel.PR == nil {
-					t.Errorf("%s: PR served without its tuned configuration", where)
-				}
-				if servedExact(s, xs) {
+				if _, _, ok := checkServed(t, fmt.Sprintf("%s %s cached=%v", name, p.name, cached), s, xs); ok {
 					served[name]++
-					if exact := (Selection{Profile: Profile{N: int64(len(xs))}, Alg: sum.BinnedAlg}); sel != exact {
-						t.Errorf("%s: bypassed selection %+v, want %+v", where, sel, exact)
-					}
-				} else if !sameProfile(sel.Profile, prof) {
-					t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, prof)
 				}
 			}
 		}
@@ -149,4 +170,149 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 			t.Errorf("%s: bypass served %d requests, want 0", name, served[name])
 		}
 	}
+
+	sets := map[int]map[string][]float64{}
+	bypassed := map[float64]int{}
+	condBelowOne := 0
+	for _, th := range bypassThresholds {
+		for n := th.n - 1; n <= th.n+1; n++ {
+			if sets[n] == nil {
+				sets[n] = tightSets(n)
+			}
+			for name, xs := range sets[n] {
+				for _, p := range analytic[:2] {
+					for _, cached := range []bool{false, true} {
+						s := &Selector{Policy: p.pol, Req: Requirement{Tolerance: th.tol}}
+						if cached {
+							s.Cache = NewDecisionCache(CacheConfig{})
+						}
+						where := fmt.Sprintf("tol=%g n=%d %s %s cached=%v", th.tol, n, name, p.name, cached)
+						if _, _, ok := checkServed(t, where, s, xs); !ok {
+							continue
+						}
+						bypassed[th.tol]++
+						if k := ProfileOf(xs).Cond(); k < 1 {
+							condBelowOne++
+						}
+					}
+				}
+			}
+		}
+	}
+	// At a tolerance equal to the data's own ST prediction the full
+	// route picks ST, also where the computed Cond is below 1, so the
+	// bypass's floor must lie below that Cond.
+	for n, byName := range sets {
+		for _, name := range []string{"ulpbelow", "negulpbelow", "tenths"} {
+			xs := byName[name]
+			tol := NewHeuristicPolicy().Predict(sum.StandardAlg, ProfileOf(xs))
+			s := New(tol)
+			if _, _, ok := checkServed(t, fmt.Sprintf("tol=ST prediction n=%d %s", n, name), s, xs); ok {
+				t.Errorf("n=%d %s: bypassed at its own ST prediction %g", n, name, tol)
+			}
+		}
+	}
+	for _, th := range bypassThresholds {
+		if th.tol < 1e-12 && bypassed[th.tol] == 0 {
+			t.Errorf("tol=%g: no request took the bypass", th.tol)
+		}
+		if th.tol >= 1e-12 && bypassed[th.tol] != 0 {
+			t.Errorf("tol=%g: %d requests took the bypass", th.tol, bypassed[th.tol])
+		}
+	}
+	if condBelowOne == 0 {
+		t.Error("no bypassed request had a computed condition number below 1")
+	}
+}
+
+// bypassThresholds lists, per tolerance, the smallest n the heuristic
+// can only resolve to BN (onlyBN); the tight half of
+// TestSelectAndSumExactBypass runs n-1, n and n+1. 1e-3 has no such n
+// in range: it runs 1e-13's sizes, which must all profile.
+// FuzzSelectAndSum's corpus picks tolerances from it by index.
+var bypassThresholds = []struct {
+	tol float64
+	n   int
+}{
+	{0, 2}, {1e-16, 2}, {3.2e-16, 3}, {1e-15, 21}, {1e-14, 2029}, {1e-13, 202825}, {1e-3, 202825},
+}
+
+// TestExactBypassThresholds pins the threshold table the docs state —
+// the smallest n the heuristic sends to the exact bypass per tolerance
+// — for both the rule onlyBN states and the serving code's
+// exactBypass.
+func TestExactBypassThresholds(t *testing.T) {
+	for _, c := range []struct {
+		tol float64
+		n   int
+	}{{1e-12, 20282410}, {1e-13, 202825}, {1e-14, 2029}, {1e-15, 21}, {3.2e-16, 3}, {3.14e-16, 2}, {1e-16, 2}, {0, 2}} {
+		s := New(c.tol)
+		for n, want := range map[int]bool{c.n - 1: c.n == 2, c.n: true, c.n + 1: true} {
+			if n < 2 {
+				want = false
+			}
+			if got := onlyBN(s, n); got != want {
+				t.Errorf("tol=%g n=%d: onlyBN %v, want %v", c.tol, n, got, want)
+			}
+			if got := s.exactBypass(n); got != want {
+				t.Errorf("tol=%g n=%d: exactBypass %v, want %v", c.tol, n, got, want)
+			}
+		}
+	}
+	// Just above 2u·√2 not even n = 2 bypasses.
+	if s := New(3.15e-16); onlyBN(s, 2) || s.exactBypass(2) {
+		t.Error("tol=3.15e-16 bypasses n=2")
+	}
+	// The rule's floor lies at or below every computed condition number,
+	// the same-sign sets whose Σ|x| rounds down included.
+	for _, n := range []int{3, 4, 21, 2029} {
+		for name, xs := range tightSets(n) {
+			p := ProfileOf(xs)
+			if p.NonFinite || p.degenerate() {
+				continue
+			}
+			if floor := 1 - 2*float64(n)*fpu.UnitRoundoff; p.Cond() < floor {
+				t.Errorf("n=%d %s: Cond %v below the floor %v", n, name, p.Cond(), floor)
+			}
+		}
+	}
+}
+
+// tightSets are twenty sets of n values for the tight-tolerance loop:
+// generator cells across condition number and dynamic range, same-sign
+// sets whose plain Σ|x| rounds below the compensated Σx (computed Cond
+// below 1 from n = 3), alternating and cancelling sets, zeros, poison,
+// a sum above the bypass ceiling, and subnormals. Sets of one value
+// are the first value of their two-value set.
+func tightSets(n int) map[string][]float64 {
+	m := max(n, 2)
+	sets := map[string][]float64{}
+	for _, k := range []float64{1, 1e4, 1e8, math.Inf(1)} {
+		for _, dr := range []int{0, 16, 40} {
+			spec := gen.Spec{N: m, Cond: k, DynRange: dr, Seed: uint64(n)*31 + uint64(dr)}
+			sets[fmt.Sprintf("k=%g/dr=%d", k, dr)] = spec.Generate()[:n]
+		}
+	}
+	fill := func(first, rest float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rest
+		}
+		xs[0] = first
+		return xs
+	}
+	sets["ulpbelow"] = fill(1, 0x1p-53)
+	sets["negulpbelow"] = fill(-1, -0x1p-53)
+	sets["tenths"] = fill(0.1, 0.1)
+	sets["zeros"] = fill(math.Copysign(0, -1), 0)
+	sets["huge"] = fill(0x1p1000, 0x1p1000)
+	sets["nan"] = fill(1.5, 1.5)
+	sets["nan"][n/2] = math.NaN()
+	alt, sub := make([]float64, n), make([]float64, n)
+	for i := range alt {
+		alt[i] = float64(1 - 2*(i%2))
+		sub[i] = math.Ldexp(float64(i%5+1), -1074)
+	}
+	sets["alternating"], sets["subnormal"] = alt, sub
+	return sets
 }

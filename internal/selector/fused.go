@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/binned"
+	"repro/internal/fpu"
 	"repro/internal/kernel"
 	"repro/internal/sum"
 )
@@ -22,10 +23,12 @@ import (
 // pass. Every result is bitwise-identical to what the two-pass route
 // computes, pinned by equivalence tests.
 //
-// Tolerance-0 requests under the analytic policies skip the profile
-// altogether (exactBypass): there the profile can only ever confirm
-// BN, so the BN fold runs first and its exact answer is returned
-// unless it lands where the policies could have decided otherwise.
+// Requests that the analytic policies can only resolve to BN skip the
+// profile altogether (exactBypass): tolerance 0, and under the
+// heuristic every tolerance its ST prediction exceeds at the request's
+// n for any data. The BN fold runs first and its exact answer is
+// returned unless it lands where the policies could have decided
+// otherwise.
 
 // FusedPass is the outcome of one fused profile+sum pass: the complete
 // selection profile plus the speculative plain-sum shadow. The Neumaier
@@ -137,8 +140,8 @@ func (s *Selector) Decide(p Profile) Decision {
 
 // Selection describes one fused select-and-sum call, for reporting.
 //
-// A tolerance-0 request served by the exact bypass (see exactBypass)
-// never profiles its data: its Selection holds Profile{N: n}, Alg BN,
+// A request served by the exact bypass (see exactBypass) never
+// profiles its data: its Selection holds Profile{N: n}, Alg BN,
 // Predicted 0, zero Bounds (Conclusive false) and Fast false.
 type Selection struct {
 	Profile   Profile
@@ -164,8 +167,10 @@ type Selection struct {
 // escalates past ST/Neumaier — a second pass with the selected
 // operator. PR escalations run with the TunePR-sized configuration.
 // Poisoned inputs fall back to the ST shadow, which equals
-// sum.Standard(xs) bit-for-bit. Tolerance-0 requests under the analytic
-// policies try the exact bypass first (binned.Sum, no profile).
+// sum.Standard(xs) bit-for-bit. Requests the analytic policies can only
+// resolve to BN — tolerance 0, and tolerances the heuristic's ST
+// prediction exceeds at n for any data — try the exact bypass first
+// (binned.Sum, no profile).
 func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 	if s.exactBypass(len(xs)) {
 		if v := binned.Sum(xs); bypassServes(v, xs) {
@@ -196,17 +201,28 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 
 // Exact bypass.
 //
-// At tolerance 0 the analytic policies pick the first ladder rung
-// predicting no variability. ST is the only rung before BN. The
-// heuristic's ST prediction c_st·u·√n·k is positive (or NaN) on every
-// non-degenerate profile, and the bound-driven policy accepts a
-// non-reproducible rung at tolerance 0 only on a degenerate one, so
-// every request of n >= 2 finite operands, not all zero, resolves to
-// BN — with or without the decision cache, whose bucket representatives
-// are unit-scale profiles of n >= 3. The profile pass there only
-// confirms what the request already says, at more cost than the BN
-// fold. The bypass runs the fold first and keeps its answer when the
-// exact sum v shows the input was of that kind:
+// The analytic policies walk the ladder ST, BN, ... and take the first
+// rung whose prediction meets the tolerance; BN predicts 0, so a
+// request that ST cannot meet resolves to BN. Some requests say so
+// before their data is read, and the profile pass there only confirms
+// it, at more cost than the BN fold:
+//
+//   - tolerance 0, under either analytic policy: the heuristic's ST
+//     prediction c_st·u·√n·k is positive (or NaN) on every
+//     non-degenerate profile, and the bound-driven policy accepts a
+//     non-reproducible rung at tolerance 0 only on a degenerate one;
+//   - any tolerance under the heuristic that its ST prediction exceeds
+//     at a floor under every condition number the profile pass can
+//     compute for n values (stFloor): the prediction grows with k, so
+//     no profile of n values picks ST. For u = 2^-53 that is every
+//     n >= 20,282,410 at 1e-12, n >= 202,825 at 1e-13, n >= 2,029 at
+//     1e-14, n >= 21 at 1e-15 and every n >= 2 below 3.14e-16.
+//
+// In both cases every request of n >= 2 finite operands, not all zero,
+// resolves to BN — with or without the decision cache, whose bucket
+// representatives sit at n_rep >= n and k_rep >= 1. The bypass runs the
+// fold first and keeps its answer when the exact sum v shows the input
+// was of that kind:
 //
 //   - v is NaN or ±Inf: a non-finite operand, which the full path
 //     serves with the poisoned ST fallback, or an overflowing sum;
@@ -219,22 +235,41 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 // NaN and ±Inf operands, and a nonzero operand makes the profile
 // non-degenerate. Every other v is returned with algorithm BN: bits,
 // Algorithm and NonFinite equal the full path's on every input, pinned
-// by TestSelectAndSumExactBypass against the two-pass oracle.
+// by TestSelectAndSumExactBypass and FuzzSelectAndSum against the
+// two-pass oracle.
 const bypassMax = 0x1p1000
 
 // exactBypass reports whether a request of n values may take the exact
-// bypass: tolerance 0, n >= 2 and an analytic policy. Every other
-// policy — Static and the calibrated table — takes the full path
-// unchanged.
+// bypass: n >= 2 and either tolerance 0 under an analytic policy or a
+// tolerance the heuristic's ST floor exceeds. The bound-driven policy's
+// ST estimate depends on its plan and λ, so it keeps the tolerance-0
+// rule; every other policy — Static and the calibrated table — takes
+// the full path unchanged.
 func (s *Selector) exactBypass(n int) bool {
-	if s.Req.Tolerance != 0 || n < 2 {
+	if n < 2 {
 		return false
 	}
-	switch s.Policy.(type) {
-	case HeuristicPolicy, ProbabilisticPolicy:
-		return true
+	switch pol := s.Policy.(type) {
+	case HeuristicPolicy:
+		return s.Req.Tolerance == 0 || pol.Predict(sum.StandardAlg, stFloor(n)) > s.Req.Tolerance
+	case ProbabilisticPolicy:
+		return s.Req.Tolerance == 0
 	}
 	return false
+}
+
+// stFloor is a profile of n values whose condition number, 1 - 2n·u,
+// lies at or below every one the profile pass computes for n finite
+// values, not all zero. Cond = Σ|x| / |Σx| is at least 1 in exact
+// arithmetic, but the pass sums |x| plainly, n-1 roundings that can
+// each lose u, while the compensated Σx and the quotient round by
+// about u more; 2n·u covers both for n >= 2.
+func stFloor(n int) Profile {
+	return Profile{
+		N:      int64(n),
+		Sum:    CSum{S: 1},
+		SumAbs: CSum{S: 1 - float64(2*n)*fpu.UnitRoundoff},
+	}
 }
 
 // bypassServes reports whether the bypass may return the exact sum v

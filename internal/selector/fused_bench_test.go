@@ -30,6 +30,9 @@ func benchSelector(alg sum.Algorithm) *Selector {
 // fusion removes the entire second data pass). The exact rows put a
 // tolerance-0 SelectAndSum (the exact bypass) beside the bare BN fold
 // it runs, so selection overhead on the exact answer reads directly.
+// The tight rows serve tolerance 1e-13 under the heuristic: n = 1e4
+// and 1e5 profile and select ST, and n = 1e6, above the 202,825
+// threshold, takes the exact bypass.
 func BenchmarkSelectSum(b *testing.B) {
 	for _, n := range []int{10000, 100000, 1000000} {
 		xs := gen.Spec{N: n, Cond: 1, DynRange: 8, Seed: 90}.Generate()
@@ -38,6 +41,16 @@ func BenchmarkSelectSum(b *testing.B) {
 			s := New(0)
 			if _, sel := s.SelectAndSum(xs); sel.Alg != sum.BinnedAlg {
 				b.Fatalf("tolerance 0 selects %v", sel.Alg)
+			}
+			b.SetBytes(int64(8 * n))
+			for i := 0; i < b.N; i++ {
+				sink, _ = s.SelectAndSum(xs)
+			}
+		})
+		b.Run(fmt.Sprintf("tight/n=%d", n), func(b *testing.B) {
+			s := New(1e-13)
+			if _, sel := s.SelectAndSum(xs); (sel.Bounds == Bounds{}) != (n >= 202825) {
+				b.Fatalf("tolerance 1e-13 at n=%d: %+v", n, sel)
 			}
 			b.SetBytes(int64(8 * n))
 			for i := 0; i < b.N; i++ {

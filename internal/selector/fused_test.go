@@ -1,10 +1,12 @@
 package selector
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/fpu"
 	"repro/internal/gen"
 	"repro/internal/sum"
 	"repro/internal/superacc"
@@ -155,32 +157,32 @@ func TestFusedSpecSum(t *testing.T) {
 }
 
 // twoPassSum is the serial two-pass oracle for the fused serving call:
-// profile, policy, then the selected operator — TunePR-sized for PR,
-// and the ST fallback for poisoned inputs.
-func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm) {
+// the full profile, the policy (through a fresh decision cache when s
+// has one), then the selected operator — TunePR-sized for PR — or the
+// ST fallback for a poisoned profile.
+func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm, Profile) {
+	ref := &Selector{Policy: s.Policy, Req: s.Req}
+	if s.Cache != nil {
+		ref.Cache = NewDecisionCache(CacheConfig{})
+	}
 	prof := ProfileOf(xs)
 	if prof.NonFinite {
-		return sum.Standard(xs), sum.StandardAlg
+		return sum.Standard(xs), sum.StandardAlg, prof
 	}
-	alg, _ := s.Policy.Select(prof, s.Req)
-	if alg == sum.PreroundedAlg {
-		return sum.PreroundedWith(TunePR(prof, s.Req), xs), alg
+	d := ref.Decide(prof)
+	if d.Alg == sum.PreroundedAlg {
+		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
 	}
-	return alg.Sum(xs), alg
+	return d.Alg.Sum(xs), d.Alg, prof
 }
 
 // servedExact states, independently of the serving code, when the
-// exact bypass serves a request: tolerance 0, an analytic policy (the
-// heuristic or the bound-driven policy), at least two operands, and an
-// exact sum of magnitude at most 2^1000 (NaN for poisoned inputs) that
-// is nonzero or comes from at least one nonzero operand.
+// exact bypass serves a request: operands that the policy can only
+// resolve to BN (onlyBN), and an exact sum of magnitude at most 2^1000
+// (NaN for poisoned inputs) that is nonzero or comes from at least one
+// nonzero operand.
 func servedExact(s *Selector, xs []float64) bool {
-	if s.Req.Tolerance != 0 || len(xs) < 2 {
-		return false
-	}
-	switch s.Policy.(type) {
-	case HeuristicPolicy, ProbabilisticPolicy:
-	default:
+	if !onlyBN(s, len(xs)) {
 		return false
 	}
 	v := math.Abs(superacc.Sum(xs))
@@ -193,6 +195,113 @@ func servedExact(s *Selector, xs []float64) bool {
 		return false
 	}
 	return v <= 0x1p1000
+}
+
+// onlyBN is the (tolerance, n) rule of the exact bypass: n >= 2 and
+// tolerance 0 under the heuristic or the bound-driven policy, or, under
+// the heuristic, a tolerance below its ST prediction 2u·√n·k at
+// k = 1 - 2n·u, a floor under the condition numbers a profile of n
+// values can compute. The expression keeps HeuristicPolicy.Predict's
+// evaluation order, so it rounds the same way.
+func onlyBN(s *Selector, n int) bool {
+	if n < 2 {
+		return false
+	}
+	tol := s.Req.Tolerance
+	switch s.Policy.(type) {
+	case HeuristicPolicy:
+		u, nf := fpu.UnitRoundoff, float64(n)
+		return tol == 0 || 2*u*math.Sqrt(nf)*(1-2*nf*u) > tol
+	case ProbabilisticPolicy:
+		return tol == 0
+	}
+	return false
+}
+
+// FuzzSelectAndSum differentially fuzzes the serving call against the
+// two-pass oracle, with and without the decision cache: the same bits,
+// Algorithm and NonFinite, and the report shape of a bypassed request
+// (checkServed). A tolerance-0 answer and every BN answer must also
+// equal superacc.Sum. The seeds are the files under
+// testdata/fuzz/FuzzSelectAndSum (sizes at each threshold of onlyBN,
+// same-sign sets whose computed Cond is below 1, tolerances at the
+// data's own ST prediction); plain go test replays them.
+//
+// The input decodes as follows (bytes past the end read as 0):
+//
+//	data[0]     tolerance: %9 below 7 indexes bypassThresholds; 7 takes
+//	            the raw bits of data[1:9]; 8 takes the data's own ST
+//	            prediction, moved int8(data[1]) ulps
+//	data[9:12]  n, 24-bit little endian, mod 2^18+1; at least the
+//	            number of operands
+//	data[12]    low 7 bits %5: the fill after the operands, a gen.Spec
+//	            set of Cond {1, 1e4, 1e8, +Inf} and DynRange data[13]%48
+//	            seeded by data[13], or (4) the last operand repeated;
+//	            high bit: ProbabilisticPolicy instead of the heuristic
+//	data[14:]   operands, 8 little-endian bytes each
+func FuzzSelectAndSum(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, xs := decodeSelectSum(data)
+		for _, cached := range []bool{false, true} {
+			s.Cache = nil
+			if cached {
+				s.Cache = NewDecisionCache(CacheConfig{})
+			}
+			where := fmt.Sprintf("%T tol=%g n=%d cached=%v", s.Policy, s.Req.Tolerance, len(xs), cached)
+			got, sel, _ := checkServed(t, where, s, xs)
+			if sel.NonFinite || (s.Req.Tolerance != 0 && sel.Alg != sum.BinnedAlg) {
+				continue
+			}
+			if exact := superacc.Sum(xs); got != exact {
+				t.Errorf("%s: %v answered %x, exact %x", where, sel.Alg, fbits(got), fbits(exact))
+			}
+		}
+	})
+}
+
+// decodeSelectSum builds FuzzSelectAndSum's selector and data.
+func decodeSelectSum(data []byte) (*Selector, []float64) {
+	var hdr [14]byte
+	copy(hdr[:], data)
+	var ops []float64
+	for b := data[min(len(data), len(hdr)):]; len(b) >= 8; b = b[8:] {
+		ops = append(ops, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+	n := int(hdr[9]) | int(hdr[10])<<8 | int(hdr[11])<<16
+	xs := make([]float64, max(n%(1<<18+1), len(ops)))
+	copy(xs, ops)
+	if rest := xs[len(ops):]; len(rest) > 0 {
+		if fill := (hdr[12] & 0x7f) % 5; fill < 4 {
+			k := []float64{1, 1e4, 1e8, math.Inf(1)}[fill]
+			spec := gen.Spec{N: max(len(rest), 2), Cond: k, DynRange: int(hdr[13] % 48), Seed: uint64(hdr[13])}
+			copy(rest, spec.Generate())
+		} else if len(ops) > 0 {
+			for i := range rest {
+				rest[i] = ops[len(ops)-1]
+			}
+		}
+	}
+	s := &Selector{Policy: NewHeuristicPolicy()}
+	if hdr[12]&0x80 != 0 {
+		s.Policy = NewProbabilisticPolicy(0)
+	}
+	switch m := int(hdr[0] % 9); {
+	case m < len(bypassThresholds):
+		s.Req.Tolerance = bypassThresholds[m].tol
+	case m == 7:
+		s.Req.Tolerance = math.Float64frombits(binary.LittleEndian.Uint64(hdr[1:9]))
+	default:
+		tol := NewHeuristicPolicy().Predict(sum.StandardAlg, ProfileOf(xs))
+		steps, dir := int(int8(hdr[1])), math.Inf(1)
+		if steps < 0 {
+			steps, dir = -steps, math.Inf(-1)
+		}
+		for ; steps > 0; steps-- {
+			tol = math.Nextafter(tol, dir)
+		}
+		s.Req.Tolerance = tol
+	}
+	return s, xs
 }
 
 // wantProfile is the profile a selection must report: Profile{N: n}
@@ -211,7 +320,7 @@ func TestSelectorSumFusedEquivalence(t *testing.T) {
 		for _, tol := range []float64{1e-6, 1e-9, 1e-12, 1e-15, 0} {
 			s := New(tol)
 			got, sel := s.SelectAndSum(xs)
-			want, wantAlg := twoPassSum(s, xs)
+			want, wantAlg, _ := twoPassSum(s, xs)
 			if sel.Alg != wantAlg {
 				t.Errorf("%s tol=%g: fused chose %v, two-pass %v", name, tol, sel.Alg, wantAlg)
 				continue
@@ -290,7 +399,7 @@ func TestSelectAndSumParallelPolicies(t *testing.T) {
 			if sel.NonFinite != prof.NonFinite {
 				t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, prof.NonFinite)
 			}
-			want, wantAlg := twoPassSum(v.s, xs)
+			want, wantAlg, _ := twoPassSum(v.s, xs)
 			if sel.Alg != wantAlg {
 				t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
 				continue

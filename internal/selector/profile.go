@@ -16,9 +16,10 @@
 // and speculative: FusedProfileSum computes the profile
 // and the two cheapest candidate sums (ST and Neumaier) in one memory
 // pass, so when the policy settles on either, the answer is already in
-// hand and the data is never read twice (see fused.go); tolerance-0
-// requests under the analytic policies, which can only resolve to BN,
-// skip the profile and run the BN fold alone. An optional
+// hand and the data is never read twice (see fused.go); requests the
+// analytic policies can only resolve to BN (tolerance 0, and tight
+// tolerances under the heuristic at large enough n) skip the profile
+// and run the BN fold alone. An optional
 // quantized DecisionCache memoizes policy outcomes so steady-state
 // traffic skips policy evaluation entirely (see cache.go).
 package selector

@@ -28,8 +28,9 @@
 // profiled in one cheap pass (local, streaming, mergeable across ranks)
 // whose result picks the cheapest algorithm expected to stay within the
 // requirement; that pass also yields the ST and Neumaier answers. A
-// tolerance-0 request under the analytic policies skips the profile,
-// because only the exact BN answer can meet it.
+// request only the exact BN answer can meet skips the profile:
+// tolerance 0 under the analytic policies, and under the heuristic any
+// tolerance its ST prediction exceeds at n for every profile.
 //
 // Runtime.HierarchicalSum implements the paper's closing suggestion —
 // "apply cheaper but acceptably accurate reduction algorithms to

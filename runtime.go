@@ -12,8 +12,8 @@ import (
 // it owns a reproducibility requirement and a selection policy, and
 // answers each reduction with the cheapest algorithm expected to stay
 // within the requirement. A request is profiled first unless its
-// answer is known without a profile: tolerance-0 requests under the
-// analytic policies take the exact BN fold directly (see Sum).
+// answer is known without a profile: requests the analytic policies
+// can only resolve to BN take the exact BN fold directly (see Sum).
 type Runtime struct {
 	sel *selector.Selector
 }
@@ -71,9 +71,9 @@ func (rt *Runtime) CacheStats() (CacheStats, bool) {
 // Report describes one adaptive reduction: what was profiled, what was
 // chosen, and what the policy predicted.
 //
-// A tolerance-0 request under the analytic policies is answered by the
-// exact BN fold without a profile pass (see Runtime.Sum). Its report
-// holds Algorithm BN, Profile{N: n}, Predicted 0 and zero Bounds
+// A request the analytic policies can only resolve to BN is answered
+// by the exact BN fold without a profile pass (see Runtime.Sum). Its
+// report holds Algorithm BN, Profile{N: n}, Predicted 0 and zero Bounds
 // (Conclusive false); String says the profile was skipped.
 type Report struct {
 	Algorithm Algorithm
@@ -104,7 +104,7 @@ func (r Report) String() string {
 			r.Algorithm, r.Algorithm.FullName(), r.Profile)
 	}
 	if r.Bounds == (Bounds{}) {
-		return fmt.Sprintf("chose %s (%s) for n=%d (tolerance 0: exact sum, profile skipped)",
+		return fmt.Sprintf("chose %s (%s) for n=%d (exact sum, profile skipped: no cheaper rung meets the tolerance)",
 			r.Algorithm, r.Algorithm.FullName(), r.Profile.N)
 	}
 	return fmt.Sprintf("chose %s (%s) for %v (predicted variability %.3g)",
@@ -121,14 +121,19 @@ func (r Report) String() string {
 // read xs a second time, and every result is bit-identical to the
 // two-pass profile-then-sum route.
 //
-// At tolerance 0 the analytic policies (the default heuristic and the
-// bound-driven ProbabilisticPolicy) can only choose BN for data of two
-// or more finite operands, not all zero, so such requests skip the
-// profile: the BN fold runs first and its exact answer is returned when
-// it shows the input was of that kind — exact-zero sums of nonzero
-// operands included. The rest (empty, single, all-zero, non-finite, or
-// sums above 2^1000) take the full route. Bits, Algorithm and NonFinite
-// are those of the full route on every input.
+// Some requests can only resolve to BN for data of two or more finite
+// operands, not all zero: tolerance 0 under the analytic policies (the
+// default heuristic and the bound-driven ProbabilisticPolicy), and,
+// under the heuristic, any tolerance its ST prediction 2u·√n·k exceeds
+// at a floor under every condition number a profile of n values can
+// show (k = 1 - 2n·u, just below 1). With u = 2^-53 that is every n >= 20,282,410 at
+// 1e-12, n >= 202,825 at 1e-13, n >= 2,029 at 1e-14, n >= 21 at 1e-15
+// and every n >= 2 below 3.14e-16. Such requests skip the profile: the
+// BN fold runs first and its exact answer is returned when it shows the
+// input was of that kind — exact-zero sums of nonzero operands
+// included. The rest (empty, single, all-zero, non-finite, or sums
+// above 2^1000) take the full route. Bits, Algorithm and NonFinite are
+// those of the full route on every input.
 func (rt *Runtime) Sum(xs []float64) (float64, Report) {
 	v, sel := rt.sel.SelectAndSum(xs)
 	return v, reportOf(sel)

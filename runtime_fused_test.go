@@ -68,15 +68,15 @@ func runtimeCases() map[string][]float64 {
 // TestRuntimeSumFusedEquivalence pins the rewired Runtime.Sum bitwise
 // against the legacy two-pass semantics — result bits, Algorithm and
 // NonFinite — under the heuristic and probabilistic policies, with and
-// without the decision cache. A tolerance-0 request answered without a
-// profile must report the exact-bypass contract.
+// without the decision cache. A request answered without a profile
+// must be one only BN can meet and report the exact-bypass contract.
 func TestRuntimeSumFusedEquivalence(t *testing.T) {
 	policies := map[string]Policy{
 		"heuristic":     selector.NewHeuristicPolicy(),
 		"probabilistic": NewProbabilisticPolicy(0),
 	}
 	for name, xs := range runtimeCases() {
-		for _, tol := range []float64{1e-6, 1e-12, 0} {
+		for _, tol := range []float64{1e-6, 1e-12, 1e-15, 0} {
 			for pname, pol := range policies {
 				for _, cached := range []bool{false, true} {
 					opts := []Option{WithPolicy(pol)}
@@ -101,13 +101,16 @@ func TestRuntimeSumFusedEquivalence(t *testing.T) {
 					if prof.NonFinite && !math.IsInf(rep.Predicted, 1) {
 						t.Errorf("%s: poisoned report %+v", where, rep)
 					}
+					// Only BN can meet tolerance 0, and under the
+					// heuristic 1e-15 from n = 21 on.
+					onlyBN := tol == 0 || tol == 1e-15 && pname == "heuristic" && len(xs) >= 21
 					skipped := rep.Bounds == (Bounds{})
-					if skipped && (tol != 0 || rep.Algorithm != Binned || rep.Predicted != 0 ||
+					if skipped && (!onlyBN || rep.Algorithm != Binned || rep.Predicted != 0 ||
 						rep.Profile != (Profile{N: int64(len(xs))})) {
 						t.Errorf("%s: profile skipped outside the exact bypass: %+v", where, rep)
 					}
-					if tol == 0 && (name == "benign" || name == "illcond" || name == "tiny") && !skipped {
-						t.Errorf("%s: tolerance 0 did not take the exact bypass", where)
+					if onlyBN && (name == "benign" || name == "illcond" || name == "tiny" && tol == 0) && !skipped {
+						t.Errorf("%s: the request did not take the exact bypass", where)
 					}
 				}
 			}
