@@ -22,6 +22,7 @@ import (
 
 	"repro"
 	"repro/internal/gen"
+	"repro/internal/selector"
 	"repro/internal/superacc"
 )
 
@@ -47,7 +48,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rt := repro.New(*tol)
+	rt := repro.New(*tol, repro.WithPolicy(selector.NewHeuristicPolicy()))
 	exact := superacc.Sum(xs)
 	if *hier > 0 {
 		total, blocks := rt.HierarchicalSum(xs, *hier)

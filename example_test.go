@@ -6,8 +6,9 @@ import (
 	"repro"
 )
 
-// The intelligent runtime profiles the data and selects the cheapest
-// algorithm meeting the reproducibility tolerance.
+// The runtime serves the exact sum by default; under WithPolicy it
+// profiles the data and selects the cheapest algorithm meeting the
+// reproducibility tolerance.
 func ExampleNew() {
 	values := []float64{1e16, 3.25, -1e16, 1.25}
 	rt := repro.New(0) // bitwise reproducibility required

@@ -48,13 +48,12 @@ func main() {
 		return v, ok
 	})
 
-	// The same choice falls out of the one-shot serial entry point: at a
+	// The same answer falls out of the one-shot serial entry point: at a
 	// bitwise tolerance the selector lands on BN, the cheapest
 	// reproducible rung — order-invariant bits at a fraction of PR's
-	// cost — instead of escalating all the way to PR.
-	total, rep := repro.SelectAndSum(0, global)
-	fmt.Printf("\nserial SelectAndSum(tolerance 0): sum = %+.17e via %s (reproducible: %v)\n",
-		total, rep.Algorithm, rep.Algorithm.Reproducible())
+	// cost — and BN is the engine behind ExactSum.
+	total := repro.ExactSum(global)
+	fmt.Printf("\nserial ExactSum (the BN engine): sum = %+.17e\n", total)
 }
 
 // runMany repeats the reduction with per-run jitter seeds and prints

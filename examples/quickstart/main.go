@@ -26,10 +26,13 @@ func main() {
 	fmt.Printf("\ncondition number: %.3g, dynamic range: %d bits\n",
 		repro.CondNumber(values), repro.DynRange(values))
 
-	// The intelligent runtime profiles the data and picks the cheapest
-	// algorithm meeting the tolerance.
+	// By default the runtime serves the exact sum at any tolerance;
+	// under a policy it profiles the data and picks the cheapest
+	// algorithm meeting the tolerance — the paper's selection.
+	total, report := repro.New(1e-6).Sum(values)
+	fmt.Printf("\nruntime default:        %.17g (%s)\n", total, report.Algorithm)
 	for _, tol := range []float64{1e-6, 1e-15, 0} {
-		rt := repro.New(tol)
+		rt := repro.New(tol, repro.WithPolicy(repro.NewProbabilisticPolicy(0)))
 		total, report := rt.Sum(values)
 		fmt.Printf("tolerance %-6g -> %-2s  sum = %.17g\n",
 			tol, report.Algorithm, total)

@@ -15,7 +15,7 @@
 //     message-passing runtime with nondeterministic collectives;
 //   - data profiling (n, condition number, dynamic range) and the
 //     intelligent runtime that picks the cheapest algorithm meeting an
-//     application-specified reproducibility tolerance (New, Runtime);
+//     application-specified reproducibility tolerance (New, WithPolicy);
 //   - the exact, correctly rounded sum (ExactSum), served by the BN
 //     engine;
 //   - a deterministic chunked parallel engine (ParallelSum) whose
@@ -24,25 +24,30 @@
 //
 // The Runtime is the paper's proposal made deployable: data-aware,
 // requirement-driven selection of reduction algorithms. A Runtime owns
-// a reproducibility requirement and a selection policy. A reduction is
-// profiled in one cheap pass (local, streaming, mergeable across ranks)
-// whose result picks the cheapest algorithm expected to stay within the
-// requirement; that pass also yields the ST and Neumaier answers. A
-// request only the exact BN answer can meet skips the profile:
-// tolerance 0 under the analytic policies, and under the heuristic any
-// tolerance its ST prediction exceeds at n for every profile.
+// a reproducibility requirement. Without a policy it serves the exact
+// BN answer, which meets every requirement and costs less than the
+// profile pass selection needs. WithPolicy turns selection on: a
+// reduction is profiled in one cheap pass (local, streaming, mergeable
+// across ranks) whose result picks the cheapest algorithm expected to
+// stay within the requirement; that pass also yields the ST and
+// Neumaier answers. A request only the exact BN answer can meet skips
+// the profile: tolerance 0 under the analytic policies, and under the
+// heuristic any tolerance its ST prediction exceeds at n for every
+// profile.
 //
 // Runtime.HierarchicalSum implements the paper's closing suggestion —
 // "apply cheaper but acceptably accurate reduction algorithms to
 // subtrees based on the profile": the operand set is partitioned into
 // blocks, each block is profiled and reduced with its own
-// cheapest-acceptable algorithm, and the per-block partial sums (now
-// few) are combined with a reproducible operator.
+// cheapest-acceptable algorithm (under WithPolicy), and the per-block
+// partial sums (now few) are combined with a reproducible operator.
 //
 // Quick start:
 //
 //	rt := repro.New(1e-12)            // tolerated relative variability
-//	total, report := rt.Sum(values)   // profiles, selects, sums
+//	total, report := rt.Sum(values)   // the exact sum, no profile
+//	sel := repro.New(1e-12, repro.WithPolicy(repro.NewProbabilisticPolicy(0)))
+//	total, report = sel.Sum(values)   // profiles, selects, sums
 //	fmt.Println(total, report)
 package repro
 
@@ -117,15 +122,6 @@ func ComputeBounds(p Profile, lambda float64) Bounds {
 // CacheStats is an observability snapshot of a decision cache: hits,
 // misses, and current occupancy.
 type CacheStats = selector.CacheStats
-
-// SelectAndSum is the one-shot fused serving call: a single pass over xs
-// profiles the data and speculatively computes the cheap candidate sums,
-// the policy picks the cheapest algorithm meeting tolerance, and only a
-// selection beyond ST/Neumaier reads xs a second time. Equivalent to
-// New(tolerance).Sum(xs), minus the Runtime setup.
-func SelectAndSum(tolerance float64, xs []float64) (float64, Report) {
-	return New(tolerance).Sum(xs)
-}
 
 // Sum computes the sum of xs with the given algorithm.
 func Sum(alg Algorithm, xs []float64) float64 { return alg.Sum(xs) }

@@ -6,6 +6,7 @@ import (
 
 	"repro"
 	"repro/internal/fpu"
+	"repro/internal/selector"
 	"repro/internal/superacc"
 )
 
@@ -141,11 +142,14 @@ func TestPublicParallelSum(t *testing.T) {
 
 func TestPublicSelectAndSum(t *testing.T) {
 	xs := []float64{3.5, -3.5, 1.25, 2.75}
-	got, rep := repro.SelectAndSum(1e-9, xs)
-	want, wantRep := repro.New(1e-9).Sum(xs)
-	if math.Float64bits(got) != math.Float64bits(want) || rep.Algorithm != wantRep.Algorithm {
-		t.Errorf("SelectAndSum = %g/%v, Runtime.Sum = %g/%v",
-			got, rep.Algorithm, want, wantRep.Algorithm)
+	got, rep := repro.New(1e-9, repro.WithPolicy(selector.NewHeuristicPolicy())).Sum(xs)
+	if got != 4 || rep.Algorithm != repro.Standard || rep.Profile.N != 4 || rep.Profile.Cond() != 2.75 {
+		t.Errorf("selection = %g/%v for %v, want 4 by ST for k=2.75", got, rep.Algorithm, rep.Profile)
+	}
+	// Without a policy the same request gets the exact sum, unprofiled.
+	got, rep = repro.New(1e-9).Sum(xs)
+	if got != 4 || rep.Algorithm != repro.Binned || rep.Profile != (repro.Profile{N: 4}) {
+		t.Errorf("default = %g/%v for %v, want 4 by BN, profile skipped", got, rep.Algorithm, rep.Profile)
 	}
 }
 
@@ -154,11 +158,12 @@ func TestPublicDecisionCache(t *testing.T) {
 	for i := range xs {
 		xs[i] = 1 / float64(i+1)
 	}
-	if _, ok := repro.New(1e-9).CacheStats(); ok {
+	heuristic := repro.WithPolicy(selector.NewHeuristicPolicy())
+	if _, ok := repro.New(1e-9, heuristic).CacheStats(); ok {
 		t.Error("CacheStats reported a cache that was never attached")
 	}
-	rt := repro.New(1e-9, repro.WithDecisionCache(256))
-	base, baseRep := repro.New(1e-9).Sum(xs)
+	rt := repro.New(1e-9, heuristic, repro.WithDecisionCache(256))
+	base, baseRep := repro.New(1e-9, heuristic).Sum(xs)
 	var got float64
 	var rep repro.Report
 	for i := 0; i < 3; i++ {
@@ -175,7 +180,7 @@ func TestPublicDecisionCache(t *testing.T) {
 	if r := st.HitRate(); r <= 0 || r >= 1 {
 		t.Errorf("hit rate = %g", r)
 	}
-	cfg := repro.New(1e-9, repro.WithDecisionCache(32))
+	cfg := repro.New(1e-9, heuristic, repro.WithDecisionCache(32))
 	if v, _ := cfg.Sum(xs); math.Float64bits(v) != math.Float64bits(base) {
 		t.Error("configured cache changed serving bits")
 	}

@@ -8,34 +8,35 @@ import (
 	"repro/internal/sum"
 )
 
-// Runtime is the intelligent reduction runtime (the paper's proposal):
-// it owns a reproducibility requirement and a selection policy, and
-// answers each reduction with the cheapest algorithm expected to stay
-// within the requirement. A request is profiled first unless its
-// answer is known without a profile: requests the analytic policies
-// can only resolve to BN take the exact BN fold directly (see Sum).
+// Runtime is the intelligent reduction runtime (the paper's proposal).
+// Without a policy it serves every request with the exact BN answer;
+// under WithPolicy it answers each with the cheapest algorithm the
+// policy expects to stay within the requirement (see Sum).
 type Runtime struct {
-	sel *selector.Selector
+	sel       *selector.Selector // at tolerance 0 until WithPolicy
+	tolerance float64
 }
 
 // Option configures a Runtime (see WithPolicy, WithDecisionCache).
 type Option func(*Runtime)
 
-// WithPolicy substitutes the Runtime's selection policy: the analytic
-// default can be replaced by the bound-driven ProbabilisticPolicy (see
-// NewProbabilisticPolicy) or by any other Policy implementation.
+// WithPolicy turns on selection under p: each request is profiled and
+// summed with the cheapest algorithm p expects to meet the tolerance.
+// p can be NewProbabilisticPolicy's, selector.NewHeuristicPolicy() or
+// any other Policy.
 func WithPolicy(p Policy) Option {
-	return func(rt *Runtime) { rt.sel.Policy = p }
+	return func(rt *Runtime) { rt.sel.Policy, rt.sel.Req.Tolerance = p, rt.tolerance }
 }
 
 // WithDecisionCache attaches a quantized decision cache (capacity in
-// entries; <= 0 selects the default 4096): selection decisions are
-// memoized per (tolerance, condition, size, dynamic-range) bucket, so
-// steady-state traffic skips policy evaluation entirely. Each bucket's
-// decision is computed once from the bucket's conservative canonical
-// representative, making cached selection a deterministic pure function
-// of the data's profile — independent of request order, concurrency, and
-// evictions. Inspect hit rates with Runtime.CacheStats.
+// entries; <= 0 selects the default 4096) to selection under
+// WithPolicy: decisions are memoized per (tolerance, condition, size,
+// dynamic-range) bucket, so steady-state traffic skips policy
+// evaluation entirely. Each bucket's decision is computed once from the
+// bucket's conservative canonical representative, making cached
+// selection a deterministic pure function of the data's profile —
+// independent of request order, concurrency, and evictions. Inspect hit
+// rates with Runtime.CacheStats.
 func WithDecisionCache(capacity int) Option {
 	return func(rt *Runtime) {
 		rt.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: capacity})
@@ -44,8 +45,9 @@ func WithDecisionCache(capacity int) Option {
 
 // New returns a Runtime that keeps the relative run-to-run variability
 // of its reductions within tolerance; 0 demands bitwise reproducibility.
+// Without WithPolicy it meets every tolerance with the exact answer.
 func New(tolerance float64, opts ...Option) *Runtime {
-	rt := &Runtime{sel: selector.New(tolerance)}
+	rt := &Runtime{sel: selector.New(0), tolerance: tolerance}
 	for _, o := range opts {
 		o(rt)
 	}
@@ -53,11 +55,11 @@ func New(tolerance float64, opts ...Option) *Runtime {
 }
 
 // Selector exposes the underlying selector (for distributed use via
-// selector.AdaptiveReduce).
+// selector.AdaptiveReduce). Without a policy it serves at tolerance 0.
 func (rt *Runtime) Selector() *selector.Selector { return rt.sel }
 
 // Tolerance returns the configured variability tolerance.
-func (rt *Runtime) Tolerance() float64 { return rt.sel.Req.Tolerance }
+func (rt *Runtime) Tolerance() float64 { return rt.tolerance }
 
 // CacheStats snapshots the decision cache's hit/miss/occupancy counters;
 // ok is false when no cache is attached (see WithDecisionCache).
@@ -71,10 +73,9 @@ func (rt *Runtime) CacheStats() (CacheStats, bool) {
 // Report describes one adaptive reduction: what was profiled, what was
 // chosen, and what the policy predicted.
 //
-// A request the analytic policies can only resolve to BN is answered
-// by the exact BN fold without a profile pass (see Runtime.Sum). Its
-// report holds Algorithm BN, Profile{N: n}, Predicted 0 and zero Bounds
-// (Conclusive false); String says the profile was skipped.
+// A request answered by the exact BN fold without a profile pass (see
+// Runtime.Sum) reports Algorithm BN, Profile{N: n}, Predicted 0 and
+// zero Bounds (Conclusive false); String says the profile was skipped.
 type Report struct {
 	Algorithm Algorithm
 	Profile   Profile
@@ -104,36 +105,34 @@ func (r Report) String() string {
 			r.Algorithm, r.Algorithm.FullName(), r.Profile)
 	}
 	if r.Bounds == (Bounds{}) {
-		return fmt.Sprintf("chose %s (%s) for n=%d (exact sum, profile skipped: no cheaper rung meets the tolerance)",
+		return fmt.Sprintf("chose %s (%s) for n=%d (exact sum, profile skipped)",
 			r.Algorithm, r.Algorithm.FullName(), r.Profile.N)
 	}
 	return fmt.Sprintf("chose %s (%s) for %v (predicted variability %.3g)",
 		r.Algorithm, r.Algorithm.FullName(), r.Profile, r.Predicted)
 }
 
-// Sum profiles xs, selects the cheapest acceptable algorithm, and sums.
-// When the prerounded operator is selected its fold budget is tuned to
-// the tolerance (selector.TunePR) — the paper's precision-tuning idea
-// applied to the one algorithm with a precision knob.
+// Sum sums xs. Without a policy it returns the exact sum as New(0)
+// does: bits, Algorithm, NonFinite and Profile are New(0)'s at every
+// tolerance, and finite, non-degenerate data takes the BN fold with no
+// profile pass (0.81 ms for 1M values on a 2-vCPU Xeon, against 2.71 ms
+// for a profile pass that selects ST; BENCH_selector).
 //
-// The pass is fused and speculative (selector.SelectAndSum): profiling
-// already yields the ST and Neumaier answers, so those selections never
-// read xs a second time, and every result is bit-identical to the
-// two-pass profile-then-sum route.
+// Under WithPolicy, Sum profiles xs, selects the cheapest acceptable
+// algorithm, and sums; a PR selection runs with its fold budget tuned
+// to the tolerance (selector.TunePR). The pass is fused and speculative
+// (selector.SelectAndSum): profiling already yields the ST and Neumaier
+// answers, so those selections never read xs a second time, and every
+// result is bit-identical to the two-pass profile-then-sum route.
 //
-// Some requests can only resolve to BN for data of two or more finite
-// operands, not all zero: tolerance 0 under the analytic policies (the
-// default heuristic and the bound-driven ProbabilisticPolicy), and,
-// under the heuristic, any tolerance its ST prediction 2u·√n·k exceeds
-// at a floor under every condition number a profile of n values can
-// show (k = 1 - 2n·u, just below 1). With u = 2^-53 that is every n >= 20,282,410 at
-// 1e-12, n >= 202,825 at 1e-13, n >= 2,029 at 1e-14, n >= 21 at 1e-15
-// and every n >= 2 below 3.14e-16. Such requests skip the profile: the
-// BN fold runs first and its exact answer is returned when it shows the
-// input was of that kind — exact-zero sums of nonzero operands
-// included. The rest (empty, single, all-zero, non-finite, or sums
-// above 2^1000) take the full route. Bits, Algorithm and NonFinite are
-// those of the full route on every input.
+// Requests only BN can meet skip the profile: tolerance 0 under the
+// analytic policies, and under the heuristic any tolerance its ST
+// prediction exceeds at n for every profile (n >= 202,825 at 1e-13,
+// n >= 21 at 1e-15; see selector.Selector.SelectAndSum). The BN fold
+// runs first; its answer is returned unless the input is empty, single,
+// all-zero, non-finite or sums above 2^1000, which take the full route.
+// Bits, Algorithm and NonFinite are those of the full route on every
+// input.
 func (rt *Runtime) Sum(xs []float64) (float64, Report) {
 	v, sel := rt.sel.SelectAndSum(xs)
 	return v, reportOf(sel)
@@ -162,17 +161,16 @@ type BlockReport struct {
 }
 
 // HierarchicalSum implements subtree-level selection: xs is split into
-// blocks of blockSize (<= 0 selects 4096), each block is profiled
-// independently and reduced with its own cheapest acceptable algorithm,
-// and the block partials are combined with the cheapest reproducible
-// operator on the ladder (sum.CheapestReproducible — the binned rung) so
-// the combination step never reintroduces order sensitivity.
+// blocks of blockSize (<= 0 selects 4096), each block is summed by Sum
+// (exactly without a policy), and the block partials are combined with
+// the cheapest reproducible operator on the ladder
+// (sum.CheapestReproducible — the binned rung) so the combination step
+// never reintroduces order sensitivity.
 //
-// Blocks whose local data is benign (same sign, narrow range) get the
-// cheap operator even when the global set is hostile — the cost saving
-// the paper's Section V-D argues for.
-//
-// Caveat: the tolerance contract applies per block. When blocks cancel
+// Under WithPolicy, blocks whose local data is benign (same sign,
+// narrow range) get the cheap operator even when the global set is
+// hostile — the cost saving the paper's Section V-D argues for. The
+// tolerance contract then applies per block: when blocks cancel
 // strongly against each other, the global relative error can exceed the
 // per-block tolerance by the ratio of global to block condition
 // numbers; use Sum (whole-set profiling) when the contract must hold

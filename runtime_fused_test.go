@@ -124,11 +124,12 @@ func TestRuntimeSumFusedEquivalence(t *testing.T) {
 // selections.
 func TestRuntimeDecisionCache(t *testing.T) {
 	xs := gen.Spec{N: 30000, Cond: 1, DynRange: 8, Seed: 84}.Generate()
-	plain := New(1e-9)
+	heuristic := WithPolicy(selector.NewHeuristicPolicy())
+	plain := New(1e-9, heuristic)
 	if _, ok := plain.CacheStats(); ok {
 		t.Error("cache stats reported with no cache attached")
 	}
-	rt := New(1e-9, WithDecisionCache(128))
+	rt := New(1e-9, heuristic, WithDecisionCache(128))
 	vPlain, _ := plain.Sum(xs)
 	var vCached float64
 	for i := 0; i < 5; i++ {
@@ -148,7 +149,7 @@ func TestRuntimeDecisionCache(t *testing.T) {
 	// A small cache set directly on the selector (at a nonzero
 	// tolerance: tolerance 0 takes the exact bypass, which never
 	// consults the cache).
-	small := New(1e-9)
+	small := New(1e-9, heuristic)
 	small.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: 64})
 	r1, _ := small.Sum(xs)
 	r2, _ := small.Sum(xs)
@@ -167,7 +168,7 @@ func TestRuntimeCachedSumDeterministicAcrossHistory(t *testing.T) {
 	a := gen.Spec{N: 4000, Cond: 1.1e5, DynRange: 16, Seed: 85}.Generate()
 	b := gen.Spec{N: 4000, Cond: 1.4e5, DynRange: 16, Seed: 86}.Generate()
 	run := func(order [][]float64) [2]uint64 {
-		rt := New(1e-12, WithDecisionCache(64))
+		rt := New(1e-12, WithPolicy(selector.NewHeuristicPolicy()), WithDecisionCache(64))
 		var va, vb float64
 		for _, xs := range order {
 			v, _ := rt.Sum(xs)

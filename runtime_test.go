@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	"repro/internal/gen"
 	"repro/internal/selector"
 	"repro/internal/sum"
+	"repro/internal/superacc"
 )
 
 func TestRuntimeSumPicksCheapOnEasyData(t *testing.T) {
-	rt := New(1e-9)
+	rt := New(1e-9, WithPolicy(selector.NewHeuristicPolicy()))
 	xs := gen.Spec{N: 1024, Cond: 1, DynRange: 4, Seed: 1}.Generate()
 	v, rep := rt.Sum(xs)
 	if rep.Algorithm != sum.StandardAlg {
@@ -67,7 +69,7 @@ func TestHierarchicalSumSavesCost(t *testing.T) {
 			xs = append(xs, gen.SumZeroSeries(block, 32, uint64(b))...)
 		}
 	}
-	rt := New(1e-10)
+	rt := New(1e-10, WithPolicy(selector.NewHeuristicPolicy()))
 	_, whole := rt.Sum(xs)
 	got, blocks := rt.HierarchicalSum(xs, block)
 	if len(blocks) != 8 {
@@ -111,7 +113,7 @@ func TestHierarchicalBlockOrderInvariance(t *testing.T) {
 	for b := range blocksData {
 		blocksData[b] = gen.Spec{N: block, Cond: 1e4, DynRange: 16, Seed: uint64(20 + b)}.Generate()
 	}
-	rt := New(1e-8)
+	rt := New(1e-8, WithPolicy(selector.NewHeuristicPolicy()))
 	assemble := func(order []int) []float64 {
 		var xs []float64
 		for _, b := range order {
@@ -209,5 +211,70 @@ func TestRuntimeSumNonFiniteFallback(t *testing.T) {
 	v3, rep3 := New(0).Sum(ys)
 	if !math.IsInf(v3, 1) || rep3.Algorithm != sum.StandardAlg {
 		t.Errorf("t=0 runtime: %g via %v", v3, rep3.Algorithm)
+	}
+}
+
+// TestDefaultServesExact pins the Runtime without a policy to New(0) at
+// every tolerance: bits, Algorithm, NonFinite and Profile, with and
+// without a decision cache. Every finite answer is the oracle's
+// correctly rounded sum, and finite, non-degenerate data is never
+// profiled.
+func TestDefaultServesExact(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	inputs := map[string][]float64{
+		"empty":     nil,
+		"single":    {-2.5},
+		"allzero":   {0, 0, 0},
+		"allnegz":   {negZero, negZero, negZero},
+		"nan":       {1, math.NaN(), 2},
+		"posinf":    {1, inf, 2},
+		"neginf":    {-inf, 3},
+		"infmin":    {inf, 1, -inf},
+		"above1000": {0x1.8p1000, 0x1p1000, -0x1p-60},
+	}
+	var cells []string
+	for _, n := range []int{2, 21, 1024, 65536} {
+		for _, k := range []float64{1, 1e4, 1e8, math.Inf(1)} {
+			for _, dr := range []int{0, 16, 32} {
+				spec := gen.Spec{N: n, Cond: k, DynRange: dr, Seed: uint64(n) + uint64(dr)}
+				inputs[spec.String()] = spec.Generate()
+				cells = append(cells, spec.String())
+			}
+		}
+	}
+	for name, xs := range inputs {
+		exact := superacc.Sum(xs)
+		for _, cached := range []bool{false, true} {
+			var opts []Option
+			if cached {
+				opts = append(opts, WithDecisionCache(0))
+			}
+			want, wantRep := New(0, opts...).Sum(xs)
+			for _, tol := range []float64{1e-3, 1e-9, 1e-13, 1e-15, 3e-16, 0} {
+				where := fmt.Sprintf("%s cached=%v tol=%g", name, cached, tol)
+				rt := New(tol, opts...)
+				if rt.Tolerance() != tol {
+					t.Errorf("%s: Tolerance() = %g", where, rt.Tolerance())
+				}
+				got, rep := rt.Sum(xs)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: %x, New(0) %x", where, math.Float64bits(got), math.Float64bits(want))
+				}
+				if !math.IsInf(got, 0) && !math.IsNaN(got) && math.Float64bits(got) != math.Float64bits(exact) {
+					t.Errorf("%s: %g, exact %g", where, got, exact)
+				}
+				if rep.Algorithm != wantRep.Algorithm || rep.NonFinite != wantRep.NonFinite || rep.Profile != wantRep.Profile {
+					t.Errorf("%s: report %+v, New(0) %+v", where, rep, wantRep)
+				}
+			}
+		}
+	}
+	for _, name := range cells {
+		_, rep := New(1e-3).Sum(inputs[name])
+		if rep.Algorithm != sum.BinnedAlg || rep.Profile != (Profile{N: int64(len(inputs[name]))}) ||
+			!strings.Contains(rep.String(), "exact sum, profile skipped") {
+			t.Errorf("%s: the default profiled finite data: %v", name, rep)
+		}
 	}
 }
