@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-json artifacts calibrate-quick serve-check clean
+.PHONY: build test verify bench bench-json artifacts serve-check clean
 
 build:
 	$(GO) build ./...
@@ -49,13 +49,13 @@ test:
 # fold, ST/PW from a +0 start on all-zero data), and the BN pass the
 # algorithm table (every sum row's names, cost order, reproducible flag
 # and out-of-range panics).
-# The final step is the binned performance gate: a fresh measurement of
+# Then comes the binned performance gate: a fresh measurement of
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
 # envelope around the <=2x target, see BENCH_binned.json).
-# calibrate-quick is the calibration smoke pass at the end: a
-# seconds-scale host calibration written, drift-checked against fresh
-# probes (bitwise for accuracy), and removed.
+# After serve-check, the last step refits the collective selection
+# table from the recorded BENCH_mpirt.json (treesim -refit), so that
+# path runs end to end.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -63,14 +63,14 @@ verify:
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag|Pool|ColdWorld' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector ./internal/superacc
-	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|DefaultServesExact|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
+	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|DefaultServesExact|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
 	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \
 		| $(GO) run ./cmd/benchjson -ratio 'BenchmarkBinnedVsAlternatives1M/binned,BenchmarkBinnedVsAlternatives1M/stkernel' -max 2.2
 	$(MAKE) serve-check
-	$(MAKE) calibrate-quick
+	$(GO) run ./cmd/treesim -refit BENCH_mpirt.json >/dev/null
 
 # serve-check boots the aggregation server on a random port and gates
 # the reduction-as-a-service path: the arrival-order-invariance pin
@@ -82,17 +82,6 @@ verify:
 # `go run ./cmd/benchjson -compare -threshold 15 old.json BENCH_serve.json`.
 serve-check:
 	$(GO) test -v -run TestServeCheck ./internal/aggsrv -servecheck
-
-# calibrate-quick measures and checks a host calibration in seconds:
-# a small-envelope host sweep (cmd/calibrate -quick), an immediate
-# drift check of the written artifact (accuracy probes re-derive their
-# cell seeds and must match bitwise; cost probes get the default 4x
-# noise allowance), then cleanup. A full calibration is
-# `go run ./cmd/calibrate -out host.reprocal`.
-calibrate-quick:
-	$(GO) run ./cmd/calibrate -quick -out .calibrate-quick.reprocal
-	$(GO) run ./cmd/calibrate -check .calibrate-quick.reprocal
-	rm -f .calibrate-quick.reprocal
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -12,9 +12,16 @@
 //
 //	treesim -n 8192 -collective rabenseifner -ranks 256
 //	treesim -n 8192 -collective auto -ranks 1024   # selection table picks
+//
+// With -refit, treesim instead refits the collective-topology selection
+// table from a recorded BENCH_mpirt.json (the measured analogue of the
+// α-β-γ model's table) and prints the refit table:
+//
+//	treesim -refit BENCH_mpirt.json
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -42,7 +49,15 @@ func main() {
 	collective := flag.String("collective", "",
 		"reduce over an mpirt collective instead of permuted trees: binomial, binary, chain, flat, rabenseifner, rsag, dtree, or auto (selection table)")
 	ranks := flag.Int("ranks", 64, "mpirt world size for -collective")
+	refit := flag.String("refit", "", "refit the collective selection table from a BENCH_mpirt.json and print it, instead of simulating")
 	flag.Parse()
+	if *refit != "" {
+		if err := runRefit(*refit); err != nil {
+			fmt.Fprintln(os.Stderr, "treesim:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	k := math.Inf(1)
 	if *kStr != "inf" {
@@ -51,6 +66,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	spec := gen.Spec{N: *n, Cond: k, DynRange: *dr, Seed: *seed}
+	if err := checkFlags(spec, *ranks, *trees); err != nil {
+		fmt.Fprintln(os.Stderr, "treesim:", err)
+		os.Exit(2)
+	}
+
 	var shape tree.Shape
 	switch *shapeStr {
 	case "balanced":
@@ -68,7 +89,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	xs := gen.Spec{N: *n, Cond: k, DynRange: *dr, Seed: *seed}.Generate()
+	xs := spec.Generate()
 	ref := bigref.SumFloat64(xs)
 	fmt.Printf("workload: n=%d measured k=%.3g dr=%d; exact sum %.17g\n",
 		*n, metrics.CondNumber(xs), metrics.DynRange(xs), ref)
@@ -165,4 +186,54 @@ func runCollective(name string, ranks, trials int, seed uint64, xs []float64, re
 	fmt.Print(textplot.Boxplot("error magnitude per world", labels, stats, 60))
 	fmt.Println()
 	fmt.Print(textplot.Table([]string{"alg", "max err", "stddev", "distinct results"}, rows))
+}
+
+// checkFlags rejects values no run can use: a workload the generator
+// cannot build (-n, -k, -dr), a world without ranks, or a spread
+// without trials.
+func checkFlags(spec gen.Spec, ranks, trees int) error {
+	switch {
+	case ranks < 1:
+		return fmt.Errorf("-ranks %d: need at least 1 rank", ranks)
+	case trees < 1:
+		return fmt.Errorf("-trees %d: need at least 1 tree", trees)
+	}
+	return spec.Validate()
+}
+
+// benchReport mirrors the benchjson document shape (cmd/benchjson's
+// Report) closely enough to pull collective samples out of it.
+type benchReport struct {
+	Results []struct {
+		Name    string  `json:"name"`
+		NsPerOp float64 `json:"ns_per_op"`
+	} `json:"results"`
+}
+
+// runRefit refits the default machine's selection table from the
+// collective samples recorded in a BENCH_mpirt.json and prints it.
+func runRefit(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var rep benchReport
+	if err := json.NewDecoder(f).Decode(&rep); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	var samples []mpirt.TopoSample
+	for _, r := range rep.Results {
+		if s, ok := mpirt.ParseBenchSample(r.Name, r.NsPerOp); ok {
+			samples = append(samples, s)
+		}
+	}
+	if len(samples) == 0 {
+		return fmt.Errorf("%s: no collective benchmark samples", path)
+	}
+	table := mpirt.NewSelectionTable(mpirt.DefaultMachine())
+	refit, n := table.Refit(samples)
+	fmt.Printf("%d collective samples, %d selection cells refit from measurement\n", len(samples), n)
+	fmt.Print(refit.String())
+	return nil
 }

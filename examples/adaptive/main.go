@@ -1,19 +1,21 @@
-// Adaptive distributed reduction: 32 simulated ranks hold chunks of a
-// global vector and reduce it with arrival-order (nondeterministic)
-// collectives — the exascale scenario of the paper. A fixed ST operator
-// gives a different answer on every run; the intelligent runtime
-// profiles the data with one cheap AllReduce, all ranks agree on the
-// cheapest acceptable operator, and the global sum becomes stable.
+// Distributed reduction under nondeterministic arrival order: 32
+// simulated ranks hold chunks of a global vector and reduce it with an
+// arrival-order binomial collective — the exascale scenario of the
+// paper, where the merge order changes from run to run. A plain ST
+// operator gives a different answer on different runs; the binned (BN)
+// operator gives the same bits on every run, in one collective round,
+// and they are the bits of the serial exact sum.
 package main
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro"
 	"repro/internal/gen"
 	"repro/internal/mpirt"
-	"repro/internal/selector"
+	"repro/internal/reduce"
 	"repro/internal/sum"
 )
 
@@ -33,33 +35,21 @@ func main() {
 
 	fmt.Printf("global vector: %d values over %d ranks, exact sum 0\n\n", len(global), ranks)
 
-	fmt.Println("fixed ST operator, arrival-order binomial reduce:")
-	runMany(chunks, func(r *mpirt.Rank) (float64, bool) {
-		return r.ReduceSum(0, chunks[r.ID], sum.StandardAlg.Op(), mpirt.Binomial, mpirt.ArrivalOrder)
-	})
+	fmt.Println("ST operator, arrival-order binomial reduce:")
+	runMany(chunks, sum.StandardAlg.Op())
 
-	fmt.Println("\nintelligent runtime (tolerance 0 = bitwise), same nondeterministic collectives:")
-	sel := selector.New(0)
-	runMany(chunks, func(r *mpirt.Rank) (float64, bool) {
-		v, alg, ok := selector.AdaptiveReduce(r, 0, chunks[r.ID], sel, mpirt.Binomial, mpirt.ArrivalOrder)
-		if ok {
-			fmt.Printf("  (ranks agreed on %s)", alg)
-		}
-		return v, ok
-	})
+	fmt.Println("\nBN operator, same nondeterministic collectives:")
+	bn := runMany(chunks, sum.BinnedAlg.Op())
 
-	// The same answer falls out of the one-shot serial entry point: at a
-	// bitwise tolerance the selector lands on BN, the cheapest
-	// reproducible rung — order-invariant bits at a fraction of PR's
-	// cost — and BN is the engine behind ExactSum.
 	total := repro.ExactSum(global)
-	fmt.Printf("\nserial ExactSum (the BN engine): sum = %+.17e\n", total)
+	fmt.Printf("\nserial ExactSum (the BN engine): sum = %+.17e; bitwise equal to the BN reduce: %v\n",
+		total, len(bn) == 1 && bn[math.Float64bits(total)])
 }
 
-// runMany repeats the reduction with per-run jitter seeds and prints
-// each run's root result.
-func runMany(chunks [][]float64, body func(*mpirt.Rank) (float64, bool)) {
-	distinct := map[float64]bool{}
+// runMany repeats the reduction with per-run jitter seeds, prints each
+// run's root result and returns the set of distinct result bits.
+func runMany(chunks [][]float64, op reduce.Op) map[uint64]bool {
+	distinct := map[uint64]bool{}
 	for run := 0; run < runs; run++ {
 		w := mpirt.NewWorld(len(chunks), mpirt.Config{
 			Jitter: 200 * time.Microsecond,
@@ -67,14 +57,15 @@ func runMany(chunks [][]float64, body func(*mpirt.Rank) (float64, bool)) {
 		})
 		var got float64
 		if err := w.Run(func(r *mpirt.Rank) {
-			if v, ok := body(r); ok {
+			if v, ok := r.ReduceSum(0, chunks[r.ID], op, mpirt.Binomial, mpirt.ArrivalOrder); ok {
 				got = v
 			}
 		}); err != nil {
 			panic(err)
 		}
-		distinct[got] = true
+		distinct[math.Float64bits(got)] = true
 		fmt.Printf("  run %d: sum = %+.17e\n", run+1, got)
 	}
 	fmt.Printf("  -> %d distinct result(s) across %d runs\n", len(distinct), runs)
+	return distinct
 }

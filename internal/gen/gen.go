@@ -42,20 +42,26 @@ func (s Spec) String() string {
 	return fmt.Sprintf("n=%d k=%g dr=%d", s.N, s.Cond, s.DynRange)
 }
 
-// Generate builds the operand set. It panics on invalid specs (N < 2,
-// Cond < 1, negative DynRange, or exponents outside the float64 range).
+// Validate reports why Generate cannot build the spec: N < 2, Cond < 1
+// or NaN, negative DynRange, or exponents outside the float64 range.
+func (s Spec) Validate() error {
+	switch {
+	case s.N < 2:
+		return fmt.Errorf("gen: n = %d, need at least 2 values", s.N)
+	case s.Cond < 1 || math.IsNaN(s.Cond):
+		return fmt.Errorf("gen: k = %g, need a condition number >= 1 (or +Inf)", s.Cond)
+	case s.DynRange < 0:
+		return fmt.Errorf("gen: dr = %d, need a dynamic range >= 0", s.DynRange)
+	case s.BaseExp < -1000 || s.BaseExp+s.DynRange > 1000:
+		return fmt.Errorf("gen: exponents %d..%d outside [-1000, 1000]", s.BaseExp, s.BaseExp+s.DynRange)
+	}
+	return nil
+}
+
+// Generate builds the operand set. It panics on a spec Validate rejects.
 func (s Spec) Generate() []float64 {
-	if s.N < 2 {
-		panic("gen: Spec.N must be >= 2")
-	}
-	if s.Cond < 1 || math.IsNaN(s.Cond) {
-		panic("gen: Spec.Cond must be >= 1 (or +Inf)")
-	}
-	if s.DynRange < 0 {
-		panic("gen: Spec.DynRange must be >= 0")
-	}
-	if s.BaseExp < -1000 || s.BaseExp+s.DynRange > 1000 {
-		panic("gen: exponent range outside float64")
+	if err := s.Validate(); err != nil {
+		panic(err.Error())
 	}
 	r := fpu.NewRNG(s.Seed ^ 0xabcdef12345)
 	switch {

@@ -118,16 +118,8 @@ type CalibrationConfig struct {
 	Ns  []int
 	Ks  []float64
 	DRs []int
-	// Algorithms to measure per cell (default sum.PaperAlgorithms; the
-	// calibration harness passes the full selection ladder).
-	Algorithms []sum.Algorithm
 	// Trials per cell (default 50).
 	Trials int
-	// Shape of the calibration trees (default Balanced).
-	Shape tree.Shape
-	// Safety multiplies measured variability before comparison with the
-	// tolerance (default 4).
-	Safety float64
 	Seed   uint64
 }
 
@@ -144,17 +136,17 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 	if c.Trials <= 0 {
 		c.Trials = 50
 	}
-	if c.Safety <= 0 {
-		c.Safety = 4
-	}
-	if len(c.Algorithms) == 0 {
-		c.Algorithms = sum.PaperAlgorithms
-	}
 	return c
 }
 
-// Calibrate runs the offline sweep and returns a measurement-backed
-// policy. Cost scales with len(Ns)*len(Ks)*len(DRs)*Trials*max(Ns).
+// defaultSafety multiplies measured variability before comparison with
+// the tolerance.
+const defaultSafety = 4
+
+// Calibrate runs the offline sweep — the paper's algorithms over
+// balanced trees — and returns a measurement-backed policy with the
+// default safety factor. Cost scales with
+// len(Ns)*len(Ks)*len(DRs)*Trials*max(Ns).
 func Calibrate(cfg CalibrationConfig) *CalibratedPolicy {
 	cfg = cfg.withDefaults()
 	var cells []grid.CellSpec
@@ -162,19 +154,19 @@ func Calibrate(cfg CalibrationConfig) *CalibratedPolicy {
 		cells = append(cells, grid.KDRGrid(n, cfg.Ks, cfg.DRs)...)
 	}
 	results := grid.Sweep(cells, grid.Config{
-		Algorithms: cfg.Algorithms,
+		Algorithms: sum.PaperAlgorithms,
 		Trials:     cfg.Trials,
-		Shape:      cfg.Shape,
+		Shape:      tree.Balanced,
 		Seed:       cfg.Seed,
 	})
-	return &CalibratedPolicy{cells: results, safety: cfg.Safety}
+	return &CalibratedPolicy{cells: results, safety: defaultSafety}
 }
 
-// NewCalibratedPolicy wraps pre-computed sweep results (e.g. loaded from
-// a previous run) as a policy.
+// NewCalibratedPolicy wraps pre-computed sweep results as a policy; a
+// safety of 0 or below takes the default.
 func NewCalibratedPolicy(results []grid.CellResult, safety float64) *CalibratedPolicy {
 	if safety <= 0 {
-		safety = 4
+		safety = defaultSafety
 	}
 	cp := &CalibratedPolicy{safety: safety}
 	cp.cells = append(cp.cells, results...)
@@ -258,7 +250,7 @@ func (cp *CalibratedPolicy) Select(p Profile, req Requirement) (sum.Algorithm, f
 	return sum.CheapestReproducible(), 0
 }
 
-// Cells exposes the calibration table (for persistence and reports).
+// Cells exposes the calibration table.
 func (cp *CalibratedPolicy) Cells() []grid.CellResult { return cp.cells }
 
 // Static is a Policy that always selects one fixed algorithm, with a

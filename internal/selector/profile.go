@@ -29,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/fpu"
-	"repro/internal/reduce"
 )
 
 // CSum is a compensated running sum: an unevaluated pair (S, C) whose
@@ -82,8 +81,8 @@ func (a CSum) Add(b CSum) CSum {
 }
 
 // Profile summarizes the runtime-estimable properties of a value set.
-// Profiles are mergeable, so a global profile can be computed with one
-// cheap AllReduce before the real reduction.
+// Profiles are mergeable: the profile of a union is the Merge of the
+// parts' profiles.
 type Profile struct {
 	// N is the number of values (zeros included).
 	N int64
@@ -252,45 +251,3 @@ func ProfileOf(xs []float64) Profile {
 	}
 	return p
 }
-
-// ProfileOp is a reduce.Op over profiles, for computing a global profile
-// with one mpirt AllReduce before the numeric reduction.
-type ProfileOp struct{}
-
-// Name implements reduce.Op.
-func (ProfileOp) Name() string { return "profile" }
-
-// Leaf lifts a single value into a profile.
-func (ProfileOp) Leaf(x float64) reduce.State {
-	var p Profile
-	return p.Add(x)
-}
-
-// Merge combines two profile states.
-func (ProfileOp) Merge(a, b reduce.State) reduce.State {
-	return a.(Profile).Merge(b.(Profile))
-}
-
-// FoldSlice implements reduce.Op with the reference per-element fold; it
-// ignores dst.
-func (p ProfileOp) FoldSlice(_ reduce.State, xs []float64) reduce.State {
-	return reduce.LeftFold(p, xs)
-}
-
-// Leaves implements reduce.Op with one Leaf per element; it ignores dst.
-func (p ProfileOp) Leaves(_ []reduce.State, xs []float64) []reduce.State {
-	return reduce.LeafEach[reduce.State](p, xs)
-}
-
-// Finalize returns the profiled condition number — reduce.Op constrains
-// Finalize to a single scalar, and k is the headline one. The full
-// merged profile is NOT lost: recover it with ProfileOp.Profile (or a
-// direct type assertion) before finalizing, which is what the policy
-// needs (AdaptiveReduce does exactly this with its AllReduce result).
-func (ProfileOp) Finalize(s reduce.State) float64 { return s.(Profile).Cond() }
-
-// Profile recovers the complete merged Profile from a ProfileOp
-// reduction state, so tree-reduced profiling feeds the policy with
-// every field (n, dynamic range, sign counts, poison flag) rather than
-// the lone condition number Finalize can return.
-func (ProfileOp) Profile(s reduce.State) Profile { return s.(Profile) }

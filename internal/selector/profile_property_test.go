@@ -7,7 +7,6 @@ import (
 	"repro/internal/fpu"
 	"repro/internal/gen"
 	"repro/internal/grid"
-	"repro/internal/reduce"
 	"repro/internal/sum"
 )
 
@@ -106,58 +105,51 @@ func TestProfileMergeArbitrarySplits(t *testing.T) {
 	}
 }
 
-// TestProfileOpTreeMergeMatchesProfileOf pins the reduce.Op view
-// (satellite: ProfileOp.Finalize used to discard everything but Cond):
-// a left-to-right Leaf/Merge fold is bit-identical to ProfileOf in the
-// compensated Σx pair and exactly equal in every discrete field, the
-// full profile is recoverable via ProfileOp.Profile, and balanced tree
+// TestProfileTreeMergeAssociativityMatchesProfileOf pins how merged
+// per-element profiles relate to the streaming pass: a left-to-right
+// Add/Merge fold is bit-identical to ProfileOf in the compensated Σx
+// pair and exactly equal in every discrete field, and balanced tree
 // merges agree at selection resolution.
-func TestProfileOpTreeMergeMatchesProfileOf(t *testing.T) {
-	op := ProfileOp{}
+func TestProfileTreeMergeAssociativityMatchesProfileOf(t *testing.T) {
+	leaf := func(x float64) Profile { return Profile{}.Add(x) }
 	for name, xs := range fusedCases() {
 		if len(xs) == 0 {
 			continue
 		}
-		// Left-to-right fold, as reduce.Fold would run it.
-		st := op.Leaf(xs[0])
+		// Left-to-right fold of per-element leaves.
+		serial := leaf(xs[0])
 		for _, x := range xs[1:] {
-			st = op.Merge(st, op.Leaf(x))
+			serial = serial.Merge(leaf(x))
 		}
-		serial := op.Profile(st)
 		want := ProfileOf(xs)
 		if !discreteEqual(serial, want) {
-			t.Errorf("%s: ProfileOp fold discrete fields diverge:\n%+v\n%+v",
+			t.Errorf("%s: leaf fold discrete fields diverge:\n%+v\n%+v",
 				name, serial, want)
 		}
 		if fbits(serial.Sum.S) != fbits(want.Sum.S) || fbits(serial.Sum.C) != fbits(want.Sum.C) {
-			t.Errorf("%s: ProfileOp fold Σx pair not bit-identical to ProfileOf", name)
+			t.Errorf("%s: leaf fold Σx pair not bit-identical to ProfileOf", name)
 		}
 		if fbits(serial.SumAbs.Float64()) != fbits(want.SumAbs.Float64()) &&
 			!condEqual(serial, want) {
-			t.Errorf("%s: ProfileOp fold Σ|x| diverges beyond rounding", name)
-		}
-		if got := op.Finalize(st); fbits(got) != fbits(serial.Cond()) &&
-			!(math.IsNaN(got) && math.IsNaN(serial.Cond())) {
-			t.Errorf("%s: Finalize %g != merged Cond %g", name, got, serial.Cond())
+			t.Errorf("%s: leaf fold Σ|x| diverges beyond rounding", name)
 		}
 		// Balanced tree merge of per-element leaves.
-		states := make([]reduce.State, len(xs))
+		profiles := make([]Profile, len(xs))
 		for i, x := range xs {
-			states[i] = op.Leaf(x)
+			profiles[i] = leaf(x)
 		}
-		for len(states) > 1 {
-			var next []reduce.State
-			for i := 0; i+1 < len(states); i += 2 {
-				next = append(next, op.Merge(states[i], states[i+1]))
+		for len(profiles) > 1 {
+			var next []Profile
+			for i := 0; i+1 < len(profiles); i += 2 {
+				next = append(next, profiles[i].Merge(profiles[i+1]))
 			}
-			if len(states)%2 == 1 {
-				next = append(next, states[len(states)-1])
+			if len(profiles)%2 == 1 {
+				next = append(next, profiles[len(profiles)-1])
 			}
-			states = next
+			profiles = next
 		}
-		treed := op.Profile(states[0])
-		if !discreteEqual(treed, want) || !condEqual(treed, want) {
-			t.Errorf("%s: balanced ProfileOp tree diverges from ProfileOf:\n%+v\n%+v",
+		if treed := profiles[0]; !discreteEqual(treed, want) || !condEqual(treed, want) {
+			t.Errorf("%s: balanced profile tree diverges from ProfileOf:\n%+v\n%+v",
 				name, treed, want)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/mpirt"
 	"repro/internal/sum"
 	"repro/internal/tree"
 )
@@ -261,125 +260,6 @@ func TestCalibratedFallsBackWhenEmpty(t *testing.T) {
 	alg, _ := pol.Select(p, Requirement{Tolerance: 1e-9})
 	if !alg.Valid() {
 		t.Error("fallback selection invalid")
-	}
-}
-
-func TestAdaptiveReduceAgreementAndResult(t *testing.T) {
-	xs := gen.Spec{N: 8192, Cond: 1, DynRange: 8, Seed: 15}.Generate()
-	const ranks = 8
-	per := len(xs) / ranks
-	s := New(1e-9)
-	w := mpirt.NewWorld(ranks, mpirt.Config{})
-	algs := make([]sum.Algorithm, ranks)
-	var got float64
-	err := w.Run(func(r *mpirt.Rank) {
-		lo, hi := r.ID*per, (r.ID+1)*per
-		v, alg, ok := AdaptiveReduce(r, 0, xs[lo:hi], s, mpirt.Binomial, mpirt.FixedOrder)
-		algs[r.ID] = alg
-		if ok {
-			got = v
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < ranks; i++ {
-		if algs[i] != algs[0] {
-			t.Fatalf("ranks disagreed on algorithm: %v vs %v", algs[i], algs[0])
-		}
-	}
-	if algs[0] != sum.StandardAlg {
-		t.Errorf("well-conditioned data chose %v", algs[0])
-	}
-	ref := metrics.AbsSum(xs) // same-sign data: sum == abssum
-	if math.Abs(got-ref) > 1e-6*ref {
-		t.Errorf("adaptive sum %g vs %g", got, ref)
-	}
-}
-
-func TestAdaptiveReduceBitwiseUnderNondeterminism(t *testing.T) {
-	xs := gen.SumZeroSeries(4096, 24, 16)
-	const ranks = 16
-	per := len(xs) / ranks
-	s := New(0)
-	results := map[float64]bool{}
-	for trial := 0; trial < 5; trial++ {
-		w := mpirt.NewWorld(ranks, mpirt.Config{Jitter: 100000, Seed: uint64(trial)})
-		var got float64
-		err := w.Run(func(r *mpirt.Rank) {
-			lo, hi := r.ID*per, (r.ID+1)*per
-			if v, alg, ok := AdaptiveReduce(r, 0, xs[lo:hi], s, mpirt.Binomial, mpirt.ArrivalOrder); ok {
-				if !alg.Reproducible() {
-					panic("t=0 must select a reproducible algorithm")
-				}
-				got = v
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[got] = true
-	}
-	if len(results) != 1 {
-		t.Errorf("adaptive t=0 reduce produced %d distinct results", len(results))
-	}
-}
-
-// TestAdaptiveReducePinnedBits pins AdaptiveReduce's result bits for
-// every algorithm it can pick (forced with a Static policy) on four
-// fixed inputs over 8 ranks. The values were recorded while the local
-// phase still ran each algorithm's own streaming loop; the batch
-// Op.FoldSlice local phase that replaced it must reproduce them.
-func TestAdaptiveReducePinnedBits(t *testing.T) {
-	sets := []struct {
-		name string
-		xs   []float64
-		want map[sum.Algorithm]uint64
-	}{
-		{"benign", gen.Spec{N: 4096, Cond: 1, DynRange: 8, Seed: 15}.Generate(), map[sum.Algorithm]uint64{
-			sum.StandardAlg: 0x4115952c458d0fdb, sum.PairwiseAlg: 0x4115952c458d0fdb,
-			sum.BinnedAlg: 0x4115952c458d0fdc, sum.KahanAlg: 0x4115952c458d0fdc, sum.NeumaierAlg: 0x4115952c458d0fdc,
-			sum.CompositeAlg: 0x4115952c458d0fdc, sum.PreroundedAlg: 0x4115952c458d0fdc,
-		}},
-		{"illcond", gen.Spec{N: 4096, Cond: 1e12, DynRange: 30, Seed: 16}.Generate(), map[sum.Algorithm]uint64{
-			sum.StandardAlg: 0x3fd9885800000000, sum.PairwiseAlg: 0x3fd9885800000000,
-			sum.BinnedAlg: 0x3fd9885400000000, sum.KahanAlg: 0x3fd9885800000000, sum.NeumaierAlg: 0x3fd9885400000000,
-			sum.CompositeAlg: 0x3fd9885400000000, sum.PreroundedAlg: 0x3fd9885400000000,
-		}},
-		{"sumzero", gen.SumZeroSeries(4096, 24, 16), map[sum.Algorithm]uint64{
-			sum.StandardAlg: 0xbe9b000000000000, sum.PairwiseAlg: 0xbe9b000000000000,
-			sum.BinnedAlg: 0, sum.KahanAlg: 0x3e50000000000000, sum.NeumaierAlg: 0,
-			sum.CompositeAlg: 0, sum.PreroundedAlg: 0,
-		}},
-		{"wide", gen.Spec{N: 4099, Cond: 1e4, DynRange: 40, Seed: 17}.Generate(), map[sum.Algorithm]uint64{
-			sum.StandardAlg: 0x421e956513551580, sum.PairwiseAlg: 0x421e956513551580,
-			sum.BinnedAlg: 0x421e956513550380, sum.KahanAlg: 0x421e956513550380, sum.NeumaierAlg: 0x421e956513550380,
-			sum.CompositeAlg: 0x421e956513550380, sum.PreroundedAlg: 0x421e956513550380,
-		}},
-	}
-	const ranks = 8
-	for _, set := range sets {
-		for _, alg := range sum.Algorithms {
-			s := &Selector{Policy: Static{Alg: alg}}
-			var got float64
-			var picked sum.Algorithm
-			w := mpirt.NewWorld(ranks, mpirt.Config{})
-			err := w.Run(func(r *mpirt.Rank) {
-				lo, hi := r.ID*len(set.xs)/ranks, (r.ID+1)*len(set.xs)/ranks
-				if v, a, ok := AdaptiveReduce(r, 0, set.xs[lo:hi], s, mpirt.Binomial, mpirt.FixedOrder); ok {
-					got, picked = v, a
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if picked != alg {
-				t.Fatalf("%s: Static{%v} picked %v", set.name, alg, picked)
-			}
-			if want := set.want[alg]; math.Float64bits(got) != want {
-				t.Errorf("%s/%v: AdaptiveReduce %#016x, pinned %#016x", set.name, alg, math.Float64bits(got), want)
-			}
-		}
 	}
 }
 

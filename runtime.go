@@ -54,8 +54,9 @@ func New(tolerance float64, opts ...Option) *Runtime {
 	return rt
 }
 
-// Selector exposes the underlying selector (for distributed use via
-// selector.AdaptiveReduce). Without a policy it serves at tolerance 0.
+// Selector exposes the underlying selector, whose layers (profile,
+// decide, cache) in-module tools call directly. Without a policy it
+// serves at tolerance 0.
 func (rt *Runtime) Selector() *selector.Selector { return rt.sel }
 
 // Tolerance returns the configured variability tolerance.
