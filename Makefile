@@ -53,9 +53,11 @@ test:
 # the two-level BN kernel against the non-reproducible ST kernel floor
 # at 1M elements, failed when BN drifts past 2.2x (the acceptance
 # envelope around the <=2x target, see BENCH_binned.json).
-# After serve-check, the last step refits the collective selection
-# table from the recorded BENCH_mpirt.json (treesim -refit), so that
-# path runs end to end.
+# After serve-check, a step refits the collective selection table from
+# the recorded BENCH_mpirt.json (treesim -refit), so that path runs end
+# to end. The last step vets and tests perfbench, its own module (the
+# root `go test ./...` never compiles it), which imports the runtime's
+# report, the selector's Decide and the fused profile pass.
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
@@ -71,6 +73,7 @@ verify:
 		| $(GO) run ./cmd/benchjson -ratio 'BenchmarkBinnedVsAlternatives1M/binned,BenchmarkBinnedVsAlternatives1M/stkernel' -max 2.2
 	$(MAKE) serve-check
 	$(GO) run ./cmd/treesim -refit BENCH_mpirt.json >/dev/null
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve-check boots the aggregation server on a random port and gates
 # the reduction-as-a-service path: the arrival-order-invariance pin

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/sum"
 	"repro/internal/textplot"
@@ -68,6 +69,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gridmap: unknown space %q\n", *space)
 		os.Exit(1)
 	}
+	var ths []float64
+	err := checkFlags(cells, *trials)
+	if err == nil && *policy {
+		ths, err = parseThresholds(*thresholds)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gridmap:", err)
+		os.Exit(2)
+	}
 
 	results := grid.Sweep(cells, grid.Config{
 		Algorithms: sum.PaperAlgorithms,
@@ -78,11 +88,6 @@ func main() {
 	})
 
 	if *policy {
-		ths, err := parseThresholds(*thresholds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridmap:", err)
-			os.Exit(1)
-		}
 		classes := grid.Classify(results, ths)
 		for ti, th := range ths {
 			fmt.Printf("\ncheapest acceptable algorithm, t = %.3g:\n", th)
@@ -117,6 +122,21 @@ func main() {
 			fmt.Sprintf("%s — relative stddev over %d trees", alg.FullName(), *trials),
 			rowLabels, colLabels, shade))
 	}
+}
+
+// checkFlags rejects values no sweep can use: a cell the generator
+// cannot build (-n, -k, -dr; gen.Spec.Validate) or a map without
+// trees.
+func checkFlags(cells []grid.CellSpec, trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: need at least 1 tree", trials)
+	}
+	for _, c := range cells {
+		if err := (gen.Spec{N: c.N, Cond: c.Cond, DynRange: c.DynRange}).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func parseThresholds(s string) ([]float64, error) {

@@ -29,13 +29,17 @@ import (
 func main() {
 	tol := flag.Float64("t", 1e-12, "tolerated relative run-to-run variability (0 = bitwise)")
 	genSpec := flag.String("gen", "", `generate input instead of reading stdin: "n=...,k=...,dr=...[,seed=...]"`)
-	hier := flag.Int("hier", 0, "hierarchical mode: profile and select per block of this size (0 = whole set)")
 	flag.Parse()
 
 	var xs []float64
 	var err error
 	if *genSpec != "" {
-		xs, err = generate(*genSpec)
+		spec, err := parseSpec(*genSpec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "redselect:", err)
+			os.Exit(2)
+		}
+		xs = spec.Generate()
 	} else {
 		xs, err = readValues(os.Stdin)
 	}
@@ -50,18 +54,6 @@ func main() {
 
 	rt := repro.New(*tol, repro.WithPolicy(selector.NewHeuristicPolicy()))
 	exact := superacc.Sum(xs)
-	if *hier > 0 {
-		total, blocks := rt.HierarchicalSum(xs, *hier)
-		counts := map[string]int{}
-		for _, b := range blocks {
-			counts[b.Report.Algorithm.String()]++
-		}
-		fmt.Printf("hierarchical selection over %d blocks of %d: %v\n", len(blocks), *hier, counts)
-		fmt.Printf("sum        = %.17g\n", total)
-		fmt.Printf("exact sum  = %.17g\n", exact)
-		fmt.Printf("abs error  = %.3g\n", abs(total-exact))
-		return
-	}
 	total, rep := rt.Sum(xs)
 	fmt.Println(rep)
 	if rep.PRConfig != nil {
@@ -90,18 +82,20 @@ func readValues(f *os.File) ([]float64, error) {
 	return xs, sc.Err()
 }
 
-func generate(spec string) ([]float64, error) {
+// parseSpec parses a -gen spec and rejects one the generator cannot
+// build (gen.Spec.Validate), so main never reaches Generate's panic.
+func parseSpec(spec string) (gen.Spec, error) {
 	s := gen.Spec{N: 1000, Cond: 1, Seed: 1}
 	for _, part := range strings.Split(spec, ",") {
 		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
 		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad spec fragment %q", part)
+			return s, fmt.Errorf("bad spec fragment %q", part)
 		}
 		switch kv[0] {
 		case "n":
 			n, err := strconv.Atoi(kv[1])
 			if err != nil {
-				return nil, err
+				return s, err
 			}
 			s.N = n
 		case "k":
@@ -111,26 +105,26 @@ func generate(spec string) ([]float64, error) {
 			}
 			k, err := strconv.ParseFloat(kv[1], 64)
 			if err != nil {
-				return nil, err
+				return s, err
 			}
 			s.Cond = k
 		case "dr":
 			dr, err := strconv.Atoi(kv[1])
 			if err != nil {
-				return nil, err
+				return s, err
 			}
 			s.DynRange = dr
 		case "seed":
 			seed, err := strconv.ParseUint(kv[1], 10, 64)
 			if err != nil {
-				return nil, err
+				return s, err
 			}
 			s.Seed = seed
 		default:
-			return nil, fmt.Errorf("unknown spec key %q", kv[0])
+			return s, fmt.Errorf("unknown spec key %q", kv[0])
 		}
 	}
-	return s.Generate(), nil
+	return s, s.Validate()
 }
 
 func abs(x float64) float64 {

@@ -2,10 +2,10 @@
 // devirtualized inner loops behind every hot fold in the repository.
 //
 // The generic execution paths (reduce.Fold, parallel chunk folds, the
-// tree executors' serial leaf runs, selector profiling) express one
-// element step as a Leaf plus a Merge through a reduce.Monoid interface
-// value — two dynamic calls per element that the compiler can neither
-// inline nor software-pipeline. The kernels in this package collapse
+// tree executors' serial leaf runs) express one element step as a Leaf
+// plus a Merge through a reduce.Monoid interface value — two dynamic
+// calls per element that the compiler can neither inline nor
+// software-pipeline. The kernels in this package collapse
 // that step into straight-line float64 code over a []float64.
 //
 // The reference-order kernels (ST, Kahan, Neumaier, CP) fold the

@@ -68,27 +68,31 @@ func sameProfile(a, b Profile) bool {
 // same Algorithm and NonFinite, and PR only with its tuned
 // configuration. A request servedExact names must report
 // Profile{N: n}, BN, Predicted 0, zero Bounds and Fast false; every
-// other one the full profile. It returns the answer, its selection and
-// whether the request was bypassed.
+// other one the full profile and the oracle's Predicted (+Inf on
+// poisoned input). It returns the answer, its selection and whether
+// the request was bypassed.
 func checkServed(t *testing.T, where string, s *Selector, xs []float64) (float64, Selection, bool) {
 	t.Helper()
 	got, sel := s.SelectAndSum(xs)
-	want, wantAlg, prof := twoPassSum(s, xs)
+	want, ref := twoPassSum(s, xs)
 	sameSum := fbits(got) == fbits(want) || math.IsNaN(got) && math.IsNaN(want) && nanPayloadOpen(xs)
-	if sel.Alg != wantAlg || !sameSum || sel.NonFinite != prof.NonFinite {
+	if sel.Algorithm != ref.Algorithm || !sameSum || sel.NonFinite != ref.NonFinite {
 		t.Errorf("%s: got %v %x NonFinite=%v, oracle %v %x NonFinite=%v",
-			where, sel.Alg, fbits(got), sel.NonFinite, wantAlg, fbits(want), prof.NonFinite)
+			where, sel.Algorithm, fbits(got), sel.NonFinite, ref.Algorithm, fbits(want), ref.NonFinite)
 	}
-	if wantAlg == sum.PreroundedAlg && sel.PR == nil {
+	if ref.PRConfig != nil && (sel.PRConfig == nil || *sel.PRConfig != *ref.PRConfig) {
 		t.Errorf("%s: PR served without its tuned configuration", where)
 	}
 	if !servedExact(s, xs) {
-		if !sameProfile(sel.Profile, prof) {
-			t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, prof)
+		if !sameProfile(sel.Profile, ref.Profile) {
+			t.Errorf("%s: full-path profile %+v, want %+v", where, sel.Profile, ref.Profile)
+		}
+		if fbits(sel.Predicted) != fbits(ref.Predicted) {
+			t.Errorf("%s: predicted %g, oracle %g", where, sel.Predicted, ref.Predicted)
 		}
 		return got, sel, false
 	}
-	if exact := (Selection{Profile: Profile{N: int64(len(xs))}, Alg: sum.BinnedAlg}); sel != exact {
+	if exact := (Selection{Algorithm: sum.BinnedAlg, Profile: Profile{N: int64(len(xs))}}); sel != exact {
 		t.Errorf("%s: bypassed selection %+v, want %+v", where, sel, exact)
 	}
 	return got, sel, true
@@ -145,7 +149,7 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 			for _, cached := range []bool{false, true} {
 				s := &Selector{Policy: p.pol}
 				if cached {
-					s.Cache = NewDecisionCache(CacheConfig{})
+					s.Cache = NewDecisionCache(0)
 				}
 				if _, _, ok := checkServed(t, fmt.Sprintf("%s %s cached=%v", name, p.name, cached), s, xs); ok {
 					served[name]++
@@ -184,7 +188,7 @@ func TestSelectAndSumExactBypass(t *testing.T) {
 					for _, cached := range []bool{false, true} {
 						s := &Selector{Policy: p.pol, Req: Requirement{Tolerance: th.tol}}
 						if cached {
-							s.Cache = NewDecisionCache(CacheConfig{})
+							s.Cache = NewDecisionCache(0)
 						}
 						where := fmt.Sprintf("tol=%g n=%d %s %s cached=%v", th.tol, n, name, p.name, cached)
 						if _, _, ok := checkServed(t, where, s, xs); !ok {

@@ -42,30 +42,21 @@ import (
 // bypasses it) — they would alias the ill-conditioned bucket while
 // requiring different handling.
 //
-// The cache is safe for concurrent use: one LRU under one mutex. Hits
-// cost one map probe and two list-pointer swaps under the lock, with
-// zero heap allocations. The counters are atomics so Stats reads them
-// without touching mu — observability never contends with decision
-// traffic.
+// The cache is safe for concurrent use: one map under one mutex. A hit
+// costs one map probe under the lock, with zero heap allocations. A
+// miss that finds the map full clears it before inserting: since a
+// decision is a pure function of its bucket, eviction order changes
+// hit counts but never a decision or a bit. The counters are atomics
+// so Stats reads them without touching mu — observability never
+// contends with decision traffic.
 type DecisionCache struct {
-	mu  sync.Mutex
-	idx map[cacheKey]int32
-	// ents is the slab, allocated once at full capacity: cap(ents) is
-	// the capacity.
-	ents       []cacheEntry
-	head, tail int32
+	mu       sync.Mutex
+	m        map[cacheKey]Decision
+	capacity int
 
 	hits    atomic.Int64
 	misses  atomic.Int64
 	entries atomic.Int64
-}
-
-// CacheConfig sizes a DecisionCache.
-type CacheConfig struct {
-	// Capacity is the number of memoized decisions; least-recently-used
-	// entries are evicted beyond it. Defaults to 4096 (a few hundred KB;
-	// far more buckets than a single workload's profiles usually span).
-	Capacity int
 }
 
 // CacheStats is an observability snapshot of a DecisionCache.
@@ -186,41 +177,26 @@ func representative(key cacheKey) (Profile, Requirement) {
 	return p, req
 }
 
-// cacheEntry is one memoized decision in the cache's slab, linked into
-// the recency list by slab index (no per-entry allocations).
-type cacheEntry struct {
-	key        cacheKey
-	d          Decision
-	prev, next int32
-}
-
-const nilIdx int32 = -1
-
-// NewDecisionCache returns an empty cache; zero-value config fields take
-// their defaults.
-func NewDecisionCache(cfg CacheConfig) *DecisionCache {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
+// NewDecisionCache returns an empty cache that holds at most capacity
+// decisions; capacity <= 0 selects 4096 (a few hundred KB; far more
+// buckets than a single workload's profiles usually span).
+func NewDecisionCache(capacity int) *DecisionCache {
+	if capacity <= 0 {
+		capacity = 4096
 	}
-	return &DecisionCache{
-		idx:  make(map[cacheKey]int32, cfg.Capacity),
-		ents: make([]cacheEntry, 0, cfg.Capacity),
-		head: nilIdx,
-		tail: nilIdx,
-	}
+	return &DecisionCache{m: make(map[cacheKey]Decision, capacity), capacity: capacity}
 }
 
 // decide returns the bucket's memoized decision, computing and
-// inserting it on a miss. The policy runs outside the lock;
-// concurrent misses on one bucket may both evaluate it, but they
-// evaluate the same pure function of the same representative, so the
-// race is benign and the stored decision identical either way.
+// inserting it on a miss (after clearing the map when it is full). The
+// policy runs outside the lock; concurrent misses on one bucket may
+// both evaluate it, but they evaluate the same pure function of the
+// same representative, so the race is benign and the stored decision
+// identical either way.
 func (dc *DecisionCache) decide(pol Policy, p Profile, req Requirement) Decision {
 	key := quantize(p, req)
 	dc.mu.Lock()
-	if i, ok := dc.idx[key]; ok {
-		dc.touch(i)
-		d := dc.ents[i].d
+	if d, ok := dc.m[key]; ok {
 		dc.mu.Unlock()
 		dc.hits.Add(1)
 		return d
@@ -232,7 +208,11 @@ func (dc *DecisionCache) decide(pol Policy, p Profile, req Requirement) Decision
 	d := decide(pol, rp, rreq)
 
 	dc.mu.Lock()
-	dc.insert(key, d)
+	if _, ok := dc.m[key]; !ok && len(dc.m) >= dc.capacity {
+		clear(dc.m)
+	}
+	dc.m[key] = d
+	dc.entries.Store(int64(len(dc.m)))
 	dc.mu.Unlock()
 	return d
 }
@@ -246,68 +226,5 @@ func (dc *DecisionCache) Stats() CacheStats {
 		Hits:    dc.hits.Load(),
 		Misses:  dc.misses.Load(),
 		Entries: dc.entries.Load(),
-	}
-}
-
-// touch moves entry i to the recency head. Caller holds mu.
-func (dc *DecisionCache) touch(i int32) {
-	if dc.head == i {
-		return
-	}
-	e := &dc.ents[i]
-	if e.prev != nilIdx {
-		dc.ents[e.prev].next = e.next
-	}
-	if e.next != nilIdx {
-		dc.ents[e.next].prev = e.prev
-	}
-	if dc.tail == i {
-		dc.tail = e.prev
-	}
-	e.prev = nilIdx
-	e.next = dc.head
-	if dc.head != nilIdx {
-		dc.ents[dc.head].prev = i
-	}
-	dc.head = i
-	if dc.tail == nilIdx {
-		dc.tail = i
-	}
-}
-
-// insert memoizes (key, d), evicting the least-recently-used entry at
-// capacity. A concurrent miss may have inserted the key already; the
-// stored decision is identical, so the entry is just refreshed. Caller
-// holds mu.
-func (dc *DecisionCache) insert(key cacheKey, d Decision) {
-	if i, ok := dc.idx[key]; ok {
-		dc.ents[i].d = d
-		dc.touch(i)
-		return
-	}
-	var i int32
-	if len(dc.ents) < cap(dc.ents) {
-		i = int32(len(dc.ents))
-		dc.ents = append(dc.ents, cacheEntry{prev: nilIdx, next: nilIdx})
-		dc.entries.Add(1)
-	} else {
-		// Reuse the LRU slot.
-		i = dc.tail
-		delete(dc.idx, dc.ents[i].key)
-		dc.touch(i) // unlink from tail, relink at head
-	}
-	e := &dc.ents[i]
-	e.key, e.d = key, d
-	dc.idx[key] = i
-	if dc.head != i {
-		// Fresh slab slot: link at head.
-		e.prev, e.next = nilIdx, dc.head
-		if dc.head != nilIdx {
-			dc.ents[dc.head].prev = i
-		}
-		dc.head = i
-		if dc.tail == nilIdx {
-			dc.tail = i
-		}
 	}
 }

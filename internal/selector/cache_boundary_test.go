@@ -209,7 +209,7 @@ func TestCacheBoundaryHitMissIdentical(t *testing.T) {
 	for _, tol := range []float64{0, 1e-13, 2.5e-13, 1e-6} {
 		for _, p := range boundaryProfiles() {
 			s := New(tol)
-			s.Cache = NewDecisionCache(CacheConfig{})
+			s.Cache = NewDecisionCache(0)
 			d1 := s.Decide(p)
 			d2 := s.Decide(p)
 			if d1 != d2 {
@@ -231,7 +231,7 @@ func TestCacheNeverCheaperAtBoundaries(t *testing.T) {
 	for _, tol := range []float64{0, 5e-14, 1.5e-13, 2.5e-13, 1e-12, 1e-9, 1e-6} {
 		for _, p := range boundaryProfiles() {
 			s := New(tol)
-			s.Cache = NewDecisionCache(CacheConfig{})
+			s.Cache = NewDecisionCache(0)
 			cached := s.Decide(p)
 			direct, _ := s.Policy.Select(p, Requirement{Tolerance: tol})
 			if cached.Alg.CostRank() < direct.CostRank() {

@@ -37,7 +37,7 @@ func TestCacheConcurrentDecideStats(t *testing.T) {
 	}
 
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{Capacity: 256})
+	s.Cache = NewDecisionCache(256)
 	want := make([]Decision, len(profiles))
 	for i, p := range profiles {
 		want[i] = s.Decide(p) // serial warmup: one miss per bucket

@@ -16,7 +16,7 @@ func TestCacheHitMissSameDecision(t *testing.T) {
 	p := ProfileOf(xs)
 	for _, tol := range []float64{1e-6, 1e-12, 0} {
 		s := New(tol)
-		s.Cache = NewDecisionCache(CacheConfig{})
+		s.Cache = NewDecisionCache(0)
 		d1 := s.Decide(p)
 		d2 := s.Decide(p)
 		if d1 != d2 {
@@ -42,7 +42,7 @@ func TestCacheHitMissPinNewRanks(t *testing.T) {
 	xs := gen.Spec{N: 1 << 14, Cond: 1e8, DynRange: 24, Seed: 46}.Generate()
 	p := ProfileOf(xs)
 	s := New(0)
-	s.Cache = NewDecisionCache(CacheConfig{})
+	s.Cache = NewDecisionCache(0)
 	miss := s.Decide(p)
 	hit := s.Decide(p)
 	if miss != hit {
@@ -55,7 +55,7 @@ func TestCacheHitMissPinNewRanks(t *testing.T) {
 		t.Errorf("stats %+v, want 1 hit / 1 miss", st)
 	}
 	loose := New(1e-6)
-	loose.Cache = NewDecisionCache(CacheConfig{})
+	loose.Cache = NewDecisionCache(0)
 	easy := ProfileOf(gen.Spec{N: 4096, Cond: 1, DynRange: 4, Seed: 47}.Generate())
 	d1 := loose.Decide(easy)
 	d2 := loose.Decide(easy)
@@ -81,10 +81,10 @@ func TestCacheOrderIndependence(t *testing.T) {
 		t.Skip("fixture profiles no longer share a bucket")
 	}
 	s1 := New(req.Tolerance)
-	s1.Cache = NewDecisionCache(CacheConfig{})
+	s1.Cache = NewDecisionCache(0)
 	d1a, d1b := s1.Decide(a), s1.Decide(b)
 	s2 := New(req.Tolerance)
-	s2.Cache = NewDecisionCache(CacheConfig{})
+	s2.Cache = NewDecisionCache(0)
 	d2b, d2a := s2.Decide(b), s2.Decide(a)
 	if d1a != d2a || d1b != d2b || d1a != d1b {
 		t.Errorf("order-dependent decisions: %+v/%+v vs %+v/%+v", d1a, d1b, d2a, d2b)
@@ -103,7 +103,7 @@ func TestCacheConservatism(t *testing.T) {
 		p := ProfileOf(xs)
 		for _, tol := range tols {
 			s := New(tol)
-			s.Cache = NewDecisionCache(CacheConfig{})
+			s.Cache = NewDecisionCache(0)
 			cached := s.Decide(p)
 			direct := decide(s.Policy, p, s.Req)
 			if cached.Alg.CostRank() < direct.Alg.CostRank() {
@@ -157,43 +157,95 @@ func TestCacheQuantizeBuckets(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction: capacity bounds the table and evicted buckets
-// are recomputed (identically) on return.
-func TestCacheLRUEviction(t *testing.T) {
-	s := New(1e-9)
-	s.Cache = NewDecisionCache(CacheConfig{Capacity: 2})
-	profiles := []Profile{
-		{N: 10, HasNonzero: true, Pos: 10, SumAbs: CSum{S: 1}, Sum: CSum{S: 1}},
-		{N: 10000, HasNonzero: true, Pos: 10000, SumAbs: CSum{S: 1}, Sum: CSum{S: 1e-4}},
-		{N: 10, HasNonzero: true, MaxExp: 0, MinExp: -30, Pos: 10,
-			SumAbs: CSum{S: 1}, Sum: CSum{S: 1e-9}},
+// TestCacheBoundedByCapacity streams 3× capacity distinct buckets and
+// then repeats them through caches of capacity 1, 2 and 64, each
+// bucket asked for with a profile away from its representative
+// (inBucket). Entries never exceeds the capacity, read after every
+// call and from a concurrent goroutine; every decision — a miss, a
+// hit, or one recomputed after the full map was cleared — equals the
+// uncached decision on the bucket's representative; and a bucket asked
+// for again right after its insert is a hit.
+func TestCacheBoundedByCapacity(t *testing.T) {
+	const tol = 1e-9
+	var keys []cacheKey
+	for nq := int16(2); nq < 50; nq++ {
+		for _, kq := range []int16{0, 20, 40, kInfBucket} {
+			keys = append(keys, cacheKey{tol: math.Float64bits(tol), kq: kq, nq: nq, drq: nq % 9})
+		}
 	}
-	first := s.Decide(profiles[0])
-	s.Decide(profiles[1])
-	s.Decide(profiles[2]) // evicts profiles[0]'s bucket
-	if st := s.Cache.Stats(); st.Entries != 2 || st.Misses != 3 {
-		t.Fatalf("stats after overflow: %+v", st)
+	for _, capacity := range []int{1, 2, 64} {
+		stream := keys[:3*capacity]
+		s := New(tol)
+		s.Cache = NewDecisionCache(capacity)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := s.Cache.Stats().Entries; n > int64(capacity) {
+					t.Errorf("capacity %d: concurrent reader saw %d entries", capacity, n)
+					return
+				}
+			}
+		}()
+		check := func(key cacheKey, what string) {
+			rp, req := representative(key)
+			p := inBucket(key)
+			if quantize(p, req) != key {
+				t.Fatalf("profile %+v of %+v quantizes to %+v", p, key, quantize(p, req))
+			}
+			if got, want := s.Decide(p), decide(s.Policy, rp, req); got != want {
+				t.Errorf("capacity %d %s %+v: decision %+v, uncached %+v", capacity, what, key, got, want)
+			}
+			if n := s.Cache.Stats().Entries; n > int64(capacity) {
+				t.Errorf("capacity %d %s %+v: %d entries", capacity, what, key, n)
+			}
+		}
+		for _, key := range stream {
+			check(key, "first")
+			hits := s.Cache.Stats().Hits
+			check(key, "again")
+			if st := s.Cache.Stats(); st.Hits != hits+1 {
+				t.Errorf("capacity %d %+v: asking again right after the insert missed: %+v", capacity, key, st)
+			}
+		}
+		for _, key := range stream {
+			check(key, "repeat")
+		}
+		close(stop)
+		wg.Wait()
+		if st := s.Cache.Stats(); st.Hits+st.Misses != int64(3*len(stream)) {
+			t.Errorf("capacity %d: %d lookups counted, want %d", capacity, st.Hits+st.Misses, 3*len(stream))
+		}
 	}
-	again := s.Decide(profiles[0]) // miss again, same decision
-	st := s.Cache.Stats()
-	if st.Misses != 4 || st.Hits != 0 {
-		t.Errorf("evicted bucket was not recomputed: %+v", st)
+}
+
+// inBucket is a profile of key's bucket away from its representative:
+// n at the bucket's lower edge, the condition number 1.5× below the
+// representative's and the dynamic range 3 octaves narrower.
+func inBucket(key cacheKey) Profile {
+	p, _ := representative(key)
+	p.N = 1 << (key.nq - 1)
+	p.Pos = p.N
+	if key.kq != kInfBucket {
+		p.Sum.S *= 1.5
 	}
-	if first != again {
-		t.Errorf("recomputed decision differs: %+v vs %+v", first, again)
+	if key.drq > 0 {
+		p.MinExp += 3
 	}
-	// Recency: re-inserting profiles[0] evicted the then-LRU
-	// profiles[1]; profiles[2] (more recent) must have been retained.
-	s.Decide(profiles[2])
-	if st := s.Cache.Stats(); st.Hits != 1 {
-		t.Fatalf("expected a hit on the retained bucket: %+v", st)
-	}
+	return p
 }
 
 // TestCacheNonFiniteBypass: poisoned profiles never touch the cache.
 func TestCacheNonFiniteBypass(t *testing.T) {
 	s := New(1e-9)
-	s.Cache = NewDecisionCache(CacheConfig{})
+	s.Cache = NewDecisionCache(0)
 	var p Profile
 	p = p.Add(1)
 	p = p.Add(math.NaN())
@@ -211,7 +263,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	xs := gen.Spec{N: 4096, Cond: 1e5, DynRange: 16, Seed: 44}.Generate()
 	p := ProfileOf(xs)
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{})
+	s.Cache = NewDecisionCache(0)
 	s.Decide(p) // warm
 	var sink Decision
 	if n := testing.AllocsPerRun(100, func() {
@@ -223,7 +275,7 @@ func TestCacheHitAllocs(t *testing.T) {
 	// And end-to-end: warm fused serving with a cache on the fast path.
 	easy := gen.Spec{N: 4096, Cond: 1, DynRange: 4, Seed: 45}.Generate()
 	st := New(1e-9)
-	st.Cache = NewDecisionCache(CacheConfig{})
+	st.Cache = NewDecisionCache(0)
 	st.SelectAndSum(easy) // warm
 	var v float64
 	if n := testing.AllocsPerRun(100, func() {
@@ -248,7 +300,7 @@ func TestCacheConcurrent(t *testing.T) {
 		want[i] = ref.Decide(profiles[i])
 	}
 	s := New(1e-12)
-	s.Cache = NewDecisionCache(CacheConfig{Capacity: 64})
+	s.Cache = NewDecisionCache(64)
 	var wg sync.WaitGroup
 	errc := make(chan string, 64)
 	for g := 0; g < 8; g++ {
@@ -286,23 +338,23 @@ func TestCachedSumBitsUnaffected(t *testing.T) {
 	for name, xs := range fusedCases() {
 		for _, tol := range []float64{1e-6, 1e-12, 0} {
 			cached := New(tol)
-			cached.Cache = NewDecisionCache(CacheConfig{})
+			cached.Cache = NewDecisionCache(0)
 			v1, sel1 := cached.SelectAndSum(xs)
 			v2, sel2 := cached.SelectAndSum(xs) // hit path
-			if fbits(v1) != fbits(v2) || sel1.Alg != sel2.Alg {
+			if fbits(v1) != fbits(v2) || sel1.Algorithm != sel2.Algorithm {
 				t.Errorf("%s tol=%g: hit changed the result: %x/%v vs %x/%v",
-					name, tol, fbits(v1), sel1.Alg, fbits(v2), sel2.Alg)
+					name, tol, fbits(v1), sel1.Algorithm, fbits(v2), sel2.Algorithm)
 			}
 			// The cached selection, run uncached through a Static policy,
 			// reproduces the same bits: the cache influences selection
 			// only, never execution.
-			if sel1.Alg != sum.PreroundedAlg && !sel1.NonFinite {
+			if sel1.Algorithm != sum.PreroundedAlg && !sel1.NonFinite {
 				plain := New(tol)
-				plain.Policy = Static{Alg: sel1.Alg}
+				plain.Policy = Static{Alg: sel1.Algorithm}
 				v3, _ := plain.SelectAndSum(xs)
 				if fbits(v1) != fbits(v3) {
 					t.Errorf("%s tol=%g: cached bits %x != forced-%v bits %x",
-						name, tol, fbits(v1), sel1.Alg, fbits(v3))
+						name, tol, fbits(v1), sel1.Algorithm, fbits(v3))
 				}
 			}
 		}

@@ -1,11 +1,11 @@
 package selector
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/binned"
 	"repro/internal/fpu"
-	"repro/internal/kernel"
 	"repro/internal/sum"
 )
 
@@ -17,7 +17,7 @@ import (
 // The fused path folds the profile AND the two cheapest candidate
 // answers (ST's plain sum and Neumaier's compensated pair — the
 // profile's Σx accumulator is that pair) in one pass over xs
-// (kernel.FusedProfileSum), then consults the policy. When the policy
+// (FusedProfileSum), then consults the policy. When the policy
 // picks ST or Neumaier the answer is already in hand and the data is
 // never read again; only escalations to PW/K/CP/PR/BN pay a second
 // pass. Every result is bitwise-identical to what the two-pass route
@@ -40,31 +40,82 @@ type FusedPass struct {
 	ST float64
 }
 
-// passOf rebuilds the selector-level view of a kernel accumulator. The
-// field mapping is 1:1; the kernel type exists only so the hot loop
-// lives with its peer kernels and stays free of selector dependencies.
-func passOf(a kernel.FusedAcc) FusedPass {
-	return FusedPass{
-		Profile: Profile{
-			N:          a.N,
-			Sum:        CSum{S: a.SumS, C: a.SumC},
-			SumAbs:     CSum{S: a.AbsS},
-			MaxExp:     a.MaxExp,
-			MinExp:     a.MinExp,
-			HasNonzero: a.HasNonzero,
-			Pos:        a.Pos,
-			Neg:        a.Neg,
-			NonFinite:  a.NonFinite,
-		},
-		ST: a.ST,
-	}
-}
-
 // FusedProfileSum profiles xs and computes both speculative sums in a
 // single serial pass. The profile is bit-identical to ProfileOf(xs) and
-// the ST shadow to sum.Standard(xs).
+// the ST shadow to sum.Standard(xs). The Σx pair is also the Neumaier
+// state, bit-identical to kernel.Neumaier(xs) whenever xs holds no
+// non-finite value and some nonzero one: zeros are exact no-ops on a
+// Neumaier accumulator (t = s+0 = s and the residual is +0, which
+// cannot flip c's sign since c never holds -0 on a finite history), so
+// skipping them changes only the sign of an all -0 sum.
+//
+// The loop keeps four independent float64 dependency chains (the ST
+// shadow, the TwoSum pair, the plain |x| sum) that schedule in
+// parallel on any modern core, and does its bookkeeping with integer
+// operations that need no per-element branch:
+//
+//   - one unsigned compare on a = bits &^ sign rejects zeros and
+//     non-finite values together (a-1 wraps past the Inf/NaN boundary
+//     for a == 0), so the common element takes a single predictable
+//     branch;
+//   - the exponent extremes are carried as the running max and min of
+//     a itself — |x| orders exactly like its magnitude bits, subnormals
+//     included — and decoded once with math.Ilogb after the loop;
+//   - the sign count is the sum of sign bits, and Pos is the nonzero
+//     count minus Neg.
+//
+// The pass is therefore bound by the floating-point adds of the ST
+// shadow and the TwoSum chain, and every field keeps the bits of the
+// per-element reference (ProfileOf's observe loop).
 func FusedProfileSum(xs []float64) FusedPass {
-	return passOf(kernel.FusedProfileSum(xs))
+	const (
+		signBit = 1 << 63
+		infBits = 0x7ff << 52 // magnitude bits of +Inf; NaNs lie above
+	)
+	var (
+		st, s, c, abs float64
+		maxA          uint64
+		minA          uint64 = math.MaxUint64
+		nz, neg       int64
+		nonFinite     bool
+	)
+	for _, x := range xs {
+		st += x
+		b := math.Float64bits(x)
+		a := b &^ signBit
+		if a-1 >= infBits-1 {
+			// Zero (skipped by every profile arm) or NaN/±Inf (poison).
+			if a != 0 {
+				nonFinite = true
+			}
+			continue
+		}
+		// One Neumaier step for Σx. The branch-free TwoSum residual
+		// equals the branched Neumaier residual bit-for-bit (both are
+		// the exact representable error of the same addition).
+		t, e := fpu.TwoSum(s, x)
+		c += e
+		s = t
+		abs += math.Float64frombits(a)
+		maxA = max(maxA, a)
+		minA = min(minA, a)
+		nz++
+		neg += int64(b >> 63)
+	}
+	p := Profile{
+		N:         int64(len(xs)),
+		Sum:       CSum{S: s, C: c},
+		SumAbs:    CSum{S: abs},
+		Pos:       nz - neg,
+		Neg:       neg,
+		NonFinite: nonFinite,
+	}
+	if nz > 0 {
+		p.HasNonzero = true
+		p.MaxExp = math.Ilogb(math.Float64frombits(maxA))
+		p.MinExp = math.Ilogb(math.Float64frombits(minA))
+	}
+	return FusedPass{Profile: p, ST: st}
 }
 
 // SpecSum returns the already-computed sum for alg, if this pass holds
@@ -109,9 +160,8 @@ type Decision struct {
 	// computed from the same profile the decision was made from (the
 	// bucket representative on cached paths) — no extra data pass.
 	Bounds Bounds
-	// PR is the TunePR configuration; meaningful only when TunedPR.
-	PR      sum.PRConfig
-	TunedPR bool
+	// PR is the TunePR configuration; meaningful only when Alg is PR.
+	PR sum.PRConfig
 }
 
 // decide evaluates the policy (and, for PR selections, the tuner)
@@ -121,7 +171,6 @@ func decide(pol Policy, p Profile, req Requirement) Decision {
 	d := Decision{Alg: alg, Predicted: pred, Bounds: boundsFor(pol, p)}
 	if alg == sum.PreroundedAlg {
 		d.PR = TunePR(p, req)
-		d.TunedPR = true
 	}
 	return d
 }
@@ -138,28 +187,53 @@ func (s *Selector) Decide(p Profile) Decision {
 	return decide(s.Policy, p, s.Req)
 }
 
-// Selection describes one fused select-and-sum call, for reporting.
+// Selection describes one select-and-sum call: what was profiled, what
+// was chosen, and what the policy predicted. It is the runtime's
+// report (repro.Report).
 //
 // A request served by the exact bypass (see exactBypass) never
-// profiles its data: its Selection holds Profile{N: n}, Alg BN,
-// Predicted 0, zero Bounds (Conclusive false) and Fast false.
+// profiles its data: its Selection holds Profile{N: n}, Algorithm BN,
+// Predicted 0, zero Bounds (Conclusive false) and Fast false; String
+// says the profile was skipped.
 type Selection struct {
+	Algorithm sum.Algorithm
 	Profile   Profile
-	Alg       sum.Algorithm
+	// Predicted is the policy's predicted relative variability; +Inf
+	// on the poisoned fallback.
 	Predicted float64
-	// Bounds are the decision's forward-error bound estimates (the
-	// bucket representative's on cached paths; inconclusive on the
-	// poisoned fallback).
+	// Bounds are the Hallman–Ipsen per-algorithm forward-error bound
+	// estimates computed from the profile the decision was made from
+	// (the cache bucket's conservative representative on cached paths)
+	// — pure arithmetic on already-collected statistics, no extra data
+	// pass. Bounds.Conclusive is false on the poisoned fallback.
 	Bounds Bounds
-	// PR is the tuned prerounding configuration when Alg is PR.
-	PR *sum.PRConfig
+	// PRConfig is set when the prerounded operator was chosen: the
+	// tolerance-tuned bin configuration (TunePR).
+	PRConfig *sum.PRConfig
 	// Fast reports that the returned sum came out of the speculative
 	// pass — the data was read exactly once.
 	Fast bool
 	// NonFinite reports the poisoned-input fallback: the profile saw
-	// NaN/±Inf, selection was skipped, and the ST sum (which absorbs
-	// non-finite values with IEEE semantics) was returned.
+	// NaN/±Inf, selection was skipped, and the ST sum was returned — the
+	// one operator whose result follows IEEE non-finite propagation
+	// exactly (compensated corrections manufacture NaN out of Inf−Inf,
+	// and PR's binning is undefined on non-finite operands). No
+	// variability contract applies to such data.
 	NonFinite bool
+}
+
+// String summarizes the selection.
+func (s Selection) String() string {
+	if s.NonFinite {
+		return fmt.Sprintf("chose %s (%s) for %v (non-finite input; no variability contract)",
+			s.Algorithm, s.Algorithm.FullName(), s.Profile)
+	}
+	if s.Bounds == (Bounds{}) {
+		return fmt.Sprintf("chose %s (%s) for n=%d (exact sum, profile skipped)",
+			s.Algorithm, s.Algorithm.FullName(), s.Profile.N)
+	}
+	return fmt.Sprintf("chose %s (%s) for %v (predicted variability %.3g)",
+		s.Algorithm, s.Algorithm.FullName(), s.Profile, s.Predicted)
 }
 
 // SelectAndSum is the fused serving call: one pass to profile and
@@ -181,19 +255,19 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 	prof := fp.Profile
 	if prof.NonFinite {
 		return fp.ST, Selection{
-			Profile: prof, Alg: sum.StandardAlg, Fast: true, NonFinite: true,
-			Bounds: boundsFor(s.Policy, prof),
+			Algorithm: sum.StandardAlg, Profile: prof, Predicted: math.Inf(1),
+			Bounds: boundsFor(s.Policy, prof), Fast: true, NonFinite: true,
 		}
 	}
 	d := s.Decide(prof)
-	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
+	sel := Selection{Algorithm: d.Alg, Profile: prof, Predicted: d.Predicted, Bounds: d.Bounds}
 	if v, ok := fp.SpecSum(d.Alg); ok {
 		sel.Fast = true
 		return v, sel
 	}
 	if d.Alg == sum.PreroundedAlg {
 		cfg := d.PR
-		sel.PR = &cfg
+		sel.PRConfig = &cfg
 		return sum.PreroundedWith(cfg, xs), sel
 	}
 	return d.Alg.Sum(xs), sel
@@ -289,5 +363,5 @@ func bypassServes(v float64, xs []float64) bool {
 
 // exactSelection is the report of a bypassed request.
 func exactSelection(n int) Selection {
-	return Selection{Profile: Profile{N: int64(n)}, Alg: sum.BinnedAlg}
+	return Selection{Algorithm: sum.BinnedAlg, Profile: Profile{N: int64(n)}}
 }

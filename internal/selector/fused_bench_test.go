@@ -39,8 +39,8 @@ func BenchmarkSelectSum(b *testing.B) {
 		var sink float64
 		b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
 			s := New(0)
-			if _, sel := s.SelectAndSum(xs); sel.Alg != sum.BinnedAlg {
-				b.Fatalf("tolerance 0 selects %v", sel.Alg)
+			if _, sel := s.SelectAndSum(xs); sel.Algorithm != sum.BinnedAlg {
+				b.Fatalf("tolerance 0 selects %v", sel.Algorithm)
 			}
 			b.SetBytes(int64(8 * n))
 			for i := 0; i < b.N; i++ {
@@ -86,7 +86,7 @@ func BenchmarkSelectSum(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("fusedcache/%s/n=%d", alg, n), func(b *testing.B) {
 				c := benchSelector(alg)
-				c.Cache = NewDecisionCache(CacheConfig{})
+				c.Cache = NewDecisionCache(0)
 				c.SelectAndSum(xs) // warm the bucket
 				b.SetBytes(int64(8 * n))
 				b.ResetTimer()
@@ -154,7 +154,7 @@ func BenchmarkDecide(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		s := New(1e-12)
 		s.Policy = syntheticTable()
-		s.Cache = NewDecisionCache(CacheConfig{})
+		s.Cache = NewDecisionCache(0)
 		s.Decide(prof) // warm
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fpu"
 	"repro/internal/gen"
+	"repro/internal/kernel"
 	"repro/internal/sum"
 	"repro/internal/superacc"
 )
@@ -44,10 +45,10 @@ func fusedCases() map[string][]float64 {
 	return cases
 }
 
-// kernelZoo mirrors the kernel package's fusedInputs corpus — the
-// generator corners at every length the batch kernels special-case,
-// plus zero-heavy and subnormal sets — and adds the extremes of the
-// magnitude range, -0-only sets and poisoned ones.
+// kernelZoo is the batch kernels' corpus — the generator corners at
+// every length they special-case, plus zero-heavy and subnormal sets —
+// and adds the extremes of the magnitude range, -0-only sets and
+// poisoned ones.
 func kernelZoo() map[string][]float64 {
 	negZero := math.Copysign(0, -1)
 	zoo := map[string][]float64{
@@ -116,6 +117,73 @@ func TestFusedPassMatchesProfileOf(t *testing.T) {
 	}
 }
 
+// TestFusedProfileSumEquivalence pins the fused pass's two speculative
+// sums bitwise against the standalone kernels: the ST shadow against
+// kernel.ST always (non-finite values flow through both identically),
+// and the compensated pair against kernel.Neumaier whenever the input
+// holds no non-finite value and some nonzero one (the pass skips zeros,
+// so an all -0 set keeps a +0 pair where the xs[0]-seeded kernel keeps
+// -0).
+func TestFusedProfileSumEquivalence(t *testing.T) {
+	cases := kernelZoo()
+	for name, xs := range fusedCases() {
+		cases[name] = xs
+	}
+	for name, xs := range cases {
+		fp := FusedProfileSum(xs)
+		if got, want := fbits(fp.ST), fbits(kernel.ST(xs)); got != want {
+			t.Errorf("%s: fused ST %x != kernel.ST %x", name, got, want)
+		}
+		if fp.Profile.N != int64(len(xs)) {
+			t.Errorf("%s: N=%d", name, fp.Profile.N)
+		}
+		if fp.Profile.NonFinite || !fp.Profile.HasNonzero {
+			continue
+		}
+		s, c := kernel.Neumaier(xs)
+		if fbits(fp.Profile.Sum.S) != fbits(s) || fbits(fp.Profile.Sum.C) != fbits(c) {
+			t.Errorf("%s: fused pair (%x,%x) != Neumaier (%x,%x)",
+				name, fbits(fp.Profile.Sum.S), fbits(fp.Profile.Sum.C), fbits(s), fbits(c))
+		}
+	}
+}
+
+// TestFusedProfileSumNonFinite checks the poison protocol: NaN/±Inf set
+// the flag and still flow through the ST shadow with IEEE semantics,
+// while the profile arms skip them.
+func TestFusedProfileSumNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := []float64{1.5, bad, -2.25, 0, 8}
+		fp := FusedProfileSum(xs)
+		p := fp.Profile
+		if !p.NonFinite {
+			t.Errorf("%v did not poison the profile", bad)
+		}
+		if got, want := fbits(fp.ST), fbits(kernel.ST(xs)); got != want {
+			t.Errorf("%v: poisoned ST shadow %x != kernel.ST %x", bad, got, want)
+		}
+		// The profile arms must hold only the finite values.
+		if p.Sum.S != 1.5-2.25+8 || p.SumAbs.S != 1.5+2.25+8 {
+			t.Errorf("%v leaked into the profile sums: %g / %g", bad, p.Sum.S, p.SumAbs.S)
+		}
+		if p.Pos != 2 || p.Neg != 1 || p.N != 5 {
+			t.Errorf("%v: counts pos=%d neg=%d n=%d", bad, p.Pos, p.Neg, p.N)
+		}
+	}
+}
+
+// TestFusedProfileSumAllocs pins the fused pass as allocation-free.
+func TestFusedProfileSumAllocs(t *testing.T) {
+	xs := gen.Spec{N: 4096, Cond: 1, DynRange: 8, Seed: 4096}.Generate()
+	var sink FusedPass
+	if n := testing.AllocsPerRun(100, func() {
+		sink = FusedProfileSum(xs)
+	}); n != 0 {
+		t.Errorf("FusedProfileSum allocates %v per run", n)
+	}
+	_ = sink
+}
+
 // TestFusedSpecSum pins the speculation protocol: ST always served,
 // Neumaier served bit-identical to sum.Neumaier on clean data and
 // refused on poisoned or overflowed accumulations, everything else
@@ -159,21 +227,26 @@ func TestFusedSpecSum(t *testing.T) {
 // twoPassSum is the serial two-pass oracle for the fused serving call:
 // the full profile, the policy (through a fresh decision cache when s
 // has one), then the selected operator — TunePR-sized for PR — or the
-// ST fallback for a poisoned profile.
-func twoPassSum(s *Selector, xs []float64) (float64, sum.Algorithm, Profile) {
+// ST fallback with Predicted +Inf for a poisoned profile. Its
+// Selection holds Algorithm, Profile, Predicted, PRConfig and
+// NonFinite.
+func twoPassSum(s *Selector, xs []float64) (float64, Selection) {
 	ref := &Selector{Policy: s.Policy, Req: s.Req}
 	if s.Cache != nil {
-		ref.Cache = NewDecisionCache(CacheConfig{})
+		ref.Cache = NewDecisionCache(0)
 	}
 	prof := ProfileOf(xs)
 	if prof.NonFinite {
-		return sum.Standard(xs), sum.StandardAlg, prof
+		return sum.Standard(xs), Selection{Algorithm: sum.StandardAlg, Profile: prof,
+			Predicted: math.Inf(1), NonFinite: true}
 	}
 	d := ref.Decide(prof)
+	sel := Selection{Algorithm: d.Alg, Profile: prof, Predicted: d.Predicted}
 	if d.Alg == sum.PreroundedAlg {
-		return sum.PreroundedWith(d.PR, xs), d.Alg, prof
+		sel.PRConfig = &d.PR
+		return sum.PreroundedWith(d.PR, xs), sel
 	}
-	return d.Alg.Sum(xs), d.Alg, prof
+	return d.Alg.Sum(xs), sel
 }
 
 // servedExact states, independently of the serving code, when the
@@ -245,15 +318,15 @@ func FuzzSelectAndSum(f *testing.F) {
 		for _, cached := range []bool{false, true} {
 			s.Cache = nil
 			if cached {
-				s.Cache = NewDecisionCache(CacheConfig{})
+				s.Cache = NewDecisionCache(0)
 			}
 			where := fmt.Sprintf("%T tol=%g n=%d cached=%v", s.Policy, s.Req.Tolerance, len(xs), cached)
 			got, sel, _ := checkServed(t, where, s, xs)
-			if sel.NonFinite || (s.Req.Tolerance != 0 && sel.Alg != sum.BinnedAlg) {
+			if sel.NonFinite || (s.Req.Tolerance != 0 && sel.Algorithm != sum.BinnedAlg) {
 				continue
 			}
 			if exact := superacc.Sum(xs); got != exact {
-				t.Errorf("%s: %v answered %x, exact %x", where, sel.Alg, fbits(got), fbits(exact))
+				t.Errorf("%s: %v answered %x, exact %x", where, sel.Algorithm, fbits(got), fbits(exact))
 			}
 		}
 	})
@@ -320,14 +393,14 @@ func TestSelectorSumFusedEquivalence(t *testing.T) {
 		for _, tol := range []float64{1e-6, 1e-9, 1e-12, 1e-15, 0} {
 			s := New(tol)
 			got, sel := s.SelectAndSum(xs)
-			want, wantAlg, _ := twoPassSum(s, xs)
-			if sel.Alg != wantAlg {
-				t.Errorf("%s tol=%g: fused chose %v, two-pass %v", name, tol, sel.Alg, wantAlg)
+			want, ref := twoPassSum(s, xs)
+			if sel.Algorithm != ref.Algorithm {
+				t.Errorf("%s tol=%g: fused chose %v, two-pass %v", name, tol, sel.Algorithm, ref.Algorithm)
 				continue
 			}
 			if fbits(got) != fbits(want) {
 				t.Errorf("%s tol=%g (%v): fused %x != two-pass %x",
-					name, tol, sel.Alg, fbits(got), fbits(want))
+					name, tol, sel.Algorithm, fbits(got), fbits(want))
 			}
 		}
 	}
@@ -352,8 +425,8 @@ func TestSelectorSumStaticAlgorithms(t *testing.T) {
 			case alg == sum.PreroundedAlg:
 				want = sum.PreroundedWith(TunePR(prof, s.Req), xs)
 			}
-			if sel.Alg != wantAlg {
-				t.Fatalf("%s: Static{%v} chose %v, want %v", name, alg, sel.Alg, wantAlg)
+			if sel.Algorithm != wantAlg {
+				t.Fatalf("%s: Static{%v} chose %v, want %v", name, alg, sel.Algorithm, wantAlg)
 			}
 			if fbits(got) != fbits(want) {
 				t.Errorf("%s %v: fused %x != serial %x", name, alg, fbits(got), fbits(want))
@@ -399,13 +472,13 @@ func TestSelectAndSumParallelPolicies(t *testing.T) {
 			if sel.NonFinite != prof.NonFinite {
 				t.Errorf("%s: NonFinite=%v, want %v", where, sel.NonFinite, prof.NonFinite)
 			}
-			want, wantAlg, _ := twoPassSum(v.s, xs)
-			if sel.Alg != wantAlg {
-				t.Errorf("%s: chose %v, two-pass %v", where, sel.Alg, wantAlg)
+			want, ref := twoPassSum(v.s, xs)
+			if sel.Algorithm != ref.Algorithm {
+				t.Errorf("%s: chose %v, two-pass %v", where, sel.Algorithm, ref.Algorithm)
 				continue
 			}
 			if fbits(got) != fbits(want) {
-				t.Errorf("%s (%v): %x != two-pass %x", where, sel.Alg, fbits(got), fbits(want))
+				t.Errorf("%s (%v): %x != two-pass %x", where, sel.Algorithm, fbits(got), fbits(want))
 			}
 		}
 	}
@@ -433,19 +506,19 @@ func TestSelectAndSumEquivalence(t *testing.T) {
 			switch {
 			case prof.NonFinite:
 				want = sum.Standard(xs)
-				if !sel.NonFinite || sel.Alg != sum.StandardAlg || !sel.Fast {
+				if !sel.NonFinite || sel.Algorithm != sum.StandardAlg || !sel.Fast {
 					t.Errorf("%s: poisoned selection %+v", where, sel)
 				}
 			default:
 				alg, _ := s.Policy.Select(prof, s.Req)
-				if alg != sel.Alg {
-					t.Errorf("%s: chose %v, legacy %v", where, sel.Alg, alg)
+				if alg != sel.Algorithm {
+					t.Errorf("%s: chose %v, legacy %v", where, sel.Algorithm, alg)
 					continue
 				}
 				if alg == sum.PreroundedAlg {
 					cfg := TunePR(prof, s.Req)
-					if sel.PR == nil || *sel.PR != cfg {
-						t.Errorf("%s: PR config %+v, want %+v", where, sel.PR, cfg)
+					if sel.PRConfig == nil || *sel.PRConfig != cfg {
+						t.Errorf("%s: PR config %+v, want %+v", where, sel.PRConfig, cfg)
 					}
 					want = sum.PreroundedWith(cfg, xs)
 				} else {
@@ -456,7 +529,7 @@ func TestSelectAndSumEquivalence(t *testing.T) {
 				}
 			}
 			if fbits(got) != fbits(want) {
-				t.Errorf("%s (%v): %x != %x", where, sel.Alg, fbits(got), fbits(want))
+				t.Errorf("%s (%v): %x != %x", where, sel.Algorithm, fbits(got), fbits(want))
 			}
 		}
 	}
@@ -486,7 +559,7 @@ func TestFusedFastPathAllocs(t *testing.T) {
 		t.Errorf("Neumaier fast path allocates %v per run", n)
 	}
 	for _, pol := range []Policy{NewHeuristicPolicy(), NewProbabilisticPolicy(0)} {
-		ex := &Selector{Policy: pol, Cache: NewDecisionCache(CacheConfig{})}
+		ex := &Selector{Policy: pol, Cache: NewDecisionCache(0)}
 		if _, sel := ex.SelectAndSum(xs); sel.Bounds != (Bounds{}) {
 			t.Fatalf("%T: fixture does not take the exact bypass", pol)
 		}

@@ -13,15 +13,17 @@
 // without extra coordination beyond sharing the profile.
 //
 // There is one serving route, Selector.SelectAndSum, and it is serial
-// and speculative: FusedProfileSum computes the profile
-// and the two cheapest candidate sums (ST and Neumaier) in one memory
-// pass, so when the policy settles on either, the answer is already in
-// hand and the data is never read twice (see fused.go); requests the
-// analytic policies can only resolve to BN (tolerance 0, and tight
-// tolerances under the heuristic at large enough n) skip the profile
-// and run the BN fold alone. An optional
-// quantized DecisionCache memoizes policy outcomes so steady-state
-// traffic skips policy evaluation entirely (see cache.go).
+// and speculative: FusedProfileSum, this package's one fused profile
+// loop, computes the profile and the two cheapest candidate sums (ST
+// and Neumaier) in one memory pass, so when the policy settles on
+// either, the answer is already in hand and the data is never read
+// twice (see fused.go); requests the analytic policies can only
+// resolve to BN (tolerance 0, and tight tolerances under the heuristic
+// at large enough n) skip the profile and run the BN fold alone. The
+// call reports a Selection, which repro.Runtime.Sum returns as its
+// Report. An optional quantized DecisionCache, a bounded map cleared
+// when full, memoizes policy outcomes so steady-state traffic skips
+// policy evaluation entirely (see cache.go).
 package selector
 
 import (
@@ -209,8 +211,8 @@ func (p Profile) Add(x float64) Profile {
 // observe is the in-place sampling step shared by Add and the ProfileOf
 // batch loop; keeping it pointer-receiver lets the hot profiling pass
 // skip the two ~90-byte Profile copies per element that the value-
-// semantics Add pays. The fused kernel (kernel.FusedProfileSum)
-// replicates this step exactly — the equivalence is pinned by tests.
+// semantics Add pays. The fused pass (FusedProfileSum) replicates
+// this step exactly — the equivalence is pinned by tests.
 func (p *Profile) observe(x float64) {
 	p.N++
 	if x == 0 {

@@ -147,8 +147,8 @@ func TestSelectorSumUsesChoice(t *testing.T) {
 	s := New(1e-9)
 	xs := gen.Spec{N: 512, Cond: 1, DynRange: 2, Seed: 9}.Generate()
 	got, sel := s.SelectAndSum(xs)
-	if sel.Alg != sum.StandardAlg {
-		t.Errorf("alg = %v", sel.Alg)
+	if sel.Algorithm != sum.StandardAlg {
+		t.Errorf("alg = %v", sel.Algorithm)
 	}
 	if got != sum.Standard(xs) {
 		t.Errorf("sum %g != ST sum", got)
@@ -234,8 +234,8 @@ func TestProbabilisticToleranceZeroRequiresReproducible(t *testing.T) {
 	sel := &Selector{Policy: NewProbabilisticPolicy(0)}
 	a, selA := sel.SelectAndSum([]float64{s, u, u})
 	b, selB := sel.SelectAndSum([]float64{u, u, s})
-	if selA.Alg != sum.BinnedAlg || selB.Alg != sum.BinnedAlg {
-		t.Errorf("tolerance 0 served %v and %v, want BN", selA.Alg, selB.Alg)
+	if selA.Algorithm != sum.BinnedAlg || selB.Algorithm != sum.BinnedAlg {
+		t.Errorf("tolerance 0 served %v and %v, want BN", selA.Algorithm, selB.Algorithm)
 	}
 	if fbits(a) != fbits(b) {
 		t.Errorf("tolerance 0 bits depend on order: %x vs %x", fbits(a), fbits(b))

@@ -33,14 +33,9 @@
 // Neumaier answers. A request only the exact BN answer can meet skips
 // the profile: tolerance 0 under the analytic policies, and under the
 // heuristic any tolerance its ST prediction exceeds at n for every
-// profile.
-//
-// Runtime.HierarchicalSum implements the paper's closing suggestion —
-// "apply cheaper but acceptably accurate reduction algorithms to
-// subtrees based on the profile": the operand set is partitioned into
-// blocks, each block is profiled and reduced with its own
-// cheapest-acceptable algorithm (under WithPolicy), and the per-block
-// partial sums (now few) are combined with a reproducible operator.
+// profile. The paper's closing idea, selecting per subtree, is not
+// offered: a block's profile pass costs more than the block's exact
+// BN fold.
 //
 // Quick start:
 //

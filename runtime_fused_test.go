@@ -18,7 +18,7 @@ import (
 func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm, Profile) {
 	ref := &selector.Selector{Policy: rt.sel.Policy, Req: rt.sel.Req}
 	if rt.sel.Cache != nil {
-		ref.Cache = selector.NewDecisionCache(selector.CacheConfig{})
+		ref.Cache = selector.NewDecisionCache(0)
 	}
 	prof := selector.ProfileOf(xs)
 	if prof.NonFinite {
@@ -150,7 +150,7 @@ func TestRuntimeDecisionCache(t *testing.T) {
 	// tolerance: tolerance 0 takes the exact bypass, which never
 	// consults the cache).
 	small := New(1e-9, heuristic)
-	small.sel.Cache = selector.NewDecisionCache(selector.CacheConfig{Capacity: 64})
+	small.sel.Cache = selector.NewDecisionCache(64)
 	r1, _ := small.Sum(xs)
 	r2, _ := small.Sum(xs)
 	if math.Float64bits(r1) != math.Float64bits(r2) || math.Float64bits(r1) != math.Float64bits(vPlain) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bigref"
 	"repro/internal/gen"
 	"repro/internal/selector"
 	"repro/internal/sum"
@@ -53,102 +52,6 @@ func TestWithPolicyOption(t *testing.T) {
 	}
 	if rt.Tolerance() != 1e-9 {
 		t.Error("tolerance lost")
-	}
-}
-
-func TestHierarchicalSumSavesCost(t *testing.T) {
-	// Compose a set from benign blocks (same-sign, narrow) and hostile
-	// blocks (cancelling, wide): per-block selection must give the
-	// benign blocks a cheaper operator than a whole-set profile would.
-	const block = 1024
-	var xs []float64
-	for b := 0; b < 8; b++ {
-		if b%2 == 0 {
-			xs = append(xs, gen.Spec{N: block, Cond: 1, DynRange: 2, Seed: uint64(b)}.Generate()...)
-		} else {
-			xs = append(xs, gen.SumZeroSeries(block, 32, uint64(b))...)
-		}
-	}
-	rt := New(1e-10, WithPolicy(selector.NewHeuristicPolicy()))
-	_, whole := rt.Sum(xs)
-	got, blocks := rt.HierarchicalSum(xs, block)
-	if len(blocks) != 8 {
-		t.Fatalf("blocks = %d", len(blocks))
-	}
-	cheapBlocks := 0
-	for i, b := range blocks {
-		if i%2 == 0 && b.Report.Algorithm == sum.StandardAlg {
-			cheapBlocks++
-		}
-		if i%2 == 1 && b.Report.Algorithm == sum.StandardAlg {
-			t.Errorf("hostile block %d got ST", i)
-		}
-	}
-	if cheapBlocks != 4 {
-		t.Errorf("benign blocks with cheap operator: %d/4", cheapBlocks)
-	}
-	// At least half the blocks must get away with an operator cheaper
-	// than the one the whole-set profile requires.
-	cheaper := 0
-	for _, b := range blocks {
-		if b.Report.Algorithm.CostRank() < whole.Algorithm.CostRank() {
-			cheaper++
-		}
-	}
-	if sav := float64(cheaper) / float64(len(blocks)); sav < 0.5 {
-		t.Errorf("cost savings %.2f, want >= 0.5 (whole-set choice was %v)", sav, whole.Algorithm)
-	}
-	// Accuracy: the hierarchical result must match the exact sum well.
-	ref := bigref.SumFloat64(xs)
-	if math.Abs(got-ref) > 1e-6*math.Abs(ref)+1e-9 {
-		t.Errorf("hierarchical sum %g vs exact %g", got, ref)
-	}
-}
-
-func TestHierarchicalBlockOrderInvariance(t *testing.T) {
-	// The block combination uses PR, so permuting whole blocks must not
-	// change the result.
-	const block = 512
-	blocksData := make([][]float64, 6)
-	for b := range blocksData {
-		blocksData[b] = gen.Spec{N: block, Cond: 1e4, DynRange: 16, Seed: uint64(20 + b)}.Generate()
-	}
-	rt := New(1e-8, WithPolicy(selector.NewHeuristicPolicy()))
-	assemble := func(order []int) []float64 {
-		var xs []float64
-		for _, b := range order {
-			xs = append(xs, blocksData[b]...)
-		}
-		return xs
-	}
-	v1, _ := rt.HierarchicalSum(assemble([]int{0, 1, 2, 3, 4, 5}), block)
-	v2, _ := rt.HierarchicalSum(assemble([]int{5, 3, 1, 0, 4, 2}), block)
-	if v1 != v2 {
-		t.Errorf("block order changed hierarchical sum: %g vs %g", v1, v2)
-	}
-}
-
-func TestHierarchicalEdgeCases(t *testing.T) {
-	rt := New(1e-9)
-	if v, reps := rt.HierarchicalSum(nil, 100); v != 0 || reps != nil {
-		t.Error("empty input")
-	}
-	// Non-multiple length: last block is short.
-	xs := gen.Spec{N: 1000, Cond: 1, DynRange: 2, Seed: 30}.Generate()
-	v, reps := rt.HierarchicalSum(xs, 300)
-	if len(reps) != 4 {
-		t.Fatalf("blocks = %d", len(reps))
-	}
-	if reps[3].End-reps[3].Start != 100 {
-		t.Errorf("tail block size %d", reps[3].End-reps[3].Start)
-	}
-	ref := bigref.SumFloat64(xs)
-	if math.Abs(v-ref) > 1e-9*math.Abs(ref) {
-		t.Errorf("hierarchical %g vs %g", v, ref)
-	}
-	// Zero block size uses the default.
-	if v2, _ := rt.HierarchicalSum(xs, 0); math.Abs(v2-ref) > 1e-9*math.Abs(ref) {
-		t.Error("default block size broken")
 	}
 }
 
