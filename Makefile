@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the pre-merge gate: static checks (a gofmt-clean tree and
-# vet), the full test suite under the race detector (the parallel
+# verify is the pre-merge gate: static checks (a gofmt-clean tree, vet,
+# and an arm64 vet of the binned package, the only build of its
+# portable deposit path), the full test suite under the race detector (the parallel
 # engine, grid.Sweep, and mpirt all run goroutine pools that must stay
 # race-clean), and an explicit pass over
 # the fused-engine and kernel-layer guarantees — the fused sweep's
@@ -41,7 +42,9 @@ test:
 # element its own Leaf) and the FoldSlice/Leaves dst contract for every
 # algorithm's operator, BN's Leaves at two allocations per vector with
 # a nil dst and none with a reused one, a short load run's flush
-# latency, the window finalize against the superaccumulator (random states and
+# latency, every group kernel the host runs (portable, AVX2, AVX-512)
+# against the portable one field for field (the FuzzDepositEngines
+# seeds included), the window finalize against the superaccumulator (random states and
 # the FuzzBinnedFinalize seeds), and restore validation: forged bins
 # rejected by binned.Restore and by the aggregation server, and every
 # live state accepted. The kernel/parallel pass also pins the engine's
@@ -61,12 +64,13 @@ test:
 verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/binned
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise|AllReduceBN|OwnResult|RunRankSlab|MergeExpression|MessageCounts|WorldReuse|TwiceInOneRun|WarmWorld|AbortUnblocks|NegativeUserTag|Pool|ColdWorld' ./internal/mpirt
 	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|NonFinite|BatchDeposit|MatchesSequentialMonoidFold' ./internal/kernel ./internal/parallel ./internal/selector ./internal/superacc
 	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ExactBypass|ToleranceZero|DefaultServesExact|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector .
-	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
+	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs|OpMergeOwnership|Leaves|RestoreRejects|LiveStatesValidate|ForgedBins|Registry|LoadShortRun|EngineBitEquality|DepositEngines|GroupContract' ./internal/binned ./internal/sum ./internal/kernel ./internal/aggsrv
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
 	$(GO) test ./internal/kernel -run '^$$' -bench 'BinnedVsAlternatives1M/(binned|stkernel)' -benchtime 0.3s \

@@ -44,8 +44,8 @@
 // (twolevel.go): register-resident level-0 partials over an anchored
 // two-window range, flushed exactly into the bins on a fixed schedule.
 // Exactness makes the kernel choice — reference per-element loop,
-// portable groups, or the AVX2 engine — invisible in the Finalize
-// bits; AddSliceRef keeps the per-element reference path as the
+// portable groups, or the AVX2 or AVX-512 engine — invisible in the
+// Finalize bits; AddSliceRef keeps the per-element reference path as the
 // oracle.
 //
 // Capacity is unbounded: a renormalization pass runs every renormEvery

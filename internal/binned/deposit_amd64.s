@@ -95,3 +95,78 @@ done:
 	VZEROUPPER
 	MOVQ DX, ret+56(FP)
 	RET
+
+// func depositGroupsAVX512(xs []float64, consts *[3]float64, efLo, efSpan int64, q *[16]float64) int64
+//
+// depositGroupsAVX2's contract in 8-element groups: one zmm per grade,
+// one unsigned range compare into K1 per group. The quad's four
+// sublanes are loaded into the low lanes (the VEX loads zero the high
+// lanes), so element i of a group lands in lane i and sublane i mod 4
+// after the exit fold adds the high lanes into the low ones. Every add
+// is exact, so the stored quad equals depositGroupsGo's. Returns the
+// number of elements consumed (a multiple of 8), stopping at the first
+// ineligible group or when fewer than 8 elements remain.
+//
+// Register plan: Z0 group, Z1 temp, K1 out-of-range lanes, Z6-Z9 =
+// h/m/l/u, Z10/Z11 = efLo/efSpan, Z12-Z14 = b0/b1/b2, Z15 = 0x7ff mask.
+TEXT ·depositGroupsAVX512(SB), NOSPLIT, $0-64
+	MOVQ xs_base+0(FP), SI
+	MOVQ xs_len+8(FP), CX
+	MOVQ consts+24(FP), BX
+	MOVQ q+48(FP), DI
+	VBROADCASTSD 0(BX), Z12
+	VBROADCASTSD 8(BX), Z13
+	VBROADCASTSD 16(BX), Z14
+	VPBROADCASTQ efLo+32(FP), Z10
+	VPBROADCASTQ efSpan+40(FP), Z11
+	VMOVUPD 0(DI), Y6
+	VMOVUPD 32(DI), Y7
+	VMOVUPD 64(DI), Y8
+	VMOVUPD 96(DI), Y9
+	VPBROADCASTQ efFieldMask<>(SB), Z15
+	XORQ DX, DX
+
+loop8:
+	LEAQ 8(DX), AX
+	CMPQ AX, CX
+	JGT  done8
+	VMOVUPD (SI)(DX*8), Z0
+	VPSRLQ $52, Z0, Z1
+	VPANDQ Z15, Z1, Z1
+	VPSUBQ Z10, Z1, Z1
+	VPCMPUQ $6, Z11, Z1, K1 // K1 = (ef-efLo) >u efSpan
+	KORTESTW K1, K1
+	JNZ  done8
+	VADDPD Z0, Z12, Z1
+	VSUBPD Z12, Z1, Z1
+	VSUBPD Z1, Z0, Z0
+	VADDPD Z1, Z6, Z6
+	VADDPD Z0, Z13, Z1
+	VSUBPD Z13, Z1, Z1
+	VSUBPD Z1, Z0, Z0
+	VADDPD Z1, Z7, Z7
+	VADDPD Z0, Z14, Z1
+	VSUBPD Z14, Z1, Z1
+	VSUBPD Z1, Z0, Z0
+	VADDPD Z1, Z8, Z8
+	VADDPD Z0, Z9, Z9
+	ADDQ $8, DX
+	JMP  loop8
+
+done8:
+	// Fold lanes 4-7 into sublanes 0-3.
+	VEXTRACTF64X4 $1, Z6, Y1
+	VADDPD Y1, Y6, Y6
+	VEXTRACTF64X4 $1, Z7, Y1
+	VADDPD Y1, Y7, Y7
+	VEXTRACTF64X4 $1, Z8, Y1
+	VADDPD Y1, Y8, Y8
+	VEXTRACTF64X4 $1, Z9, Y1
+	VADDPD Y1, Y9, Y9
+	VMOVUPD Y6, 0(DI)
+	VMOVUPD Y7, 32(DI)
+	VMOVUPD Y8, 64(DI)
+	VMOVUPD Y9, 96(DI)
+	VZEROUPPER
+	MOVQ DX, ret+56(FP)
+	RET

@@ -24,7 +24,17 @@ import "math"
 // longer depend on the element's own window, so the whole group kernel
 // is branch-free and vectorizes: groups of groupW elements are checked
 // for range membership with integer compares and deposited with 13
-// float64 adds/subs (depositGroupsGo, or the AVX2 kernel on amd64).
+// float64 adds/subs (depositGroupsGo, or on amd64 the AVX2 kernel or
+// the AVX-512 kernel's 8-element groups).
+//
+// The AVX-512 kernel keeps eight lane partials per grade: lanes i and
+// i+4 both serve sublane i, and the kernel adds the upper four into
+// the lower four before it returns. The eight lanes partition the
+// run's elements just as the four sublanes do, so every lane partial,
+// and every sum of lane partials, is a partial sum of one run: the
+// capacity bounds below hold for each of them, every add in the kernel
+// and in its exit fold is exact, and the quad it leaves equals the
+// portable kernel's.
 //
 // # The run-length bound R
 //

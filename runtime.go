@@ -76,7 +76,7 @@ type Report = selector.Selection
 // Sum sums xs. Without a policy it returns the exact sum as New(0)
 // does: bits, Algorithm, NonFinite and Profile are New(0)'s at every
 // tolerance, and finite, non-degenerate data takes the BN fold with no
-// profile pass (0.81 ms for 1M values on a 2-vCPU Xeon, against 2.71 ms
+// profile pass (0.54 ms for 1M values on a 2-vCPU Xeon, against 3.48 ms
 // for a profile pass that selects ST; BENCH_selector).
 //
 // Under WithPolicy, Sum profiles xs, selects the cheapest acceptable
